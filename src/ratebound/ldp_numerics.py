@@ -26,7 +26,6 @@ class ConjugateResult:
     eta: float
     value: float
     argmax_z: float
-    converged: bool
     iterations: int
 
     @property
@@ -124,17 +123,17 @@ class PairKernel:
         if self._gaussian:
             z = (eta - self.mean) / self.variance
             value = (eta - self.mean) ** 2 / (2.0 * self.variance)
-            return ConjugateResult(eta, value, z, True, 0)
+            return ConjugateResult(eta, value, z, 0)
         lo_llr, hi_llr = self.domain
         if eta >= hi_llr:
-            return ConjugateResult(eta, self._endpoint_value(hi_llr), math.inf, True, 0)
+            return ConjugateResult(eta, self._endpoint_value(hi_llr), math.inf, 0)
         if eta <= lo_llr:
             return ConjugateResult(
-                eta, self._endpoint_value(lo_llr), -math.inf, True, 0
+                eta, self._endpoint_value(lo_llr), -math.inf, 0
             )
         z, iterations = self._solve_tilt(eta)
         value = eta * z - self.cgf(z)
-        return ConjugateResult(eta, value, z, True, iterations)
+        return ConjugateResult(eta, value, z, iterations)
 
     def _endpoint_value(self, endpoint: float) -> float:
         scale = max(1.0, abs(endpoint))

@@ -231,11 +231,10 @@ class SignalModel:
                 gen = np.random.Generator(np.random.Philox(ss))
                 out[agent] = gen.normal(self._means[agent, state], sigma, period_count)
             return out
-        idx = np.empty((self.n_agents, period_count), dtype=np.int64)
+        u = np.empty((self.n_agents, period_count))
         for agent, ss in enumerate(streams):
-            gen = np.random.Generator(np.random.Philox(ss))
-            u = gen.random(period_count)
-            idx[agent] = indices_from_uniforms(self._pmf[agent, state], u)
+            u[agent] = np.random.Generator(np.random.Philox(ss)).random(period_count)
+        idx = indices_from_uniforms(self._pmf[:, state, None, :], u)
         support = np.asarray(self.support)
         return support[idx]
 
@@ -290,15 +289,28 @@ class SignalModel:
             raise ValueError(f"state index {state} out of range")
 
 
-def indices_from_uniforms(pmf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0,1) to support indices by the inverse CDF of pmf_row.
+def indices_from_uniforms(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Map uniforms in [0,1) to support indices by the inverse CDF of pmf.
+
+    pmf is one probability row of length L, or a stack of rows of shape
+    (..., L) whose leading shape broadcasts against u (per-agent rows of
+    shape (n_agents, 1, L) against uniforms of shape (..., n_agents, T)).
+    The index is the number of CDF edges at or below u, not counting the
+    last edge: sum over j < L-1 of [u >= cumsum(pmf)_j]. A cumsum of
+    nonnegative entries never decreases, so this equals
+    searchsorted(edges, u, side="right") clipped to L-1; for binary signals
+    it is the single compare u >= pmf[0]. Indices are int16 unless the
+    support has more than 2^15 atoms.
 
     One uniform per draw, so streams of uniforms align one-to-one with draws.
     Shared by every sampling path in the package to keep them bit-identical.
     """
-    edges = np.cumsum(pmf_row)
-    idx = np.searchsorted(edges, u, side="right")
-    return np.minimum(idx, len(pmf_row) - 1)
+    edges = np.cumsum(pmf, axis=-1)
+    dtype = np.int16 if edges.shape[-1] <= 2**15 else np.int64
+    idx = np.zeros(np.broadcast_shapes(u.shape, edges.shape[:-1]), dtype=dtype)
+    for j in range(edges.shape[-1] - 1):
+        idx += u >= edges[..., j]
+    return idx
 
 
 # -- JSON ingestion ------------------------------------------------------------

@@ -164,15 +164,15 @@ def _draw_chunk(
     model: SignalModel, state: int, gen: np.random.Generator, count: int, horizon: int
 ) -> np.ndarray:
     """Signals for one block: (count, n_agents, horizon) of support indices
-    (finite families) or reals (Gaussian)."""
+    (finite families) or reals (Gaussian).
+
+    Finite families map one uniform per signal through every agent's pmf row
+    in a single broadcast call; the int16 indices come out in the uniforms'
+    layout."""
     if model.has_finite_support:
         u = gen.random((count, model.n_agents, horizon))
-        out = np.empty(u.shape, dtype=np.int16)
-        for agent in range(model.n_agents):
-            out[:, agent, :] = indices_from_uniforms(
-                model.pmf_row(agent, state), u[:, agent, :]
-            )
-        return out
+        rows = np.stack([model.pmf_row(a, state) for a in range(model.n_agents)])
+        return indices_from_uniforms(rows[:, None, :], u)
     means = np.array(
         [model.gaussian_params(a, state)[0] for a in range(model.n_agents)]
     )
@@ -257,61 +257,77 @@ def _vector_counts(
     config: SimConfig, signals: np.ndarray, state: int
 ) -> np.ndarray:
     """Mistake counts (n_agents, horizon) for one block, vectorized over
-    replications. Arithmetic mirrors the generic replay operation for
-    operation, so both paths make bit-identical decisions."""
+    replications.
+
+    Each action is held as a bool "plays 1" over (replications, agents), so a
+    period's plurality is one row count and its per-agent mistakes one column
+    count. Autarky and coordination read a time-major copy of the signals
+    and update preallocated buffers in place, with the generic replay's float
+    operations in its order: acc_t = acc_{t-1} + stepvals[s_t], then
+    L01 = prior_diff + acc_t against the thresholds (m - delta) * t. Both
+    paths therefore make bit-identical decisions.
+    """
     model = config.model
     strat = config.strategy
     count, n, horizon = signals.shape
-    counts = np.zeros((n, horizon), dtype=np.int64)
     if isinstance(strat, ConstantFirstPeriod):
-        counts[:, :] = (strat.state != state) * count
-        return counts
+        return np.full((n, horizon), (strat.state != state) * count, dtype=np.int64)
     stepvals = finite_llr_table(model, 0)[:, 0, 1]
     prior_diff = float(prior_log_matrix(model)[0, 1])
-    first_act = first_action(model.states.prior)
-    if isinstance(strat, AutarkyML):
-        acc = np.zeros((count, n))
-        for t in range(1, horizon + 1):
-            acc = acc + stepvals[signals[:, :, t - 1]]
-            act = np.where(prior_diff + acc >= 0.0, 0, 1)
-            counts[:, t - 1] = (act != state).sum(axis=0)
-        return counts
-    if isinstance(strat, CoordinationComplete):
+    if isinstance(strat, OddEven):
+        return _odd_even_counts(signals, state, prior_diff, float(stepvals[0]))
+    coordinate = isinstance(strat, CoordinationComplete)
+    if coordinate:
         means = pair_mean_matrix(model, 0)
         delta = resolve_delta(model, strat.delta)
         m01 = float(means[0, 1])
         m10 = float(means[1, 0])
-        acc = np.zeros((count, n))
-        prev = None
-        for t in range(1, horizon + 1):
-            acc = acc + stepvals[signals[:, :, t - 1]]
-            if t == 1:
-                act = np.full((count, n), first_act, dtype=np.int8)
-            else:
-                L01 = prior_diff + acc
-                decisive0 = L01 >= (m01 - delta) * t
-                decisive1 = -L01 >= (m10 - delta) * t
-                zeros = (prev == 0).sum(axis=1)
-                popular = np.where(2 * zeros >= n, 0, 1).astype(np.int8)
-                act = np.where(
-                    decisive0, 0, np.where(decisive1, 1, popular[:, None])
-                ).astype(np.int8)
-            counts[:, t - 1] = (act != state).sum(axis=0)
-            prev = act
-        return counts
-    # OddEven: odd agents reveal signals, even agents tally the reveals.
-    weight = float(stepvals[0])
-    odd = np.arange(n) % 2 == 1
-    n_odd = int(odd.sum())
-    act = np.empty((count, n), dtype=np.int8)
-    balance = np.zeros(count, dtype=np.int64)
+        first_plays1 = first_action(model.states.prior) == 1
+    by_time = np.ascontiguousarray(np.moveaxis(signals, 2, 0))
+    counts = np.empty((n, horizon), dtype=np.int64)
+    acc = np.zeros((count, n))
+    step = np.empty((count, n))
+    L01 = np.empty((count, n))
+    plays1 = np.empty((count, n), dtype=bool)
+    decisive1 = np.empty((count, n), dtype=bool)
     for t in range(1, horizon + 1):
-        sig_t = signals[:, :, t - 1]
-        score = prior_diff + balance * weight
-        act[:, ~odd] = np.where(score >= 0.0, 0, 1)[:, None]
-        act[:, odd] = sig_t[:, odd]
-        counts[:, t - 1] = (act != state).sum(axis=0)
-        balance += n_odd - 2 * sig_t[:, odd].sum(axis=1)
+        np.take(stepvals, by_time[t - 1], out=step, mode="clip")
+        np.add(acc, step, out=acc)
+        np.add(prior_diff, acc, out=L01)
+        if not coordinate:
+            np.less(L01, 0.0, out=plays1)
+        elif t == 1:
+            plays1.fill(first_plays1)
+        else:
+            # -L01 >= x and L01 <= -x agree exactly: negation is exact.
+            popular1 = 2 * np.count_nonzero(plays1, axis=1) > n
+            np.less_equal(L01, -((m10 - delta) * t), out=decisive1)
+            np.logical_or(decisive1, popular1[:, None], out=decisive1)
+            np.less(L01, (m01 - delta) * t, out=plays1)
+            np.logical_and(plays1, decisive1, out=plays1)
+        counts[:, t - 1] = np.count_nonzero(plays1, axis=0)
+    if state == 1:
+        np.subtract(count, counts, out=counts)
+    return counts
+
+
+def _odd_even_counts(
+    signals: np.ndarray, state: int, prior_diff: float, weight: float
+) -> np.ndarray:
+    """OddEven mistake counts, without a loop over periods: odd agents play
+    their signal; every even agent plays 1 when prior_diff + balance * weight
+    < 0, where balance counts the 0s minus the 1s revealed in earlier
+    periods (an exact integer cumsum)."""
+    count, n, horizon = signals.shape
+    odd = np.arange(n) % 2 == 1
+    revealed = signals[:, odd, :]
+    counts = np.empty((n, horizon), dtype=np.int64)
+    counts[odd] = np.count_nonzero(revealed != state, axis=0)
+    ones = revealed.sum(axis=1, dtype=np.int64)
+    balance = np.zeros((count, horizon), dtype=np.int64)
+    np.cumsum(revealed.shape[1] - 2 * ones[:, :-1], axis=1, out=balance[:, 1:])
+    even_plays1 = prior_diff + balance * weight < 0.0
+    counts[~odd] = np.count_nonzero(even_plays1 != state, axis=0)
     return counts
 
 
@@ -533,13 +549,20 @@ def fit_rate(
 # -- curve CSV --------------------------------------------------------------------
 
 
+_CURVE_COLUMNS = "agent,period,state,mistakes,trials"
+_PROVENANCES = ("monte-carlo", "exact-enumeration", "exact-binomial")
+
+
 def write_curve_csv(curve: MistakeCurve, path) -> None:
     """Write `agent,period,state,mistakes,trials` rows, sorted, LF endings.
 
-    Monte Carlo curves store integer counts; exact curves store the
-    probability itself with trials 0.
+    The column line is followed by two metadata lines, `# prior=q0,q1,...`
+    (each float in repr form, so it reads back exactly) and
+    `# provenance=...`. Monte Carlo curves store integer counts; exact curves
+    store the probability itself with trials 0.
     """
-    lines = ["agent,period,state,mistakes,trials"]
+    prior = ",".join(repr(float(q)) for q in curve.prior)
+    lines = [_CURVE_COLUMNS, f"# prior={prior}", f"# provenance={curve.provenance}"]
     for agent in range(curve.n_agents):
         for period in range(1, curve.horizon + 1):
             for state in range(curve.n_states):
@@ -555,19 +578,28 @@ def write_curve_csv(curve: MistakeCurve, path) -> None:
 
 
 def read_curve_csv(path) -> MistakeCurve:
-    """Rebuild a curve from write_curve_csv output.
+    """Rebuild a curve from write_curve_csv output, prior and provenance
+    included.
 
-    The file does not carry the prior, so states are mixed uniformly on the
-    way back in; fits only need the counts.
+    Files without the metadata lines still read: their states are mixed
+    uniformly, and the provenance is monte-carlo when trials are recorded,
+    exact-enumeration otherwise.
     """
+    meta = {}
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "agent,period,state,mistakes,trials":
+        if header != _CURVE_COLUMNS:
             raise ValueError(f"unrecognized curve header: {header!r}")
         rows = []
         for line in fh:
             line = line.strip()
             if not line:
+                continue
+            if line.startswith("#"):
+                key, sep, value = line[1:].strip().partition("=")
+                if not sep or key not in ("prior", "provenance"):
+                    raise ValueError(f"unrecognized curve metadata: {line!r}")
+                meta[key] = value
                 continue
             agent, period, state, mistakes, trials = line.split(",")
             rows.append(
@@ -589,11 +621,23 @@ def read_curve_csv(path) -> MistakeCurve:
             probs[state, agent, period - 1] = mistakes / trials
         else:
             probs[state, agent, period - 1] = mistakes
-    prior = tuple(1.0 / n_states for _ in range(n_states))
+    if "prior" in meta:
+        prior = tuple(float(q) for q in meta["prior"].split(","))
+        if len(prior) != n_states:
+            raise ValueError(
+                f"curve prior has {len(prior)} entries for {n_states} states"
+            )
+    else:
+        prior = tuple(1.0 / n_states for _ in range(n_states))
+    provenance = meta.get(
+        "provenance", "monte-carlo" if trials else "exact-enumeration"
+    )
+    if provenance not in _PROVENANCES:
+        raise ValueError(f"unknown curve provenance {provenance!r}")
     return MistakeCurve(
         probs=probs,
         prior=prior,
-        provenance="monte-carlo" if trials else "exact-enumeration",
+        provenance=provenance,
         counts=counts,
         trials=trials,
     )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -175,6 +177,57 @@ def test_indices_from_uniforms_inverse_cdf_edges():
     pmf = np.array([0.25, 0.75])
     u = np.array([0.0, 0.2499, 0.25, 0.9999, 1.0])
     assert indices_from_uniforms(pmf, u).tolist() == [0, 0, 1, 1, 1]
+
+
+def _reference_indices(pmf_row, u):
+    edges = np.cumsum(pmf_row)
+    return np.minimum(np.searchsorted(edges, u, side="right"), len(pmf_row) - 1)
+
+
+def _pmf_rows(k_min=2, k_max=6):
+    """Rows of k nonnegative weights, zero atoms included, normalized."""
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        min_size=k_min, max_size=k_max,
+    )
+    return weights.filter(lambda w: sum(w) > 0.0).map(
+        lambda w: np.asarray(w) / sum(w)
+    )
+
+
+@st.composite
+def _uniforms_for(draw, rows):
+    """Uniforms in [0,1): random ones, 0, every CDF edge of the rows below 1,
+    and the floats just beneath those edges."""
+    edges = np.cumsum(rows, axis=-1).ravel()
+    inside = [float(e) for e in edges if 0.0 <= e < 1.0]
+    below = [float(np.nextafter(e, 0.0)) for e in inside if e > 0.0]
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    return np.asarray([0.0] + inside + below + free)
+
+
+@given(st.data())
+def test_indices_from_uniforms_matches_clipped_searchsorted(data):
+    pmf_row = data.draw(_pmf_rows())
+    u = data.draw(_uniforms_for(pmf_row))
+    got = indices_from_uniforms(pmf_row, u)
+    assert got.shape == u.shape
+    assert np.array_equal(got, _reference_indices(pmf_row, u))
+
+
+@given(st.data())
+def test_indices_from_uniforms_stacked_rows_match_each_row(data):
+    k = data.draw(st.integers(2, 5))
+    agents = data.draw(st.integers(1, 4))
+    rows = np.stack([data.draw(_pmf_rows(k, k)) for _ in range(agents)])
+    u = data.draw(_uniforms_for(rows))
+    reps = data.draw(st.integers(1, 3))
+    # (reps, agents, T) uniforms against (agents, 1, k) rows
+    u = np.broadcast_to(u, (reps, agents, len(u)))
+    got = indices_from_uniforms(rows[:, None, :], u)
+    assert got.shape == u.shape
+    for agent, row in enumerate(rows):
+        assert np.array_equal(got[:, agent], _reference_indices(row, u[:, agent]))
 
 
 # -- validate -----------------------------------------------------------------------

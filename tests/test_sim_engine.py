@@ -1,5 +1,7 @@
 """Simulation engine: exactness oracles, visibility, determinism, rate fits."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -39,8 +41,8 @@ from ratebound.strategies import (
 MEAN_THREEQ = 0.5493061443340549
 
 
-def binary_model(p=0.75, n_agents=1):
-    return SignalModel(StateSpace((0, 1)), BinarySymmetric(p), n_agents)
+def binary_model(p=0.75, n_agents=1, prior=None):
+    return SignalModel(StateSpace((0, 1), prior), BinarySymmetric(p), n_agents)
 
 
 def autarky_config(horizon=3, replications=100, seed=0, p=0.75):
@@ -150,17 +152,55 @@ def test_enumeration_requires_finite_and_small_profiles():
 
 
 def test_trajectory_sums_reproduce_vectorized_counts():
+    # Every vectorized strategy, under a uniform prior and under one whose
+    # first action is state 1; the even group makes plurality ties possible.
+    strategies = [
+        AutarkyML(), CoordinationComplete(0.05), OddEven(), ConstantFirstPeriod(1),
+    ]
+    for n, prior, strategy in itertools.product(
+        (3, 4), (None, (0.3, 0.7)), strategies
+    ):
+        config = SimConfig(
+            binary_model(0.75, n, prior), Network.complete(n), strategy,
+            5, 600, 13,
+        )
+        curve = mistake_curve(config)
+        binding = _Binding(config)
+        for state in (0, 1):
+            # One chunk: these are the signals run_trajectory replays.
+            gen = _chunk_generator(config.seed, state, 0)
+            signals = _draw_chunk(config.model, state, gen, 600, 5)
+            total = np.zeros((n, 5), dtype=np.int64)
+            for trajectory in signals:
+                total += _replay(config, binding, trajectory) != state
+            assert np.array_equal(total, curve.counts[state]), (
+                n, prior, strategy, state,
+            )
+
+
+@pytest.mark.parametrize(
+    "prior, digest",
+    [
+        (None, "e6cbd20ef4b96e2937eec1f4a9fd71352e35525850ea3bfc5846157446e10579"),
+        (
+            (0.3, 0.7),
+            "bda16185b99f5c000e84af57c8dc9d8cb874e180b862ca1b6f7eaf65597be0e2",
+        ),
+    ],
+    ids=["uniform", "first-action-1"],
+)
+def test_vectorized_counts_match_recorded_digest(prior, digest, monkeypatch):
+    # sha256 of the little-endian int64 counts, recorded before the draw and
+    # the kernel were rewritten; three chunks, the last one partial.
+    monkeypatch.setenv("RATEBOUND_THREADS", "1")
     config = SimConfig(
-        binary_model(0.75, 3), Network.complete(3), CoordinationComplete(0.05),
-        5, 600, 13,
+        binary_model(0.7, 8, prior), Network.complete(8),
+        CoordinationComplete(0.05), 16, 10_000, 2024,
     )
-    curve = mistake_curve(config)
-    for state in (0, 1):
-        total = np.zeros((3, 5), dtype=np.int64)
-        for r in range(config.replications):
-            _, mistakes = run_trajectory(config, state, r)
-            total += mistakes
-        assert np.array_equal(total, curve.counts[state])
+    counts = mistake_curve(config).counts
+    raw = np.ascontiguousarray(counts, dtype="<i8").tobytes()
+    assert counts.shape == (2, 8, 16)
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def test_trajectory_sums_reproduce_generic_counts():
@@ -368,6 +408,50 @@ def test_exact_curve_round_trips_through_csv(tmp_path):
     assert np.array_equal(back.probs, curve.probs)
 
 
+def test_curve_csv_keeps_the_prior_and_the_fit(tmp_path):
+    config = SimConfig(
+        binary_model(0.7, 2, prior=(0.8, 0.2)), Network.complete(2),
+        AutarkyML(), 20, 4000, 8,
+    )
+    curve = mistake_curve(config)
+    path = tmp_path / "skewed.csv"
+    write_curve_csv(curve, path)
+    assert path.read_text().splitlines()[1:3] == [
+        "# prior=0.8,0.2", "# provenance=monte-carlo",
+    ]
+    back = read_curve_csv(path)
+    assert back.prior == (0.8, 0.2)
+    assert np.array_equal(back.mixed(), curve.mixed())
+    assert fit_rate(back, (5, 20)) == fit_rate(curve, (5, 20))
+    assert fit_rate(back, (5, 20), agent=1) == fit_rate(curve, (5, 20), agent=1)
+
+
+def test_curve_csv_keeps_the_provenance(tmp_path):
+    binomial = exact_autarky_curve(binary_model(0.75), 4)
+    enumerated = enumerate_exact(autarky_config(horizon=4))
+    for curve in (binomial, enumerated):
+        path = tmp_path / f"{curve.provenance}.csv"
+        write_curve_csv(curve, path)
+        back = read_curve_csv(path)
+        assert back.provenance == curve.provenance
+        assert back.prior == curve.prior
+
+
+def test_curve_csv_without_metadata_still_reads(tmp_path):
+    counted = tmp_path / "counted.csv"
+    counted.write_text(
+        "agent,period,state,mistakes,trials\n0,1,0,3,10\n0,1,1,6,10\n"
+    )
+    back = read_curve_csv(counted)
+    assert back.prior == (0.5, 0.5)
+    assert back.provenance == "monte-carlo"
+    assert back.counts.tolist() == [[[3]], [[6]]]
+    exact = tmp_path / "exact.csv"
+    exact.write_text("agent,period,state,mistakes,trials\n0,1,0,0.25,0\n")
+    back = read_curve_csv(exact)
+    assert back.prior == (1.0,) and back.provenance == "exact-enumeration"
+
+
 def test_read_curve_rejects_malformed_files(tmp_path):
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("agent,period,mistakes\n0,1,3\n")
@@ -383,6 +467,16 @@ def test_read_curve_rejects_malformed_files(tmp_path):
     )
     with pytest.raises(ValueError, match="trial counts"):
         read_curve_csv(mixed)
+    rows = "0,1,0,3,100\n0,1,1,3,100\n"
+    for meta, message in (
+        ("# seed=4", "metadata"),
+        ("# prior=0.2,0.3,0.5", "3 entries for 2 states"),
+        ("# provenance=guesswork", "provenance"),
+    ):
+        bad_meta = tmp_path / "d.csv"
+        bad_meta.write_text(f"agent,period,state,mistakes,trials\n{meta}\n{rows}")
+        with pytest.raises(ValueError, match=message):
+            read_curve_csv(bad_meta)
 
 
 # -- worker configuration ----------------------------------------------------------
