@@ -19,34 +19,21 @@ from ratebound.network import (
     Imitate,
     Network,
     build_schedule,
-    is_strongly_connected,
     network_from_json,
     network_to_json,
     replay_knowledge,
 )
 from ratebound.rates import rate_report, sweep_figure1
-from ratebound.signal_models import (
-    BinarySymmetric,
-    SignalModel,
-    model_from_json,
-    model_to_json,
-)
+from ratebound.signal_models import SignalModel, model_from_json, model_to_json
 from ratebound.sim_engine import (
     SimConfig,
+    config_violations,
     fit_rate,
     mistake_curve,
     read_curve_csv,
-    resolve_delta,
     write_curve_csv,
 )
-from ratebound.strategies import (
-    ConstantFirstPeriod,
-    CoordinationComplete,
-    CoordinationConnected,
-    OddEven,
-    strategy_from_json,
-    strategy_to_json,
-)
+from ratebound.strategies import strategy_from_json, strategy_to_json
 
 
 class ConfigError(Exception):
@@ -111,8 +98,6 @@ def parse_config(path: str) -> RunConfig:
                 model = model_from_json(section)
             except (ValueError, TypeError) as exc:
                 violations.append(f"model: {exc}")
-        if model is not None:
-            violations.extend(f"model: {v}" for v in model.validate())
 
     network: Network | None = None
     if "network" in doc:
@@ -135,59 +120,17 @@ def parse_config(path: str) -> RunConfig:
             violations.append(f"strategy: {exc}")
 
     horizon = doc.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
-        violations.append("horizon: must be a positive integer")
     replications = doc.get("replications")
-    if not isinstance(replications, int) or replications < 1:
-        violations.append("replications: must be a positive integer")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        violations.append("seed: must be an integer")
+    violations.extend(
+        config_violations(model, network, strategy, horizon, replications, seed)
+    )
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         violations.append("out: must be a path string")
-
-    if model is not None and network is not None and model.n_agents != network.n:
-        violations.append(
-            f"model/network: model has {model.n_agents} agents but the "
-            f"network has {network.n}"
-        )
-    if model is not None and strategy is not None:
-        if isinstance(strategy, (CoordinationComplete, CoordinationConnected)):
-            try:
-                resolve_delta(model, strategy.delta)
-            except ValueError as exc:
-                violations.append(f"strategy.delta: {exc}")
-        if isinstance(strategy, ConstantFirstPeriod):
-            if strategy.state >= model.states.n_states:
-                violations.append("strategy.state: state index out of range")
-        if isinstance(strategy, OddEven) and not isinstance(
-            model.family, BinarySymmetric
-        ):
-            violations.append(
-                "strategy/model: the odd/even strategy requires symmetric "
-                "binary signals"
-            )
-    if network is not None and strategy is not None:
-        everyone = tuple(range(network.n))
-        complete = all(h == everyone for h in network.neighborhoods)
-        if isinstance(strategy, CoordinationConnected) and not is_strongly_connected(
-            network
-        ):
-            violations.append(
-                "strategy/network: the connected coordination strategy "
-                "requires a strongly connected network"
-            )
-        if isinstance(strategy, (CoordinationComplete, OddEven)) and not complete:
-            violations.append(
-                "strategy/network: this strategy requires a complete network"
-            )
     if violations:
         raise ConfigError(violations)
-    try:
-        sim = SimConfig(model, network, strategy, horizon, replications, seed)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
+    sim = SimConfig(model, network, strategy, horizon, replications, seed)
     return RunConfig(sim=sim, out=out)
 
 

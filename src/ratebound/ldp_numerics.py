@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ratebound.signal_models import Gaussian, SignalModel
 
@@ -85,7 +84,9 @@ class PairKernel:
         if self._gaussian:
             return self.mean * z + self.variance * np.square(z) / 2.0
         z = np.asarray(z, dtype=float)
-        vals = logsumexp(self._log_pf + z[..., None] * self._llrs, axis=-1)
+        terms = self._log_pf + z[..., None] * self._llrs
+        top = terms.max(axis=-1)
+        vals = top + np.log(np.exp(terms - top[..., None]).sum(axis=-1))
         return float(vals) if vals.ndim == 0 else vals
 
     def cgf_prime(self, z: float) -> float:

@@ -106,6 +106,12 @@ def is_strongly_connected(net: Network) -> bool:
     return _reachable(net, 0, False) == full and _reachable(net, 0, True) == full
 
 
+def is_complete(net: Network) -> bool:
+    """True iff every agent observes every agent."""
+    everyone = tuple(range(net.n))
+    return all(hood == everyone for hood in net.neighborhoods)
+
+
 def distances(net: Network) -> np.ndarray:
     """All-pairs shortest path lengths d(i, j) along observation steps.
 

@@ -299,17 +299,25 @@ def indices_from_uniforms(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
     last edge: sum over j < L-1 of [u >= cumsum(pmf)_j]. A cumsum of
     nonnegative entries never decreases, so this equals
     searchsorted(edges, u, side="right") clipped to L-1; for binary signals
-    it is the single compare u >= pmf[0]. Indices are int16 unless the
-    support has more than 2^15 atoms.
+    it is the single compare u >= pmf[0]. Indices take the smallest signed
+    integer type that holds them: int8 up to 128 atoms.
+
+    A row may sum to slightly less than 1, so u can clear every edge; the
+    index is then clipped to the row's last atom of positive mass, never a
+    trailing atom of zero mass. Rows without trailing zeros are unaffected.
 
     One uniform per draw, so streams of uniforms align one-to-one with draws.
     Shared by every sampling path in the package to keep them bit-identical.
     """
+    pmf = np.asarray(pmf)
     edges = np.cumsum(pmf, axis=-1)
-    dtype = np.int16 if edges.shape[-1] <= 2**15 else np.int64
+    dtype = np.min_scalar_type(1 - edges.shape[-1])
     idx = np.zeros(np.broadcast_shapes(u.shape, edges.shape[:-1]), dtype=dtype)
     for j in range(edges.shape[-1] - 1):
         idx += u >= edges[..., j]
+    last = edges.shape[-1] - 1 - np.argmax(pmf[..., ::-1] > 0.0, axis=-1)
+    if (last < edges.shape[-1] - 1).any():
+        np.minimum(idx, last.astype(dtype), out=idx)
     return idx
 
 

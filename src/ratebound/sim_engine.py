@@ -2,35 +2,41 @@
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from ratebound.network import Network, build_schedule, is_strongly_connected
+from ratebound.network import (
+    Imitate,
+    Network,
+    build_schedule,
+    is_complete,
+    is_strongly_connected,
+)
 from ratebound.signal_models import (
     BinarySymmetric,
     SignalModel,
     indices_from_uniforms,
 )
 from ratebound.strategies import (
-    AgentState,
     AutarkyML,
     ConstantFirstPeriod,
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
-    RunContext,
     Strategy,
     finite_llr_table,
     first_action,
-    make_increment_fn,
+    lowest_dominant,
+    ml_choice,
     pair_mean_matrix,
+    plurality,
     prior_log_matrix,
+    state_pairs,
 )
 
 # Replications are simulated in fixed-size blocks, each with its own
@@ -40,11 +46,6 @@ CHUNK = 4096
 _DOMAIN_SIM = 2
 _ENUM_LIMIT = 2**20
 _MIN_FIT_MISTAKES = 20
-
-
-def _is_complete(net: Network) -> bool:
-    everyone = tuple(range(net.n))
-    return all(hood == everyone for hood in net.neighborhoods)
 
 
 def _min_pair_mean(model: SignalModel) -> float:
@@ -69,6 +70,78 @@ def resolve_delta(model: SignalModel, delta: float | None) -> float:
     return resolved
 
 
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, numbers.Integral) and value >= least
+
+
+def config_violations(
+    model: SignalModel | None,
+    network: Network | None,
+    strategy: Strategy | None,
+    horizon,
+    replications,
+    seed,
+) -> list[str]:
+    """Every reason a workload cannot run, each prefixed with the field or
+    fields it concerns (`horizon:`, `model/network:`, `strategy.delta:`, ...).
+
+    A model, network or strategy of None could not be read; the checks that
+    need it are skipped. Delta is checked only against an admissible model.
+    """
+    violations = []
+    if not _is_count(horizon, 1):
+        violations.append("horizon: must be a positive integer")
+    if not _is_count(replications, 1):
+        violations.append("replications: must be a positive integer")
+    if not _is_count(seed, 0):
+        violations.append("seed: must be a nonnegative integer")
+    problems = [] if model is None else model.validate()
+    violations.extend(f"model: {v}" for v in problems)
+    if model is not None and network is not None and model.n_agents != network.n:
+        violations.append(
+            f"model/network: model has {model.n_agents} agents but the "
+            f"network has {network.n}"
+        )
+    if (
+        isinstance(strategy, (CoordinationComplete, CoordinationConnected))
+        and model is not None
+        and not problems
+    ):
+        try:
+            resolve_delta(model, strategy.delta)
+        except ValueError as exc:
+            violations.append(f"strategy.delta: {exc}")
+    if (
+        isinstance(strategy, ConstantFirstPeriod)
+        and model is not None
+        and strategy.state >= model.states.n_states
+    ):
+        violations.append("strategy.state: state index out of range")
+    if (
+        isinstance(strategy, OddEven)
+        and model is not None
+        and not isinstance(model.family, BinarySymmetric)
+    ):
+        violations.append(
+            "strategy/model: the odd/even strategy requires symmetric binary signals"
+        )
+    if network is not None:
+        if isinstance(strategy, CoordinationConnected) and not is_strongly_connected(
+            network
+        ):
+            violations.append(
+                "strategy/network: the connected coordination strategy "
+                "requires a strongly connected network"
+            )
+        if isinstance(strategy, (CoordinationComplete, OddEven)) and not is_complete(
+            network
+        ):
+            violations.append(
+                "strategy/network: this strategy requires a complete network"
+            )
+    return violations
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Complete, immutable description of one simulation workload."""
@@ -81,35 +154,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.model.n_agents != self.network.n:
-            raise ValueError("model and network disagree on the number of agents")
-        violations = self.model.validate()
+        violations = config_violations(
+            self.model, self.network, self.strategy, self.horizon,
+            self.replications, self.seed,
+        )
         if violations:
-            raise ValueError("inadmissible model: " + "; ".join(violations))
-        strat = self.strategy
-        if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
-            resolve_delta(self.model, strat.delta)
-        if isinstance(strat, CoordinationComplete) and not _is_complete(self.network):
-            raise ValueError("the complete-network coordination strategy "
-                             "requires a complete network")
-        if isinstance(strat, CoordinationConnected) and not is_strongly_connected(
-            self.network
-        ):
-            raise ValueError("the connected coordination strategy requires a "
-                             "strongly connected network")
-        if isinstance(strat, OddEven):
-            if not isinstance(self.model.family, BinarySymmetric):
-                raise ValueError("the odd/even strategy requires symmetric "
-                                 "binary signals")
-            if not _is_complete(self.network):
-                raise ValueError("the odd/even strategy requires a complete network")
-        if isinstance(strat, ConstantFirstPeriod):
-            if strat.state >= self.model.states.n_states:
-                raise ValueError("constant strategy state index out of range")
+            raise ValueError("inadmissible simulation config: " + "; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -167,8 +217,8 @@ def _draw_chunk(
     (finite families) or reals (Gaussian).
 
     Finite families map one uniform per signal through every agent's pmf row
-    in a single broadcast call; the int16 indices come out in the uniforms'
-    layout."""
+    in a single broadcast call; the indices (int8 up to 128 atoms) come out
+    in the uniforms' layout."""
     if model.has_finite_support:
         u = gen.random((count, model.n_agents, horizon))
         rows = np.stack([model.pmf_row(a, state) for a in range(model.n_agents)])
@@ -180,155 +230,188 @@ def _draw_chunk(
     return gen.normal(means[None, :, None], sigma, (count, model.n_agents, horizon))
 
 
-# -- generic trajectory replay ---------------------------------------------------
+# -- the batched engine ------------------------------------------------------------
+
+
+def _per_agent(rows: np.ndarray) -> np.ndarray:
+    """Per-agent parameters with the agent axis first; a length-1 agent axis
+    when every agent has the same, which keeps array operations on the
+    scalar fast path."""
+    return rows[:1] if (rows == rows[0]).all() else rows
 
 
 class _Binding:
-    """Per-config constants shared by every trajectory replay."""
+    """Per-config constants of the engine, compiled once per run.
+
+    Evidence: the log-prior term per state pair, and either per-pair llr
+    tables flattened over (agent, atom) or the Gaussian diff, avg and var.
+    Coordination: the thresholds (m - delta) per ordered pair, shape
+    (k, k, agents). Connected coordination: the propagation schedule as
+    integer arrays, relay source agent and offset per block offset, and the
+    (own vote, harvest) source agent and offset per voter.
+    """
 
     def __init__(self, config: SimConfig):
         model = config.model
-        self.prior_matrix = prior_log_matrix(model)
-        self.pair_means = [pair_mean_matrix(model, i) for i in range(model.n_agents)]
-        self.increments = [make_increment_fn(model, i) for i in range(model.n_agents)]
-        self.observers = [
-            [i for i in range(config.network.n) if j in config.network.neighborhoods[i]]
-            for j in range(config.network.n)
-        ]
+        n = model.n_agents
+        k = model.states.n_states
+        pairs = state_pairs(k)
+        self.k = k
+        self.action_dtype = np.int8 if k <= 127 else np.int16
+        prior = prior_log_matrix(model)
+        self.prior = np.array([prior[f, g] for f, g in pairs])
+        self.first = first_action(model.states.prior)
+        if model.has_finite_support:
+            tables = np.stack([finite_llr_table(model, a) for a in range(n)])
+            tables = _per_agent(np.stack([tables[:, :, f, g] for f, g in pairs], 1))
+            # table[p] is indexed by agent * n_atoms + atom
+            self.table = np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(
+                len(pairs), -1
+            )
+            self.atom_offsets = None
+            if tables.shape[0] > 1:
+                self.atom_offsets = np.arange(n) * tables.shape[2]
+        else:
+            self.table = self.atom_offsets = None
+            means = _per_agent(
+                np.array([[model.gaussian_params(a, f)[0] for f in range(k)]
+                          for a in range(n)])
+            )
+            sigma = model.gaussian_params(0, 0)[1]
+            self.diff = np.stack([means[:, f] - means[:, g] for f, g in pairs])
+            self.avg = np.stack([(means[:, f] + means[:, g]) / 2.0 for f, g in pairs])
+            self.var = sigma * sigma
         strat = config.strategy
-        delta = None
-        schedule = None
-        llr_weight = None
         if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
             delta = resolve_delta(model, strat.delta)
+            thresholds = _per_agent(
+                np.stack([pair_mean_matrix(model, a) - delta for a in range(n)])
+            )
+            self.thresholds = thresholds.transpose(1, 2, 0)
         if isinstance(strat, CoordinationConnected):
             schedule = build_schedule(config.network)
-        if isinstance(strat, OddEven):
-            llr_weight = float(finite_llr_table(model, 0)[0, 0, 1])
-        self.ctx = RunContext(
-            n=config.network.n,
-            first_action=first_action(model.states.prior),
-            delta=delta,
-            schedule=schedule,
-            llr_weight=llr_weight,
-        )
+            self.block = schedule.M
+            relay = np.array(
+                [[(d.source, d.source_offset) if isinstance(d, Imitate)
+                  else (i, d.own_offset) for i, d in enumerate(row)]
+                 for row in schedule.directives],
+                dtype=np.intp,
+            ).reshape(schedule.M - 1, n, 2)
+            self.relay_source, self.relay_offset = relay[..., 0], relay[..., 1]
+            votes = np.array(
+                [[(i, 0)] + [(source, offset) for _, source, offset in entries]
+                 for i, entries in enumerate(schedule.harvest)],
+                dtype=np.intp,
+            )
+            self.vote_source, self.vote_offset = votes[..., 0], votes[..., 1]
+
+
+def _absorb(binding: _Binding, signals: np.ndarray, acc: np.ndarray,
+            step: np.ndarray) -> None:
+    """acc[p] += the period's llr increment of pair p, for (reps, agents)
+    signals: a table lookup, or diff * (x - avg) / var for Gaussians."""
+    for p in range(acc.shape[0]):
+        if binding.table is not None:
+            np.take(binding.table[p], signals, out=step, mode="clip")
+        else:
+            np.subtract(signals, binding.avg[p], out=step)
+            np.multiply(binding.diff[p], step, out=step)
+            np.divide(step, binding.var, out=step)
+        np.add(acc[p], step, out=acc[p])
+
+
+def _play_period(config: SimConfig, binding: _Binding, t: int, L: np.ndarray,
+                 actions: np.ndarray) -> None:
+    """Write every agent's period-t action into actions[t - 1], a
+    (reps, agents) slice of the period-major history. Reads the evidence L
+    (pairs, reps, agents) and the history of periods before t only."""
+    strat = config.strategy
+    now = actions[t - 1]
+    k = binding.k
+    if isinstance(strat, AutarkyML):
+        ml_choice(L, k, now)
+        return
+    if isinstance(strat, CoordinationComplete):
+        if t == 1:
+            now.fill(binding.first)
+            return
+        now[...] = plurality(actions[t - 2], k, axis=1)[:, None]
+    else:
+        offset = (t - 1) % binding.block
+        if offset:
+            start = t - offset - 1
+            now[...] = actions[
+                start + binding.relay_offset[offset - 1], :,
+                binding.relay_source[offset - 1],
+            ].T
+            return
+        if t == 1:
+            now.fill(binding.first)
+            return
+        votes = actions[
+            t - binding.block - 1 + binding.vote_offset, :, binding.vote_source
+        ]
+        now[...] = plurality(votes, k, axis=1).T
+    lowest_dominant(L, binding.thresholds * t, k, now)
+
+
+def _odd_even(binding: _Binding, signals: np.ndarray, actions: np.ndarray) -> None:
+    """OddEven over a period-major (horizon, reps, agents) block, without a
+    loop over periods: odd agents play their signal; every even agent plays 1
+    when prior + balance * weight < 0, where balance counts the 0s minus the
+    1s revealed in earlier periods (an exact integer cumsum)."""
+    horizon, reps, _ = signals.shape
+    revealed = signals[:, :, 1::2]
+    actions[:, :, 1::2] = revealed
+    ones = revealed.sum(axis=2, dtype=np.int64)
+    balance = np.zeros((horizon, reps), dtype=np.int64)
+    np.cumsum(revealed.shape[2] - 2 * ones[:-1], axis=0, out=balance[1:])
+    weight = binding.table[0, 0]
+    actions[:, :, 0::2] = (binding.prior[0] + balance * weight < 0.0)[:, :, None]
 
 
 def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.ndarray:
-    """Run one trajectory from its (n_agents, horizon) signal matrix; returns
-    the action matrix. Agents only ever read their own state, whose history
-    covers exactly their neighborhood."""
-    net = config.network
+    """The engine: play the strategy on a batch of trajectories at once.
+
+    signals has shape (reps, agents, horizon); the actions come back in the
+    same shape, as a view of a period-major history. Each period absorbs the
+    signals into the pair evidence, L = prior + acc, then plays; a strategy
+    reads its own evidence and the actions of the agents it observes. The
+    float operations are those of the scalar replay, in its order, so the
+    decisions are bit-identical to it.
+    """
+    reps, n, horizon = signals.shape
     strat = config.strategy
-    ctx = binding.ctx
-    agents = [
-        AgentState(
-            i,
-            binding.prior_matrix,
-            binding.pair_means[i],
-            binding.increments[i],
-            net.neighborhoods[i],
-        )
-        for i in range(net.n)
-    ]
-    actions = np.empty((net.n, config.horizon), dtype=np.int16)
-    for t in range(1, config.horizon + 1):
-        for i in range(net.n):
-            agents[i].absorb(signals[i, t - 1])
-        acts = [strat.act(agents[i], t, ctx) for i in range(net.n)]
-        for j, a in enumerate(acts):
-            for i in binding.observers[j]:
-                agents[i].record(j, a)
-        actions[:, t - 1] = acts
-    return actions
-
-
-# -- vectorized paths for symmetric binary models --------------------------------
-
-
-def _vector_eligible(config: SimConfig) -> bool:
-    return isinstance(config.model.family, BinarySymmetric) and isinstance(
-        config.strategy,
-        (AutarkyML, CoordinationComplete, OddEven, ConstantFirstPeriod),
-    )
+    actions = np.empty((horizon, reps, n), dtype=binding.action_dtype)
+    if isinstance(strat, ConstantFirstPeriod):
+        actions.fill(strat.state)
+        return actions.transpose(1, 2, 0)
+    by_time = np.ascontiguousarray(np.moveaxis(signals, 2, 0))
+    if isinstance(strat, OddEven):
+        _odd_even(binding, by_time, actions)
+        return actions.transpose(1, 2, 0)
+    if binding.atom_offsets is not None:
+        by_time = by_time + binding.atom_offsets
+    acc = np.zeros((len(binding.prior), reps, n))
+    L = np.empty_like(acc)
+    step = np.empty((reps, n))
+    prior = binding.prior[:, None, None]
+    for t in range(1, horizon + 1):
+        _absorb(binding, by_time[t - 1], acc, step)
+        np.add(prior, acc, out=L)
+        _play_period(config, binding, t, L, actions)
+    return actions.transpose(1, 2, 0)
 
 
 def _vector_counts(
-    config: SimConfig, signals: np.ndarray, state: int
+    config: SimConfig, signals: np.ndarray, state: int, binding: _Binding | None = None
 ) -> np.ndarray:
-    """Mistake counts (n_agents, horizon) for one block, vectorized over
-    replications.
-
-    Each action is held as a bool "plays 1" over (replications, agents), so a
-    period's plurality is one row count and its per-agent mistakes one column
-    count. Autarky and coordination read a time-major copy of the signals
-    and update preallocated buffers in place, with the generic replay's float
-    operations in its order: acc_t = acc_{t-1} + stepvals[s_t], then
-    L01 = prior_diff + acc_t against the thresholds (m - delta) * t. Both
-    paths therefore make bit-identical decisions.
-    """
-    model = config.model
-    strat = config.strategy
-    count, n, horizon = signals.shape
-    if isinstance(strat, ConstantFirstPeriod):
-        return np.full((n, horizon), (strat.state != state) * count, dtype=np.int64)
-    stepvals = finite_llr_table(model, 0)[:, 0, 1]
-    prior_diff = float(prior_log_matrix(model)[0, 1])
-    if isinstance(strat, OddEven):
-        return _odd_even_counts(signals, state, prior_diff, float(stepvals[0]))
-    coordinate = isinstance(strat, CoordinationComplete)
-    if coordinate:
-        means = pair_mean_matrix(model, 0)
-        delta = resolve_delta(model, strat.delta)
-        m01 = float(means[0, 1])
-        m10 = float(means[1, 0])
-        first_plays1 = first_action(model.states.prior) == 1
-    by_time = np.ascontiguousarray(np.moveaxis(signals, 2, 0))
-    counts = np.empty((n, horizon), dtype=np.int64)
-    acc = np.zeros((count, n))
-    step = np.empty((count, n))
-    L01 = np.empty((count, n))
-    plays1 = np.empty((count, n), dtype=bool)
-    decisive1 = np.empty((count, n), dtype=bool)
-    for t in range(1, horizon + 1):
-        np.take(stepvals, by_time[t - 1], out=step, mode="clip")
-        np.add(acc, step, out=acc)
-        np.add(prior_diff, acc, out=L01)
-        if not coordinate:
-            np.less(L01, 0.0, out=plays1)
-        elif t == 1:
-            plays1.fill(first_plays1)
-        else:
-            # -L01 >= x and L01 <= -x agree exactly: negation is exact.
-            popular1 = 2 * np.count_nonzero(plays1, axis=1) > n
-            np.less_equal(L01, -((m10 - delta) * t), out=decisive1)
-            np.logical_or(decisive1, popular1[:, None], out=decisive1)
-            np.less(L01, (m01 - delta) * t, out=plays1)
-            np.logical_and(plays1, decisive1, out=plays1)
-        counts[:, t - 1] = np.count_nonzero(plays1, axis=0)
-    if state == 1:
-        np.subtract(count, counts, out=counts)
-    return counts
-
-
-def _odd_even_counts(
-    signals: np.ndarray, state: int, prior_diff: float, weight: float
-) -> np.ndarray:
-    """OddEven mistake counts, without a loop over periods: odd agents play
-    their signal; every even agent plays 1 when prior_diff + balance * weight
-    < 0, where balance counts the 0s minus the 1s revealed in earlier
-    periods (an exact integer cumsum)."""
-    count, n, horizon = signals.shape
-    odd = np.arange(n) % 2 == 1
-    revealed = signals[:, odd, :]
-    counts = np.empty((n, horizon), dtype=np.int64)
-    counts[odd] = np.count_nonzero(revealed != state, axis=0)
-    ones = revealed.sum(axis=1, dtype=np.int64)
-    balance = np.zeros((count, horizon), dtype=np.int64)
-    np.cumsum(revealed.shape[1] - 2 * ones[:, :-1], axis=1, out=balance[:, 1:])
-    even_plays1 = prior_diff + balance * weight < 0.0
-    counts[~odd] = np.count_nonzero(even_plays1 != state, axis=0)
-    return counts
+    """Mistake counts (n_agents, horizon) of one block: the engine's actions
+    that differ from the true state, summed over replications."""
+    if binding is None:
+        binding = _Binding(config)
+    actions = _replay(config, binding, signals)
+    return np.count_nonzero(actions != state, axis=0).astype(np.int64, copy=False)
 
 
 # -- mistake curves ---------------------------------------------------------------
@@ -338,22 +421,13 @@ def _chunk_bounds(replications: int, chunk: int) -> int:
     return min(CHUNK, replications - chunk * CHUNK)
 
 
-def _chunk_counts(config: SimConfig, state: int, chunk: int) -> np.ndarray:
+def _chunk_counts(
+    config: SimConfig, state: int, chunk: int, binding: _Binding | None = None
+) -> np.ndarray:
     count = _chunk_bounds(config.replications, chunk)
     gen = _chunk_generator(config.seed, state, chunk)
     signals = _draw_chunk(config.model, state, gen, count, config.horizon)
-    if _vector_eligible(config):
-        return _vector_counts(config, signals, state)
-    binding = _Binding(config)
-    counts = np.zeros((config.network.n, config.horizon), dtype=np.int64)
-    for r in range(count):
-        actions = _replay(config, binding, signals[r])
-        counts += actions != state
-    return counts
-
-
-def _chunk_task(args: tuple[SimConfig, int, int]) -> np.ndarray:
-    return _chunk_counts(*args)
+    return _vector_counts(config, signals, state, binding)
 
 
 def worker_count() -> int:
@@ -379,18 +453,19 @@ def mistake_curve(config: SimConfig) -> MistakeCurve:
     """
     k = config.model.states.n_states
     n_chunks = -(-config.replications // CHUNK)
+    binding = _Binding(config)
     tasks = [
-        (config, state, chunk) for state in range(k) for chunk in range(n_chunks)
+        (config, state, chunk, binding) for state in range(k) for chunk in range(n_chunks)
     ]
-    counts = np.zeros((k, config.network.n, config.horizon), dtype=np.int64)
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for (_, state, _), result in zip(tasks, pool.map(_chunk_task, tasks)):
-                counts[state] += result
+            results = list(pool.map(_chunk_counts, *zip(*tasks)))
     else:
-        for _, state, chunk in tasks:
-            counts[state] += _chunk_counts(config, state, chunk)
+        results = [_chunk_counts(*task) for task in tasks]
+    counts = np.zeros((k, config.network.n, config.horizon), dtype=np.int64)
+    for (_, state, _, _), result in zip(tasks, results):
+        counts[state] += result
     return MistakeCurve(
         probs=counts / config.replications,
         prior=config.model.states.prior,
@@ -416,7 +491,7 @@ def run_trajectory(
     gen = _chunk_generator(config.seed, state, chunk)
     count = _chunk_bounds(config.replications, chunk)
     signals = _draw_chunk(config.model, state, gen, count, config.horizon)
-    actions = _replay(config, _Binding(config), signals[offset])
+    actions = _replay(config, _Binding(config), signals[offset : offset + 1])[0]
     return actions, actions != state
 
 
@@ -426,9 +501,11 @@ def run_trajectory(
 def enumerate_exact(config: SimConfig) -> MistakeCurve:
     """Exact mistake curve by summing over every signal profile.
 
-    Only for finite-support models with at most 2^20 profiles. The replay and
-    the signal-index conventions are shared with the Monte Carlo path, so the
-    two differ only by sampling noise.
+    Only for finite-support models with at most 2^20 profiles. Profiles run
+    through the engine in blocks of CHUNK, in lexicographic order (the last
+    agent-period digit fastest). Each profile's probability is a product
+    over its cells in (agent, period) order, and the weighted mistakes are
+    summed within a block, then block by block, in a fixed order.
     """
     model = config.model
     if not model.has_finite_support:
@@ -436,7 +513,8 @@ def enumerate_exact(config: SimConfig) -> MistakeCurve:
     n, horizon = config.network.n, config.horizon
     support_size = len(model.support)
     cells = n * horizon
-    if support_size**cells > _ENUM_LIMIT:
+    total = support_size**cells
+    if total > _ENUM_LIMIT:
         raise ValueError(
             f"{support_size}^{cells} profiles exceed the enumeration limit"
         )
@@ -446,14 +524,19 @@ def enumerate_exact(config: SimConfig) -> MistakeCurve:
     )
     binding = _Binding(config)
     probs = np.zeros((k, n, horizon))
-    rows = np.arange(n)[:, None]
-    for digits in itertools.product(range(support_size), repeat=cells):
-        sig = np.asarray(digits, dtype=np.int16).reshape(n, horizon)
-        actions = _replay(config, binding, sig)
+    place = support_size ** np.arange(cells - 1, -1, -1)
+    cell_agent = np.repeat(np.arange(n), horizon)
+    for start in range(0, total, CHUNK):
+        profile = np.arange(start, min(start + CHUNK, total))
+        digits = (profile[:, None] // place) % support_size
+        actions = _replay(
+            config, binding, digits.reshape(-1, n, horizon)
+        )
         for w in range(k):
-            weight = float(pmf[w][rows, sig].prod())
-            if weight > 0.0:
-                probs[w] += weight * (actions != w)
+            weight = pmf[w, cell_agent[0], digits[:, 0]]
+            for c in range(1, cells):
+                weight = weight * pmf[w, cell_agent[c], digits[:, c]]
+            probs[w] += (weight[:, None, None] * (actions != w)).sum(axis=0)
     return MistakeCurve(
         probs=probs,
         prior=model.states.prior,
@@ -461,6 +544,17 @@ def enumerate_exact(config: SimConfig) -> MistakeCurve:
         counts=None,
         trials=0,
     )
+
+
+def _binomial_rows(p: float, horizon: int):
+    """Yield (t, row, scale) for t = 1..horizon, where row[j] / scale is
+    P[Binomial(t, p) = j] exactly: p is a binary fraction num / den, so
+    every row entry is an integer (Pascal's rule on num and den - num)."""
+    num, den = float(p).as_integer_ratio()
+    row = [1]
+    for t in range(1, horizon + 1):
+        row = [a * (den - num) + b * num for a, b in zip(row + [0], [0] + row)]
+        yield t, row, den**t
 
 
 def exact_autarky_curve(model: SignalModel, horizon: int) -> MistakeCurve:
@@ -475,14 +569,15 @@ def exact_autarky_curve(model: SignalModel, horizon: int) -> MistakeCurve:
     prior = model.states.prior
     if any(abs(q - 0.5) > 1e-12 for q in prior):
         raise ValueError("closed-form autarky curve requires a uniform prior")
-    p = float(model.family.p)
-    ts = np.arange(1, horizon + 1)
     # Under state 0 a mistake needs a strict minority of matching signals;
-    # under state 1 a tie already loses to the tie-break.
-    state0 = stats.binom.cdf(np.ceil(ts / 2) - 1, ts, p)
-    state1 = stats.binom.cdf(np.floor(ts / 2), ts, p)
+    # under state 1 a tie already loses to the tie-break. The integer tail
+    # sums are exact and rounded once, by the int / int division.
+    state0, state1 = [], []
+    for t, row, scale in _binomial_rows(model.family.p, horizon):
+        state0.append(sum(row[: (t + 1) // 2]) / scale)
+        state1.append(sum(row[: t // 2 + 1]) / scale)
     probs = np.broadcast_to(
-        np.stack([state0, state1])[:, None, :], (2, model.n_agents, horizon)
+        np.array([state0, state1])[:, None, :], (2, model.n_agents, horizon)
     ).copy()
     return MistakeCurve(
         probs=probs,

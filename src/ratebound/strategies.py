@@ -1,15 +1,21 @@
-"""Decision rules: autarky likelihood maximization, coordination, odd/even split."""
+"""Decision rules: the strategy profiles and the array kernels that play them.
+
+A strategy is a frozen description; sim_engine's batched engine plays it over
+(agents, replications) arrays. Evidence is held per unordered state pair:
+L[p] is L[f, g] for the p-th pair of state_pairs(k), and L[g, f] = -L[f, g]
+holds exactly in floating point, so one float per pair carries both
+directions. Actions are state indices.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from ratebound.ldp_numerics import PairKernel
-from ratebound.network import Imitate, PropagationSchedule
 from ratebound.signal_models import SignalModel
 
 
@@ -24,26 +30,6 @@ def most_popular(actions: Iterable[int]) -> int:
 def first_action(prior: Iterable[float]) -> int:
     """Prior-optimal action before any signal arrives; ties go to the lowest index."""
     return int(np.argmax(np.asarray(list(prior), dtype=np.float64)))
-
-
-def ml_action(L: np.ndarray) -> int:
-    """Lowest state whose posterior log-likelihood row dominates: L[f, g] >= 0 for all g."""
-    qualifies = np.all(L >= 0.0, axis=1)
-    if qualifies.any():
-        return int(np.argmax(qualifies))
-    # Accumulated rounding can starve every row; the largest row sum is the
-    # maximizer whenever L[f, g] = v_f - v_g holds exactly.
-    return int(np.argmax(L.sum(axis=1)))
-
-
-def decisive_state(
-    L: np.ndarray, pair_means: np.ndarray, delta: float, t: int
-) -> int | None:
-    """Lowest state f with L[f, g] >= (m[f, g] - delta) * t for every g, if any."""
-    qualifies = np.all(L >= (pair_means - delta) * t, axis=1)
-    if qualifies.any():
-        return int(np.argmax(qualifies))
-    return None
 
 
 def prior_log_matrix(model: SignalModel) -> np.ndarray:
@@ -64,93 +50,91 @@ def pair_mean_matrix(model: SignalModel, agent: int) -> np.ndarray:
 
 
 def finite_llr_table(model: SignalModel, agent: int) -> np.ndarray:
-    """Per-signal-index increment matrices: table[s, f, g] = llr of atom s for (f, g)."""
+    """Per-signal-index increment matrices: table[s, f, g] = llr of atom s for
+    (f, g). An atom with zero mass in every state is never drawn; its
+    increments are 0."""
     pmf = np.stack(
         [model.pmf_row(agent, f) for f in range(model.states.n_states)]
     )
     with np.errstate(divide="ignore"):
         logs = np.log(pmf)
+    logs[:, ~(pmf > 0.0).any(axis=0)] = 0.0
     return logs.T[:, :, None] - logs.T[:, None, :]
 
 
-def make_increment_fn(model: SignalModel, agent: int) -> Callable[[float], np.ndarray]:
-    """Signal -> log-likelihood-ratio increment matrix for one agent.
+def state_pairs(k: int) -> list[tuple[int, int]]:
+    """Unordered state pairs (f, g), f < g, in evidence order."""
+    return [(f, g) for f in range(k) for g in range(f + 1, k)]
 
-    Finite-support families receive the signal as a support index; the
-    Gaussian family receives the raw value.
+
+def _directed(L: np.ndarray, k: int, f: int, g: int) -> tuple[np.ndarray, int]:
+    """(L[p], sign) with L[f, g] = sign * L[p]."""
+    p = state_pairs(k).index((min(f, g), max(f, g)))
+    return L[p], 1 if f < g else -1
+
+
+def _put(actions: np.ndarray, f: int, where: np.ndarray) -> None:
+    """actions = f where `where`, in place; integer arithmetic, which is far
+    cheaper than a masked copy."""
+    step = np.subtract(f, actions, dtype=actions.dtype)
+    np.multiply(step, where, out=step)
+    np.add(actions, step, out=actions)
+
+
+def lowest_dominant(L: np.ndarray, cut, k: int, actions: np.ndarray) -> None:
+    """Where some state f has L[f, g] >= cut[f][g] for every g != f, set
+    actions to the lowest such f; other cells keep their value.
+
+    L[g, f] >= c is tested as L[f, g] <= -c, which negation makes exact.
     """
-    if model.has_finite_support:
-        table = finite_llr_table(model, agent)
-        return lambda signal: table[int(signal)]
-    k = model.states.n_states
-    means = np.array([model.gaussian_params(agent, f)[0] for f in range(k)])
-    sigma = model.gaussian_params(agent, 0)[1]
-    diff = means[:, None] - means[None, :]
-    avg = (means[:, None] + means[None, :]) / 2.0
-    var = sigma * sigma
-    return lambda signal: diff * (float(signal) - avg) / var
+    for f in reversed(range(k)):
+        ok = None
+        for g in range(k):
+            if g == f:
+                continue
+            evidence, sign = _directed(L, k, f, g)
+            test = evidence >= cut[f][g] if sign > 0 else evidence <= -cut[f][g]
+            ok = test if ok is None else np.logical_and(ok, test, out=ok)
+        _put(actions, f, ok)
 
 
-class AgentState:
-    """One agent's run-time view: accumulated evidence plus observed actions.
-
-    ``acc`` accumulates per-period log-likelihood-ratio increments; the
-    posterior matrix ``L`` adds the log-prior term on top. ``history`` holds
-    the full action record of each observed neighbor (self included), which
-    is everything a strategy may legally read.
-    """
-
-    def __init__(
-        self,
-        agent: int,
-        prior_matrix: np.ndarray,
-        pair_means: np.ndarray,
-        increment_fn: Callable[[float], np.ndarray],
-        neighbors: Iterable[int],
-    ) -> None:
-        self.agent = agent
-        self.prior_matrix = prior_matrix
-        self.pair_means = pair_means
-        self._increment_fn = increment_fn
-        self.acc = np.zeros_like(prior_matrix)
-        self.t = 0
-        self.last_signal: float | None = None
-        self.own_actions: list[int] = []
-        self.history: dict[int, list[int]] = {j: [] for j in neighbors}
-
-    @property
-    def L(self) -> np.ndarray:
-        return self.prior_matrix + self.acc
-
-    def absorb(self, signal: float) -> None:
-        self.acc += self._increment_fn(signal)
-        self.last_signal = signal
-        self.t += 1
-
-    def record(self, agent: int, action: int) -> None:
-        if agent == self.agent:
-            self.own_actions.append(action)
-        if agent in self.history:
-            self.history[agent].append(action)
+def ml_choice(L: np.ndarray, k: int, actions: np.ndarray) -> None:
+    """Maximum-likelihood action: the lowest state whose row dominates,
+    L[f, g] >= 0 for every g. Accumulated rounding can starve every row when
+    k > 2; such cells take the largest row sum, summed left to right over
+    g != f (ties to the lowest state)."""
+    actions.fill(0)
+    best = None
+    for f in range(k):
+        row = None
+        for g in range(k):
+            if g != f:
+                evidence, sign = _directed(L, k, f, g)
+                term = evidence if sign > 0 else -evidence
+                row = term if row is None else row + term
+        if best is not None:
+            better = row > best
+            _put(actions, f, better)
+            row = np.where(better, row, best)
+        best = row
+    lowest_dominant(L, np.zeros((k, k)), k, actions)
 
 
-@dataclass(frozen=True)
-class RunContext:
-    """Bound run facts a strategy may consult beyond its own AgentState."""
-
-    n: int
-    first_action: int
-    delta: float | None = None
-    schedule: PropagationSchedule | None = None
-    llr_weight: float | None = None
+def plurality(actions: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Most frequent state along axis; ties go to the lowest state."""
+    counts = [(actions == f).sum(axis=axis, dtype=np.int32) for f in range(1, k)]
+    best = np.zeros(counts[0].shape, dtype=actions.dtype)
+    best_count = actions.shape[axis] - sum(counts)
+    for f, count in enumerate(counts, start=1):
+        better = count > best_count
+        _put(best, f, better)
+        np.maximum(best_count, count, out=best_count)
+    return best
 
 
 @dataclass(frozen=True)
 class AutarkyML:
     """Maximize the own-signal posterior each period; ignores everyone else."""
-
-    def act(self, state: AgentState, t: int, ctx: RunContext) -> int:
-        return ml_action(state.L)
 
 
 @dataclass(frozen=True)
@@ -159,7 +143,8 @@ class CoordinationComplete:
 
     A state is decisive when every pairwise evidence total clears the linear
     threshold (m[f, g] - delta) * t. Absent a decisive state the agent
-    repeats the previous period's plurality action.
+    repeats the previous period's plurality action. Period 1 plays the
+    prior's mode.
     """
 
     delta: float | None = None
@@ -167,14 +152,6 @@ class CoordinationComplete:
     def __post_init__(self) -> None:
         if self.delta is not None and not self.delta > 0.0:
             raise ValueError("delta must be positive")
-
-    def act(self, state: AgentState, t: int, ctx: RunContext) -> int:
-        if t == 1:
-            return ctx.first_action
-        f = decisive_state(state.L, state.pair_means, ctx.delta, t)
-        if f is not None:
-            return f
-        return most_popular(state.history[j][t - 2] for j in range(ctx.n))
 
 
 @dataclass(frozen=True)
@@ -193,28 +170,6 @@ class CoordinationConnected:
         if self.delta is not None and not self.delta > 0.0:
             raise ValueError("delta must be positive")
 
-    def act(self, state: AgentState, t: int, ctx: RunContext) -> int:
-        schedule = ctx.schedule
-        offset = (t - 1) % schedule.M
-        block_start = t - offset
-        if offset == 0:
-            if t == 1:
-                return ctx.first_action
-            f = decisive_state(state.L, state.pair_means, ctx.delta, t)
-            if f is not None:
-                return f
-            previous_vote = t - schedule.M
-            votes = [state.own_actions[previous_vote - 1]]
-            for _, source, source_offset in schedule.harvest[state.agent]:
-                votes.append(state.history[source][previous_vote + source_offset - 1])
-            return most_popular(votes)
-        directive = schedule.directives[offset - 1][state.agent]
-        if isinstance(directive, Imitate):
-            return state.history[directive.source][
-                block_start + directive.source_offset - 1
-            ]
-        return state.own_actions[block_start + directive.own_offset - 1]
-
 
 @dataclass(frozen=True)
 class OddEven:
@@ -223,21 +178,9 @@ class OddEven:
     Odd-indexed agents play their current signal's maximum-likelihood action
     every period. Even-indexed agents tally every revealed action so far,
     weighted by the one-signal log-likelihood ratio, and play the tally's
-    favorite. Defined for two-state symmetric binary models on complete
-    networks.
+    favorite (state 0 on a tie). Defined for two-state symmetric binary
+    models on complete networks.
     """
-
-    def act(self, state: AgentState, t: int, ctx: RunContext) -> int:
-        if state.agent % 2 == 1:
-            return int(state.last_signal)
-        zeros = 0
-        ones = 0
-        for j in range(1, ctx.n, 2):
-            row = state.history[j]
-            zeros += row.count(0)
-            ones += row.count(1)
-        score = state.prior_matrix[0, 1] + (zeros - ones) * ctx.llr_weight
-        return 0 if score >= 0.0 else 1
 
 
 @dataclass(frozen=True)
@@ -249,9 +192,6 @@ class ConstantFirstPeriod:
     def __post_init__(self) -> None:
         if self.state < 0:
             raise ValueError("state index must be nonnegative")
-
-    def act(self, state: AgentState, t: int, ctx: RunContext) -> int:
-        return self.state
 
 
 Strategy = AutarkyML | CoordinationComplete | CoordinationConnected | OddEven | ConstantFirstPeriod

@@ -1,0 +1,123 @@
+"""Scalar reference for the batched engine: one trajectory, one agent and one
+period at a time, over full k x k evidence matrices.
+
+Each agent keeps her own evidence and the action records of exactly the
+agents she observes (reading any other agent's record is a KeyError). The
+tests compare ratebound.sim_engine._replay with `replay`, bit for bit.
+"""
+
+import numpy as np
+
+from ratebound.network import Imitate, build_schedule
+from ratebound.sim_engine import resolve_delta
+from ratebound.strategies import (
+    AutarkyML,
+    CoordinationComplete,
+    CoordinationConnected,
+    OddEven,
+    finite_llr_table,
+    first_action,
+    most_popular,
+    pair_mean_matrix,
+    prior_log_matrix,
+)
+
+
+def increment_fn(model, agent):
+    """Signal -> k x k log-likelihood-ratio increment of one agent; finite
+    families receive a support index, Gaussian ones the raw value."""
+    if model.has_finite_support:
+        table = finite_llr_table(model, agent)
+        return lambda signal: table[int(signal)]
+    k = model.states.n_states
+    means = np.array([model.gaussian_params(agent, f)[0] for f in range(k)])
+    sigma = model.gaussian_params(agent, 0)[1]
+    diff = means[:, None] - means[None, :]
+    avg = (means[:, None] + means[None, :]) / 2.0
+    var = sigma * sigma
+    return lambda signal: diff * (float(signal) - avg) / var
+
+
+def dominant_row(L, cut):
+    """Lowest state f with L[f, g] >= cut[f, g] for every g != f, or None."""
+    k = len(L)
+    for f in range(k):
+        if all(L[f, g] >= cut[f, g] for g in range(k) if g != f):
+            return f
+    return None
+
+
+def ml_action(L):
+    """Lowest dominating row; failing that, the largest row sum taken left
+    to right over g != f, ties to the lowest state."""
+    f = dominant_row(L, np.zeros_like(L))
+    if f is not None:
+        return f
+    k = len(L)
+    sums = [sum(L[f, g] for g in range(k) if g != f) for f in range(k)]
+    return max(range(k), key=lambda f: sums[f])
+
+
+def replay(config, signals):
+    """Actions (n_agents, horizon) of one trajectory from its signals."""
+    model, net, strat = config.model, config.network, config.strategy
+    n, horizon = signals.shape
+    prior = prior_log_matrix(model)
+    increments = [increment_fn(model, i) for i in range(n)]
+    acc = [np.zeros_like(prior) for _ in range(n)]
+    seen = [{j: [] for j in net.neighborhoods[i]} for i in range(n)]
+    first = first_action(model.states.prior)
+    if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
+        delta = resolve_delta(model, strat.delta)
+        means = [pair_mean_matrix(model, i) for i in range(n)]
+    if isinstance(strat, CoordinationConnected):
+        schedule = build_schedule(net)
+    if isinstance(strat, OddEven):
+        weight = finite_llr_table(model, 0)[0, 0, 1]
+
+    def coordinate(i, L, t, votes):
+        f = dominant_row(L, (means[i] - delta) * t)
+        return most_popular(votes()) if f is None else f
+
+    def decide(i, t):
+        L = prior + acc[i]
+        history = seen[i]
+        if isinstance(strat, AutarkyML):
+            return ml_action(L)
+        if isinstance(strat, CoordinationComplete):
+            if t == 1:
+                return first
+            return coordinate(i, L, t, lambda: [history[j][t - 2] for j in range(n)])
+        if isinstance(strat, CoordinationConnected):
+            offset = (t - 1) % schedule.M
+            start = t - offset
+            if offset == 0:
+                if t == 1:
+                    return first
+                previous = t - schedule.M
+                return coordinate(i, L, t, lambda: [history[i][previous - 1]] + [
+                    history[source][previous + source_offset - 1]
+                    for _, source, source_offset in schedule.harvest[i]
+                ])
+            directive = schedule.directives[offset - 1][i]
+            if isinstance(directive, Imitate):
+                return history[directive.source][start + directive.source_offset - 1]
+            return history[i][start + directive.own_offset - 1]
+        if isinstance(strat, OddEven):
+            if i % 2 == 1:
+                return int(signals[i, t - 1])
+            revealed = [a for j in range(1, n, 2) for a in history[j]]
+            score = prior[0, 1] + (revealed.count(0) - revealed.count(1)) * weight
+            return 0 if score >= 0.0 else 1
+        return strat.state
+
+    actions = np.empty((n, horizon), dtype=np.int64)
+    for t in range(1, horizon + 1):
+        for i in range(n):
+            acc[i] += increments[i](signals[i, t - 1])
+        acts = [decide(i, t) for i in range(n)]
+        for i in range(n):
+            for j in seen[i]:
+                seen[i][j].append(acts[j])
+        actions[:, t - 1] = acts
+    return actions

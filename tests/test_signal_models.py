@@ -177,22 +177,39 @@ def test_indices_from_uniforms_inverse_cdf_edges():
     pmf = np.array([0.25, 0.75])
     u = np.array([0.0, 0.2499, 0.25, 0.9999, 1.0])
     assert indices_from_uniforms(pmf, u).tolist() == [0, 0, 1, 1, 1]
+    # An admissible row may sum to 1 - 5e-10; a uniform above its last edge
+    # still draws the last atom of positive mass, not the trailing zero.
+    model = SignalModel(
+        StateSpace((0, 1)),
+        Finite((0, 1, 2), ((0.7, 0.2999999995, 0.0), (0.3, 0.6999999995, 0.0))),
+    )
+    assert model.validate() == []
+    top = np.array([0.9999999998, 0.9999999996])
+    for state in (0, 1):
+        assert indices_from_uniforms(model.pmf_row(0, state), top).tolist() == [1, 1]
 
 
 def _reference_indices(pmf_row, u):
+    """Clipped searchsorted, never past the last atom of positive mass."""
     edges = np.cumsum(pmf_row)
-    return np.minimum(np.searchsorted(edges, u, side="right"), len(pmf_row) - 1)
+    last = np.flatnonzero(pmf_row > 0.0)[-1]
+    return np.minimum(np.searchsorted(edges, u, side="right"), last)
 
 
-def _pmf_rows(k_min=2, k_max=6):
-    """Rows of k nonnegative weights, zero atoms included, normalized."""
-    weights = st.lists(
+@st.composite
+def _pmf_rows(draw, k_min=2, k_max=6):
+    """A row of k nonnegative weights, zero atoms included, with up to k-1
+    trailing zeros, normalized to a sum of 1 or up to 1e-9 below it, as
+    Finite admits."""
+    weights = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
         min_size=k_min, max_size=k_max,
-    )
-    return weights.filter(lambda w: sum(w) > 0.0).map(
-        lambda w: np.asarray(w) / sum(w)
-    )
+    ))
+    live = len(weights) - draw(st.integers(0, len(weights) - 1))
+    weights[live:] = [0.0] * (len(weights) - live)
+    weights[live - 1] = draw(st.floats(1e-6, 1.0))
+    shortfall = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-9)))
+    return np.asarray(weights) * ((1.0 - shortfall) / sum(weights))
 
 
 @st.composite

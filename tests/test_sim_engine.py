@@ -6,7 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import replay_reference
+from ratebound import sim_engine
 from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -18,6 +22,7 @@ from ratebound.signal_models import (
 from ratebound.sim_engine import (
     MistakeCurve,
     SimConfig,
+    config_violations,
     enumerate_exact,
     exact_autarky_curve,
     fit_rate,
@@ -30,7 +35,6 @@ from ratebound.sim_engine import (
 )
 from ratebound.sim_engine import _Binding, _chunk_generator, _draw_chunk, _replay
 from ratebound.strategies import (
-    AgentState,
     AutarkyML,
     ConstantFirstPeriod,
     CoordinationComplete,
@@ -151,9 +155,22 @@ def test_enumeration_requires_finite_and_small_profiles():
 # -- Monte Carlo consistency ---------------------------------------------------------
 
 
+def _reference_counts(config, state):
+    """Mistake counts of the first chunk, one scalar replay per trajectory."""
+    gen = _chunk_generator(config.seed, state, 0)
+    signals = _draw_chunk(
+        config.model, state, gen, config.replications, config.horizon
+    )
+    total = np.zeros((config.network.n, config.horizon), dtype=np.int64)
+    for trajectory in signals:
+        total += replay_reference.replay(config, trajectory) != state
+    return total
+
+
 def test_trajectory_sums_reproduce_vectorized_counts():
-    # Every vectorized strategy, under a uniform prior and under one whose
-    # first action is state 1; the even group makes plurality ties possible.
+    # Every complete-network strategy, under a uniform prior and under one
+    # whose first action is state 1; the even group makes plurality ties
+    # possible.
     strategies = [
         AutarkyML(), CoordinationComplete(0.05), OddEven(), ConstantFirstPeriod(1),
     ]
@@ -165,17 +182,75 @@ def test_trajectory_sums_reproduce_vectorized_counts():
             5, 600, 13,
         )
         curve = mistake_curve(config)
-        binding = _Binding(config)
         for state in (0, 1):
-            # One chunk: these are the signals run_trajectory replays.
-            gen = _chunk_generator(config.seed, state, 0)
-            signals = _draw_chunk(config.model, state, gen, 600, 5)
-            total = np.zeros((n, 5), dtype=np.int64)
-            for trajectory in signals:
-                total += _replay(config, binding, trajectory) != state
-            assert np.array_equal(total, curve.counts[state]), (
-                n, prior, strategy, state,
-            )
+            assert np.array_equal(
+                _reference_counts(config, state), curve.counts[state]
+            ), (n, prior, strategy, state)
+
+
+def test_gaussian_relay_matches_the_scalar_reference():
+    model = SignalModel(
+        StateSpace((0, 1, 2), (0.2, 0.3, 0.5)), Gaussian((0.0, 0.6, 1.2), 1.0), 4
+    )
+    config = SimConfig(
+        model, Network.directed_cycle(4), CoordinationConnected(), 22, 40, 3
+    )
+    curve = mistake_curve(config)
+    for state in range(3):
+        assert np.array_equal(_reference_counts(config, state), curve.counts[state])
+
+
+@st.composite
+def _random_workloads(draw):
+    """A random finite model (k = 2-4 states, per-agent pmfs, a random prior)
+    on a random strongly connected network, with every strategy the config
+    admits."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    atoms = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pmf = rng.dirichlet(np.ones(atoms), size=(n, k)) * 0.9 + 0.1 / atoms
+    if draw(st.booleans()):  # an atom no state ever draws
+        pmf = np.concatenate([pmf, np.zeros((n, k, 1))], axis=2)
+    prior = rng.dirichlet(np.ones(k)) * 0.8 + 0.2 / k
+    model = SignalModel(
+        StateSpace(tuple(range(k)), tuple(prior)),
+        Finite(tuple(range(pmf.shape[2])), pmf),
+        n,
+    )
+    network = Network.random_strongly_connected(
+        n, draw(st.floats(0.2, 1.0)), seed=draw(st.integers(0, 1000))
+    )
+    delta = draw(st.sampled_from([None, 0.01, 0.05]))
+    candidates = [
+        AutarkyML(), CoordinationComplete(delta), CoordinationConnected(delta),
+        OddEven(), ConstantFirstPeriod(k - 1),
+    ]
+    horizon = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 1000))
+    return [
+        SimConfig(model, network, strategy, horizon, 5, seed)
+        for strategy in candidates
+        if not config_violations(model, network, strategy, horizon, 5, seed)
+    ]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_random_workloads(), st.data())
+def test_engine_matches_the_scalar_reference_on_random_models(configs, data):
+    for config in configs:
+        state = data.draw(st.integers(0, config.model.states.n_states - 1))
+        gen = _chunk_generator(config.seed, state, 0)
+        signals = _draw_chunk(
+            config.model, state, gen, config.replications, config.horizon
+        )
+        actions = _replay(config, _Binding(config), signals)
+        assert actions.shape == signals.shape
+        for r in range(config.replications):
+            assert np.array_equal(
+                actions[r], replay_reference.replay(config, signals[r])
+            ), (config.strategy, r)
 
 
 @pytest.mark.parametrize(
@@ -249,43 +324,35 @@ def test_run_trajectory_validates_indices_and_reports_mistakes():
 # -- visibility: strategies cannot benefit from unobserved actions --------------------
 
 
-def _actions_with_poisoned_channels(config, state, rep_rng):
-    """Replay one trajectory twice: honestly, and with covert history slots
-    for every unobserved agent filled with random garbage. A strategy that
-    reads beyond its neighborhood would diverge between the two runs."""
+def _actions_with_poisoned_columns(config, state, observer, rng, monkeypatch):
+    """Run the engine twice on one block: honestly, and with the observer
+    deciding each period on a copy of the action history whose columns of
+    unobserved agents hold random states. A rule that reads beyond the
+    observer's neighborhood makes the two runs diverge."""
     binding = _Binding(config)
     gen = _chunk_generator(config.seed, state, 0)
     signals = _draw_chunk(config.model, state, gen, config.replications,
                           config.horizon)
-    net, strat, ctx = config.network, config.strategy, binding.ctx
-    clean = [
-        _replay(config, binding, signals[r]) for r in range(config.replications)
+    clean = _replay(config, binding, signals).copy()
+    hidden = [
+        j for j in range(config.network.n)
+        if j not in config.network.neighborhoods[observer]
     ]
-    poisoned = []
-    for r in range(config.replications):
-        agents = [
-            AgentState(
-                i, binding.prior_matrix, binding.pair_means[i],
-                binding.increments[i], net.neighborhoods[i],
-            )
-            for i in range(net.n)
-        ]
-        for holder in agents:
-            for j in range(net.n):
-                holder.history.setdefault(j, [])
-        actions = np.empty((net.n, config.horizon), dtype=np.int16)
-        for t in range(1, config.horizon + 1):
-            for i in range(net.n):
-                agents[i].absorb(signals[r, i, t - 1])
-            acts = [strat.act(agents[i], t, ctx) for i in range(net.n)]
-            for j, act in enumerate(acts):
-                for i in range(net.n):
-                    if j in net.neighborhoods[i]:
-                        agents[i].record(j, act)
-                    else:
-                        agents[i].history[j].append(int(rep_rng.integers(0, 2)))
-            actions[:, t - 1] = acts
-        poisoned.append(actions)
+    honest_period = sim_engine._play_period
+
+    def poisoned_period(config, binding, t, L, actions):
+        honest_period(config, binding, t, L, actions)
+        garbage = actions.copy()
+        garbage[: t - 1, :, hidden] = rng.integers(
+            0, config.model.states.n_states, garbage[: t - 1, :, hidden].shape
+        )
+        honest_period(config, binding, t, L, garbage)
+        actions[t - 1, :, observer] = garbage[t - 1, :, observer]
+
+    monkeypatch.setattr(sim_engine, "_play_period", poisoned_period)
+    poisoned = _replay(config, binding, signals)
+    monkeypatch.undo()
+    assert hidden, "the observer must have unobserved agents"
     return clean, poisoned
 
 
@@ -293,16 +360,18 @@ def _actions_with_poisoned_channels(config, state, rep_rng):
     "strategy", [AutarkyML(), CoordinationConnected(0.05)],
     ids=["autarky", "connected"],
 )
-def test_unobserved_actions_cannot_influence_decisions(strategy):
+def test_unobserved_actions_cannot_influence_decisions(strategy, monkeypatch):
     config = SimConfig(
         binary_model(0.75, 5), Network.directed_cycle(5), strategy,
-        horizon=18, replications=4, seed=21,
+        horizon=18, replications=64, seed=21,
     )
     rng = np.random.default_rng(55)
     for state in (0, 1):
-        clean, poisoned = _actions_with_poisoned_channels(config, state, rng)
-        for honest, probed in zip(clean, poisoned):
-            assert np.array_equal(honest, probed)
+        for observer in range(config.network.n):
+            clean, poisoned = _actions_with_poisoned_columns(
+                config, state, observer, rng, monkeypatch
+            )
+            assert np.array_equal(clean, poisoned), (state, observer)
 
 
 # -- mistake curves and their statistics ----------------------------------------------

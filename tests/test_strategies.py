@@ -1,30 +1,34 @@
-"""Decision rules, evidence bookkeeping, and strategy JSON round-trips."""
+"""Decision rules, evidence tables, and strategy JSON round-trips.
+
+The rules are checked through the batched engine, on hand-made signal
+trajectories whose actions follow from the rule definitions.
+"""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ratebound.network import Network, build_schedule
+from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
+    Finite,
     Gaussian,
     SignalModel,
     StateSpace,
 )
+from ratebound.sim_engine import SimConfig, _Binding, _replay
 from ratebound.strategies import (
-    AgentState,
     AutarkyML,
     ConstantFirstPeriod,
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
-    RunContext,
-    decisive_state,
     finite_llr_table,
     first_action,
-    make_increment_fn,
-    ml_action,
+    lowest_dominant,
+    ml_choice,
     most_popular,
     pair_mean_matrix,
     prior_log_matrix,
@@ -35,18 +39,16 @@ from ratebound.strategies import (
 LOG3 = 1.0986122886681098
 
 
-def binary_model(p=0.75, n_agents=1):
-    return SignalModel(StateSpace((0, 1)), BinarySymmetric(p), n_agents)
+def binary_model(p=0.75, n_agents=1, prior=None):
+    return SignalModel(StateSpace((0, 1), prior), BinarySymmetric(p), n_agents)
 
 
-def make_agent(model, agent=0, neighbors=(0,)):
-    return AgentState(
-        agent,
-        prior_log_matrix(model),
-        pair_mean_matrix(model, agent),
-        make_increment_fn(model, agent),
-        neighbors,
-    )
+def play(strategy, model, signals, network=None):
+    """The engine's actions (agents, periods) on one trajectory of signals."""
+    signals = np.asarray(signals, dtype=np.int8)
+    network = network or Network.complete(model.n_agents)
+    config = SimConfig(model, network, strategy, signals.shape[1], 1, 0)
+    return _replay(config, _Binding(config), signals[None])[0]
 
 
 # -- pure decision helpers ------------------------------------------------------
@@ -66,22 +68,38 @@ def test_first_action_is_the_prior_mode():
     assert first_action((0.2, 0.5, 0.3)) == 1
 
 
+def ml(pair_evidence, k):
+    """ml_choice on one cell; pair_evidence lists L[f, g] for f < g."""
+    out = np.empty(1, dtype=np.int8)
+    ml_choice(np.asarray(pair_evidence, dtype=float)[:, None], k, out)
+    return int(out[0])
+
+
 def test_ml_action_picks_the_dominating_row():
-    L = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert ml_action(L) == 1
-    assert ml_action(np.zeros((3, 3))) == 0
-    # No row dominates here; the row-sum fallback resolves the stalemate.
-    cyclic = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
-    assert ml_action(cyclic) == 0
+    assert ml([-1.0], 2) == 1
+    assert ml([0.0], 2) == 0
+    assert ml([0.0, 0.0, 0.0], 3) == 0
+    # L[0, 1] = 1, L[0, 2] = -1, L[1, 2] = 1: no row dominates; every row
+    # sums to 0, and the row-sum fallback breaks the tie toward state 0.
+    assert ml([1.0, -1.0, 1.0], 3) == 0
+    # L[0, 1] = -1, L[0, 2] = 2, L[1, 2] = -3: no row dominates; row sums
+    # are 1, -2 and 1, and the tie again goes to the lowest state.
+    assert ml([-1.0, 2.0, -3.0], 3) == 0
+    assert ml([-1.0, 2.0, 1.0], 3) == 1
 
 
 def test_decisive_state_thresholds():
-    means = np.array([[0.0, 1.0], [1.0, 0.0]])
-    L = np.array([[0.0, 4.1], [-4.1, 0.0]])
-    assert decisive_state(L, means, 0.2, 5) == 0
-    assert decisive_state(L, means, 0.2, 6) is None
-    # the diagonal never blocks: its threshold -delta * t is negative
-    assert decisive_state(np.zeros((2, 2)), means, 0.5, 1) is None
+    thresholds = np.array([[0.0, 1.0], [1.0, 0.0]]) - 0.2
+    evidence = np.array([[4.1]])
+    for t, expected in ((5, 0), (6, 7)):
+        out = np.full(1, 7, dtype=np.int8)  # 7: "no decisive state"
+        lowest_dominant(evidence, thresholds * t, 2, out)
+        assert out[0] == expected
+    out = np.full(1, 7, dtype=np.int8)
+    lowest_dominant(np.array([[-4.1]]), thresholds * 5, 2, out)
+    assert out[0] == 1
+    lowest_dominant(np.array([[0.0]]), thresholds * 1, 2, out)
+    assert out[0] == 1
 
 
 # -- evidence tables ---------------------------------------------------------------
@@ -112,87 +130,78 @@ def test_finite_llr_table_golden_and_exact_antisymmetry():
     assert np.array_equal(table, -np.swapaxes(table, 1, 2))
 
 
-def test_increment_fn_matches_llr_for_both_families():
-    model = binary_model(0.75)
-    fn = make_increment_fn(model, 0)
+def test_finite_llr_table_is_silent_on_atoms_no_state_draws():
+    model = SignalModel(
+        StateSpace((0, 1, 2)),
+        Finite((0, 1, 2), ((0.6, 0.4, 0.0), (0.4, 0.6, 0.0), (0.5, 0.5, 0.0))),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = finite_llr_table(model, 0)
+    assert np.array_equal(table[2], np.zeros((3, 3)))
+    assert np.isfinite(table).all()
+
+
+def test_compiled_increments_match_llr_for_both_families():
+    model = binary_model(0.75, n_agents=2)
+    config = SimConfig(model, Network.complete(2), AutarkyML(), 1, 1, 0)
+    table = _Binding(config).table
+    assert table.shape == (1, 2)  # one pair, one shared row of two atoms
     for s in (0, 1):
-        inc = fn(s)
-        assert inc[0, 1] == pytest.approx(model.llr(0, 0, 1, s), rel=1e-15)
-        assert inc[1, 0] == -inc[0, 1]
-    gaussian = SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 2.0))
-    gfn = make_increment_fn(gaussian, 0)
-    for x in (-0.7, 0.3, 2.2):
-        assert gfn(x)[0, 1] == pytest.approx(
-            gaussian.llr(0, 0, 1, x), rel=1e-14
-        )
+        assert table[0, s] == model.llr(0, 0, 1, s)
+    gaussian = SignalModel(
+        StateSpace((0, 1, 2)), Gaussian(((1.0, 0.0, -0.5), (2.0, 0.0, 1.0)), 2.0), 2
+    )
+    config = SimConfig(gaussian, Network.complete(2), AutarkyML(), 1, 1, 0)
+    binding = _Binding(config)
+    for p, (f, g) in enumerate(((0, 1), (0, 2), (1, 2))):
+        for agent in (0, 1):
+            for x in (-0.7, 0.3, 2.2):
+                inc = binding.diff[p, agent] * (x - binding.avg[p, agent]) / binding.var
+                assert inc == pytest.approx(
+                    gaussian.llr(agent, f, g, x), rel=1e-14
+                )
 
 
-# -- agent state --------------------------------------------------------------------
+# -- strategies, played by the engine ----------------------------------------------
 
 
-def test_agent_state_accumulates_evidence_on_top_of_the_prior():
-    model = binary_model(0.75)
-    agent = make_agent(model)
-    assert np.array_equal(agent.L, prior_log_matrix(model))
-    agent.absorb(0)
-    agent.absorb(0)
-    agent.absorb(1)
-    assert agent.t == 3
-    assert agent.last_signal == 1
-    assert agent.L[0, 1] == pytest.approx(LOG3, rel=1e-12)
-
-
-def test_agent_state_records_only_observed_neighbors():
-    model = binary_model(0.75, n_agents=3)
-    agent = make_agent(model, agent=0, neighbors=(0, 1))
-    agent.record(0, 1)
-    agent.record(1, 0)
-    agent.record(2, 0)  # not a neighbor: silently dropped
-    assert agent.own_actions == [1]
-    assert agent.history == {0: [1], 1: [0]}
-    assert 2 not in agent.history
-
-
-# -- strategies ---------------------------------------------------------------------
+def test_engine_accumulates_evidence_on_top_of_the_prior():
+    # log prior ratio log 4 against one signal's log 3: the prior outweighs
+    # one contrary signal but not two.
+    skewed = binary_model(0.75, prior=(0.8, 0.2))
+    assert play(AutarkyML(), skewed, [[1, 1, 0, 0]]).tolist() == [[0, 1, 0, 0]]
+    assert play(AutarkyML(), binary_model(0.75), [[1, 1, 0, 0]]).tolist() == [
+        [1, 1, 1, 0]
+    ]
 
 
 def test_autarky_follows_the_evidence():
-    model = binary_model(0.75)
-    ctx = RunContext(n=1, first_action=0)
-    agent = make_agent(model)
-    agent.absorb(1)
-    assert AutarkyML().act(agent, 1, ctx) == 1
-    agent.absorb(0)
-    agent.absorb(0)
-    assert AutarkyML().act(agent, 3, ctx) == 0
+    # L[0, 1] = -log 3, 0, log 3: state 1, a tie to state 0, state 0
+    assert play(AutarkyML(), binary_model(0.75), [[1, 0, 0]]).tolist() == [[1, 0, 0]]
 
 
 def test_coordination_starts_at_the_prior_mode_then_follows_the_crowd():
-    model = binary_model(0.75, n_agents=3)
-    ctx = RunContext(n=3, first_action=0, delta=0.05)
-    agent = make_agent(model, agent=0, neighbors=(0, 1, 2))
     strategy = CoordinationComplete(delta=0.05)
-    agent.absorb(1)
-    assert strategy.act(agent, 1, ctx) == 0
-    # a lone contrary signal is not decisive at t=2, so plurality wins
-    for j, action in ((0, 0), (1, 1), (2, 1)):
-        agent.record(j, action)
-    agent.absorb(0)
-    assert strategy.act(agent, 2, ctx) == 1
+    # Agents 1 and 2 see two 1-signals by t = 2: -2 log 3 clears the
+    # threshold -(m - delta) * 2, so they turn decisive. Agent 0's evidence
+    # is never decisive; she copies the previous period's plurality.
+    actions = play(
+        strategy, binary_model(0.75, 3), [[1, 0, 1], [1, 1, 1], [1, 1, 1]]
+    )
+    assert actions[:, 0].tolist() == [0, 0, 0]  # prior mode despite the signals
+    assert actions[:, 1].tolist() == [0, 1, 1]
+    assert actions[0, 2] == 1  # the crowd at t = 2 played 1
 
 
 def test_coordination_overrides_the_crowd_on_decisive_evidence():
-    model = binary_model(0.75, n_agents=3)
-    ctx = RunContext(n=3, first_action=0, delta=0.05)
-    agent = make_agent(model, agent=0, neighbors=(0, 1, 2))
     strategy = CoordinationComplete(delta=0.05)
-    agent.absorb(0)
-    strategy.act(agent, 1, ctx)
-    for j in range(3):
-        agent.record(j, 1)
-    agent.absorb(0)
-    # two matching signals: L[0, 1] = 2 log 3 >= (m - delta) * 2
-    assert strategy.act(agent, 2, ctx) == 0
+    actions = play(
+        strategy, binary_model(0.75, 3), [[0, 0, 0], [1, 1, 1], [1, 1, 1]]
+    )
+    # t = 3: the plurality of t = 2 is 1, but 3 log 3 >= (m - delta) * 3
+    assert actions[:, 1].tolist() == [0, 1, 1]
+    assert actions[:, 2].tolist() == [0, 1, 1]
 
 
 def test_coordination_rejects_nonpositive_delta():
@@ -203,56 +212,38 @@ def test_coordination_rejects_nonpositive_delta():
 
 
 def test_connected_coordination_displays_what_the_schedule_directs():
-    net = Network.directed_cycle(3)
-    schedule = build_schedule(net)
-    model = binary_model(0.75, n_agents=3)
-    ctx = RunContext(n=3, first_action=0, delta=0.05, schedule=schedule)
+    # Directed 3-cycle, agent i observes i-1: blocks of M = 4 periods. At
+    # offset 1, agent 1 imitates agent 0's vote; agents 0 and 2 repeat their
+    # own votes.
     strategy = CoordinationConnected(delta=0.05)
-    # agent 1 observes agent 0; at offset 1 (round j=0, k=0) she imitates him
-    agent = make_agent(model, agent=1, neighbors=(0, 1))
-    agent.absorb(1)
-    assert strategy.act(agent, 1, ctx) == 0  # voting period: prior mode
-    agent.record(0, 1)  # agent 0 voted 1
-    agent.record(1, 0)
-    agent.absorb(1)
-    assert strategy.act(agent, 2, ctx) == 1  # displays the observed vote
-    # agent 2 does not observe agent 0: at offset 1 she repeats her own vote
-    bystander = make_agent(model, agent=2, neighbors=(1, 2))
-    bystander.absorb(1)
-    assert strategy.act(bystander, 1, ctx) == 0
-    bystander.record(2, 0)
-    bystander.record(1, 1)
-    bystander.absorb(1)
-    assert strategy.act(bystander, 2, ctx) == 0
+    actions = play(
+        strategy,
+        binary_model(0.75, 3),
+        [[1, 1, 1, 1, 1, 1], [0, 1, 0, 1, 0, 1], [0, 1, 0, 1, 0, 1]],
+        network=Network.directed_cycle(3),
+    )
+    assert actions[:, 0].tolist() == [0, 0, 0]  # voting period: prior mode
+    # t = 5 votes: agent 0 is decisive for 1, the others follow the t = 1 tally
+    assert actions[:, 4].tolist() == [1, 0, 0]
+    assert actions[:, 5].tolist() == [1, 1, 0]
 
 
 def test_odd_even_split_roles():
-    model = binary_model(0.75, n_agents=4)
-    table = finite_llr_table(model, 0)
-    ctx = RunContext(
-        n=4, first_action=0, llr_weight=float(table[0, 0, 1])
+    actions = play(
+        OddEven(), binary_model(0.75, 4), [[0, 1], [1, 0], [0, 0], [1, 1]]
     )
-    odd = make_agent(model, agent=1, neighbors=(0, 1, 2, 3))
-    odd.absorb(1)
-    assert OddEven().act(odd, 1, ctx) == 1
-    odd.absorb(0)
-    assert OddEven().act(odd, 2, ctx) == 0
-    even = make_agent(model, agent=0, neighbors=(0, 1, 2, 3))
-    even.absorb(0)
-    for j, action in ((0, 0), (1, 1), (2, 0), (3, 1)):
-        even.record(j, action)
-    even.absorb(1)
-    # both revealed signals said 1, so the tally favors state 1
-    assert OddEven().act(even, 2, ctx) == 1
+    assert actions[1].tolist() == [1, 0]  # odd agents echo their signals
+    assert actions[3].tolist() == [1, 1]
+    # even agents: nothing revealed at t = 1 (a tie, state 0); at t = 2 both
+    # revealed signals said 1
+    assert actions[0].tolist() == [0, 1]
+    assert actions[2].tolist() == [0, 1]
 
 
 def test_constant_strategy_never_moves():
     model = binary_model(0.75)
-    ctx = RunContext(n=1, first_action=0)
-    agent = make_agent(model)
-    agent.absorb(1)
-    assert ConstantFirstPeriod(0).act(agent, 1, ctx) == 0
-    assert ConstantFirstPeriod(1).act(agent, 1, ctx) == 1
+    assert play(ConstantFirstPeriod(0), model, [[1, 1]]).tolist() == [[0, 0]]
+    assert play(ConstantFirstPeriod(1), model, [[0, 0]]).tolist() == [[1, 1]]
     with pytest.raises(ValueError):
         ConstantFirstPeriod(-1)
 
