@@ -311,7 +311,7 @@ def indices_from_uniforms(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     pmf = np.asarray(pmf)
     edges = np.cumsum(pmf, axis=-1)
-    dtype = np.min_scalar_type(1 - edges.shape[-1])
+    dtype = np.min_scalar_type(-edges.shape[-1])
     idx = np.zeros(np.broadcast_shapes(u.shape, edges.shape[:-1]), dtype=dtype)
     for j in range(edges.shape[-1] - 1):
         idx += u >= edges[..., j]

@@ -404,12 +404,10 @@ def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.nda
 
 
 def _vector_counts(
-    config: SimConfig, signals: np.ndarray, state: int, binding: _Binding | None = None
+    config: SimConfig, signals: np.ndarray, state: int, binding: _Binding
 ) -> np.ndarray:
     """Mistake counts (n_agents, horizon) of one block: the engine's actions
     that differ from the true state, summed over replications."""
-    if binding is None:
-        binding = _Binding(config)
     actions = _replay(config, binding, signals)
     return np.count_nonzero(actions != state, axis=0).astype(np.int64, copy=False)
 
@@ -422,7 +420,7 @@ def _chunk_bounds(replications: int, chunk: int) -> int:
 
 
 def _chunk_counts(
-    config: SimConfig, state: int, chunk: int, binding: _Binding | None = None
+    config: SimConfig, state: int, chunk: int, binding: _Binding
 ) -> np.ndarray:
     count = _chunk_bounds(config.replications, chunk)
     gen = _chunk_generator(config.seed, state, chunk)
@@ -457,15 +455,17 @@ def mistake_curve(config: SimConfig) -> MistakeCurve:
     tasks = [
         (config, state, chunk, binding) for state in range(k) for chunk in range(n_chunks)
     ]
+    counts = np.zeros((k, config.network.n, config.horizon), dtype=np.int64)
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_chunk_counts, *zip(*tasks)))
+            for (_, state, _, _), result in zip(
+                tasks, pool.map(_chunk_counts, *zip(*tasks))
+            ):
+                counts[state] += result
     else:
-        results = [_chunk_counts(*task) for task in tasks]
-    counts = np.zeros((k, config.network.n, config.horizon), dtype=np.int64)
-    for (_, state, _, _), result in zip(tasks, results):
-        counts[state] += result
+        for task in tasks:
+            counts[task[1]] += _chunk_counts(*task)
     return MistakeCurve(
         probs=counts / config.replications,
         prior=config.model.states.prior,

@@ -189,6 +189,18 @@ def test_indices_from_uniforms_inverse_cdf_edges():
         assert indices_from_uniforms(model.pmf_row(0, state), top).tolist() == [1, 1]
 
 
+def test_indices_from_uniforms_hold_the_largest_index_at_type_boundaries():
+    # The index type must hold L - 1: int8 up to 128 atoms, int16 up to
+    # 32,768. A uniform near 1 draws the last atom at each boundary size.
+    for atoms, dtype in ((128, np.int8), (129, np.int16), (32768, np.int16),
+                         (32769, np.int32)):
+        pmf = np.full(atoms, 1.0 / atoms)
+        u = np.array([0.0, 1.0 - 1e-12])
+        idx = indices_from_uniforms(pmf, u)
+        assert idx.dtype == dtype
+        assert idx.tolist() == [0, atoms - 1]
+
+
 def _reference_indices(pmf_row, u):
     """Clipped searchsorted, never past the last atom of positive mass."""
     edges = np.cumsum(pmf_row)

@@ -188,6 +188,23 @@ def test_trajectory_sums_reproduce_vectorized_counts():
             ), (n, prior, strategy, state)
 
 
+def test_engine_reads_the_last_atom_of_a_129_atom_support():
+    # Under state 0 nearly every signal is atom 128, the first index past
+    # int8, whose llr strongly favors state 0; every other atom favors
+    # state 1. A wrapped or clipped index would read one of those and make
+    # almost every agent err.
+    atoms = 129
+    state0 = [1e-4] * (atoms - 1) + [1.0 - 1e-4 * (atoms - 1)]
+    state1 = [0.999 / (atoms - 1)] * (atoms - 1) + [0.001]
+    model = SignalModel(
+        StateSpace((0, 1)), Finite(tuple(range(atoms)), (state0, state1)), 2
+    )
+    config = SimConfig(model, Network.complete(2), AutarkyML(), 3, 200, 5)
+    curve = mistake_curve(config)
+    assert curve.probs[0].max() < 0.1
+    assert np.array_equal(_reference_counts(config, 1), curve.counts[1])
+
+
 def test_gaussian_relay_matches_the_scalar_reference():
     model = SignalModel(
         StateSpace((0, 1, 2), (0.2, 0.3, 0.5)), Gaussian((0.0, 0.6, 1.2), 1.0), 4

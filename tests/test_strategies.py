@@ -98,8 +98,9 @@ def test_decisive_state_thresholds():
     out = np.full(1, 7, dtype=np.int8)
     lowest_dominant(np.array([[-4.1]]), thresholds * 5, 2, out)
     assert out[0] == 1
+    out = np.full(1, 7, dtype=np.int8)
     lowest_dominant(np.array([[0.0]]), thresholds * 1, 2, out)
-    assert out[0] == 1
+    assert out[0] == 7
 
 
 # -- evidence tables ---------------------------------------------------------------
