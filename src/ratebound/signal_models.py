@@ -231,10 +231,10 @@ class SignalModel:
                 gen = np.random.Generator(np.random.Philox(ss))
                 out[agent] = gen.normal(self._means[agent, state], sigma, period_count)
             return out
-        u = np.empty((self.n_agents, period_count))
+        words = np.empty((self.n_agents, period_count), dtype=np.uint64)
         for agent, ss in enumerate(streams):
-            u[agent] = np.random.Generator(np.random.Philox(ss)).random(period_count)
-        idx = indices_from_uniforms(self._pmf[:, state, None, :], u)
+            words[agent] = np.random.Philox(ss).random_raw(period_count)
+        idx = indices_from_words(word_edges(self._pmf[:, state, None, :]), words)
         support = np.asarray(self.support)
         return support[idx]
 
@@ -289,35 +289,75 @@ class SignalModel:
             raise ValueError(f"state index {state} out of range")
 
 
-def indices_from_uniforms(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0,1) to support indices by the inverse CDF of pmf.
+# numpy's Generator.random() is (w >> 11) * 2**-53 for a raw 64-bit word w,
+# so a uniform clears an edge e exactly when w >= ceil(e * 2**53) << 11.
+_UNIFORM_BITS = 53
+_WORD_SHIFT = np.uint64(64 - _UNIFORM_BITS)
 
-    pmf is one probability row of length L, or a stack of rows of shape
-    (..., L) whose leading shape broadcasts against u (per-agent rows of
-    shape (n_agents, 1, L) against uniforms of shape (..., n_agents, T)).
-    The index is the number of CDF edges at or below u, not counting the
-    last edge: sum over j < L-1 of [u >= cumsum(pmf)_j]. A cumsum of
-    nonnegative entries never decreases, so this equals
-    searchsorted(edges, u, side="right") clipped to L-1; for binary signals
-    it is the single compare u >= pmf[0]. Indices take the smallest signed
+
+@dataclass(frozen=True)
+class WordEdges:
+    """The inverse CDF of one pmf row, or of a stack of rows, on raw words.
+
+    thresholds has shape (..., L-1), uint64: a word draws an index past
+    atom j when it is at or above thresholds[..., j]. cap holds each row's
+    largest drawable index, or is None when every row can draw its last atom.
+    """
+
+    thresholds: np.ndarray
+    cap: np.ndarray | None
+
+
+def word_edges(pmf) -> WordEdges:
+    """Word thresholds of pmf: one probability row of length L, or a stack
+    of rows of shape (..., L).
+
+    Edge j is the CDF value e = cumsum(pmf)_j, and a word clears it when its
+    uniform u = (w >> 11) * 2**-53 has u >= e, i.e. w >= ceil(e * 2**53) << 11.
+    Edges at or below 0 are cleared by every word (threshold 0); edges with
+    ceil(e * 2**53) = 2**53, which a row summing to slightly more than 1 can
+    have, by none. Those edges, and the edges past a row's last atom of
+    positive mass, are left out through the cap, so neither can be drawn.
+    """
+    pmf = np.asarray(pmf, dtype=float)
+    top = 2.0**_UNIFORM_BITS
+    cuts = np.clip(np.ceil(np.cumsum(pmf, axis=-1)[..., :-1] * top), 0.0, top)
+    reachable = cuts < top
+    # cuts never decrease, so the unreachable edges come last; the largest
+    # threshold keeps the thresholds nondecreasing.
+    thresholds = np.where(
+        reachable, cuts.astype(np.uint64) << _WORD_SHIFT, np.uint64(2**64 - 1)
+    )
+    last = pmf.shape[-1] - 1 - np.argmax(pmf[..., ::-1] > 0.0, axis=-1)
+    cap = np.minimum(reachable.sum(axis=-1), last)
+    return WordEdges(thresholds, cap if (cap < pmf.shape[-1] - 1).any() else None)
+
+
+def indices_from_words(edges: WordEdges, words: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit Philox words to support indices by the inverse CDF.
+
+    edges comes from word_edges; a stack of rows of shape (..., L) broadcasts
+    its leading shape against the words (per-agent rows of shape
+    (n_agents, 1, L) against words of shape (..., n_agents, T)). The index is
+    the number of thresholds at or below the word, capped at the row's last
+    reachable atom of positive mass. It equals the inverse CDF of the
+    uniform numpy's random() makes of the same word, searchsorted(cumsum(pmf),
+    u, side="right"), clipped to that atom. Indices take the smallest signed
     integer type that holds them: int8 up to 128 atoms.
 
-    A row may sum to slightly less than 1, so u can clear every edge; the
-    index is then clipped to the row's last atom of positive mass, never a
-    trailing atom of zero mass. Rows without trailing zeros are unaffected.
-
-    One uniform per draw, so streams of uniforms align one-to-one with draws.
+    One word per draw, so streams of words align one-to-one with draws.
     Shared by every sampling path in the package to keep them bit-identical.
     """
-    pmf = np.asarray(pmf)
-    edges = np.cumsum(pmf, axis=-1)
-    dtype = np.min_scalar_type(-edges.shape[-1])
-    idx = np.zeros(np.broadcast_shapes(u.shape, edges.shape[:-1]), dtype=dtype)
-    for j in range(edges.shape[-1] - 1):
-        idx += u >= edges[..., j]
-    last = edges.shape[-1] - 1 - np.argmax(pmf[..., ::-1] > 0.0, axis=-1)
-    if (last < edges.shape[-1] - 1).any():
-        np.minimum(idx, last.astype(dtype), out=idx)
+    thresholds = edges.thresholds
+    n_edges = thresholds.shape[-1]
+    dtype = np.min_scalar_type(-(n_edges + 1))
+    # the first comparison's bools become the int8 counter in place
+    idx = np.greater_equal(words, thresholds[..., 0]).view(np.int8)
+    idx = idx.astype(dtype, copy=False)
+    for j in range(1, n_edges):
+        idx += words >= thresholds[..., j]
+    if edges.cap is not None:
+        np.minimum(idx, edges.cap.astype(dtype), out=idx)
     return idx
 
 

@@ -20,7 +20,8 @@ from ratebound.network import (
 from ratebound.signal_models import (
     BinarySymmetric,
     SignalModel,
-    indices_from_uniforms,
+    indices_from_words,
+    word_edges,
 )
 from ratebound.strategies import (
     AutarkyML,
@@ -44,6 +45,11 @@ from ratebound.strategies import (
 # sums over blocks, so results cannot depend on scheduling or worker count.
 CHUNK = 4096
 _DOMAIN_SIM = 2
+# A block is drawn and played in tiles of about this many signals, so each
+# tile's words and signals stay in cache. The tiles draw from the block's one
+# stream in order; Philox draws are consumed element by element, so they see
+# exactly the signals of one whole-block draw.
+_TILE_CELLS = 2**19
 _ENUM_LIMIT = 2**20
 _MIN_FIT_MISTAKES = 20
 
@@ -211,23 +217,20 @@ def _chunk_generator(seed: int, state: int, chunk: int) -> np.random.Generator:
 
 
 def _draw_chunk(
-    model: SignalModel, state: int, gen: np.random.Generator, count: int, horizon: int
+    binding: _Binding, state: int, gen: np.random.Generator, count: int, horizon: int
 ) -> np.ndarray:
-    """Signals for one block: (count, n_agents, horizon) of support indices
-    (finite families) or reals (Gaussian).
+    """The next count replications of a block's stream: (count, n_agents,
+    horizon) support indices (finite families) or reals (Gaussian).
 
-    Finite families map one uniform per signal through every agent's pmf row
-    in a single broadcast call; the indices (int8 up to 128 atoms) come out
-    in the uniforms' layout."""
-    if model.has_finite_support:
-        u = gen.random((count, model.n_agents, horizon))
-        rows = np.stack([model.pmf_row(a, state) for a in range(model.n_agents)])
-        return indices_from_uniforms(rows[:, None, :], u)
-    means = np.array(
-        [model.gaussian_params(a, state)[0] for a in range(model.n_agents)]
-    )
-    sigma = model.gaussian_params(0, state)[1]
-    return gen.normal(means[None, :, None], sigma, (count, model.n_agents, horizon))
+    Finite families threshold one raw Philox word per signal against every
+    agent's word edges in a single broadcast call; the indices (int8 up to
+    128 atoms) come out in the words' layout."""
+    shape = (count, binding.n, horizon)
+    if binding.edges is not None:
+        return indices_from_words(
+            binding.edges[state], gen.bit_generator.random_raw(shape)
+        )
+    return gen.normal(binding.means[state], binding.sigma, shape)
 
 
 # -- the batched engine ------------------------------------------------------------
@@ -243,6 +246,8 @@ def _per_agent(rows: np.ndarray) -> np.ndarray:
 class _Binding:
     """Per-config constants of the engine, compiled once per run.
 
+    Signals: the word edges of every state's pmf rows, or the Gaussian means
+    per state and agent and the shared sigma.
     Evidence: the log-prior term per state pair, and either per-pair llr
     tables flattened over (agent, atom) or the Gaussian diff, avg and var.
     Coordination: the thresholds (m - delta) per ordered pair, shape
@@ -256,12 +261,18 @@ class _Binding:
         n = model.n_agents
         k = model.states.n_states
         pairs = state_pairs(k)
+        self.n = n
         self.k = k
         self.action_dtype = np.int8 if k <= 127 else np.int16
         prior = prior_log_matrix(model)
         self.prior = np.array([prior[f, g] for f, g in pairs])
         self.first = first_action(model.states.prior)
+        self.edges = self.means = None
         if model.has_finite_support:
+            pmf = np.stack(
+                [[model.pmf_row(a, w) for a in range(n)] for w in range(k)]
+            )
+            self.edges = [word_edges(_per_agent(rows)[:, None, :]) for rows in pmf]
             tables = np.stack([finite_llr_table(model, a) for a in range(n)])
             tables = _per_agent(np.stack([tables[:, :, f, g] for f, g in pairs], 1))
             # table[p] is indexed by agent * n_atoms + atom
@@ -278,6 +289,8 @@ class _Binding:
                           for a in range(n)])
             )
             sigma = model.gaussian_params(0, 0)[1]
+            self.means = means.T[:, None, :, None]
+            self.sigma = sigma
             self.diff = np.stack([means[:, f] - means[:, g] for f, g in pairs])
             self.avg = np.stack([(means[:, f] + means[:, g]) / 2.0 for f, g in pairs])
             self.var = sigma * sigma
@@ -422,10 +435,17 @@ def _chunk_bounds(replications: int, chunk: int) -> int:
 def _chunk_counts(
     config: SimConfig, state: int, chunk: int, binding: _Binding
 ) -> np.ndarray:
+    """Mistake counts of one block, drawn and played tile by tile."""
     count = _chunk_bounds(config.replications, chunk)
     gen = _chunk_generator(config.seed, state, chunk)
-    signals = _draw_chunk(config.model, state, gen, count, config.horizon)
-    return _vector_counts(config, signals, state, binding)
+    tile = max(1, _TILE_CELLS // (binding.n * config.horizon))
+    counts = np.zeros((binding.n, config.horizon), dtype=np.int64)
+    for start in range(0, count, tile):
+        signals = _draw_chunk(
+            binding, state, gen, min(tile, count - start), config.horizon
+        )
+        counts += _vector_counts(config, signals, state, binding)
+    return counts
 
 
 def worker_count() -> int:
@@ -481,7 +501,7 @@ def run_trajectory(
     """One trajectory's (actions, mistakes) matrices, both (n_agents, horizon).
 
     Replays the exact signals that mistake_curve's replication of the same
-    index consumes.
+    index consumes: its block's stream is drawn only up to that replication.
     """
     if not 0 <= replication_index < config.replications:
         raise ValueError("replication_index out of range")
@@ -489,9 +509,9 @@ def run_trajectory(
         raise ValueError("state index out of range")
     chunk, offset = divmod(replication_index, CHUNK)
     gen = _chunk_generator(config.seed, state, chunk)
-    count = _chunk_bounds(config.replications, chunk)
-    signals = _draw_chunk(config.model, state, gen, count, config.horizon)
-    actions = _replay(config, _Binding(config), signals[offset : offset + 1])[0]
+    binding = _Binding(config)
+    signals = _draw_chunk(binding, state, gen, offset + 1, config.horizon)
+    actions = _replay(config, binding, signals[offset:])[0]
     return actions, actions != state
 
 

@@ -280,32 +280,55 @@ def _check_small_system_exact() -> tuple[bool, str]:
 # -- 7: slowest-agent rate cap ------------------------------------------------------
 
 
+def _votes_in(window: tuple[int, int], block: int) -> int:
+    """Voting periods of a connected coordination profile inside a fit
+    window: every t > 1 with (t - 1) divisible by the block length."""
+    lo, hi = window
+    return sum(1 for t in range(max(lo, 2), hi + 1) if (t - 1) % block == 0)
+
+
 def _check_slowest_agent_cap() -> tuple[bool, str]:
     model = _binary_model(0.75, n_agents=10)
     net = Network.complete(10)
     cap = bounded_rate(model) + 0.10
+    # (name, model, network, strategy, replications, horizon, fit window,
+    # least voting periods in the window)
     profiles = [
-        ("autarky-ml", AutarkyML(), 100_000, 25, (5, 22)),
-        ("coordination", CoordinationComplete(delta=0.05), 300_000, 20, (4, 15)),
-        ("odd-even", OddEven(), 100_000, 25, (3, 20)),
-        ("constant", ConstantFirstPeriod(0), 100_000, 25, (5, 22)),
-        ("coordination-connected", CoordinationConnected(delta=0.05), 500, 40,
-         (5, 35)),
+        ("autarky-ml", model, net, AutarkyML(), 100_000, 25, (5, 22), 0),
+        ("coordination", model, net, CoordinationComplete(delta=0.05), 300_000,
+         20, (4, 15), 0),
+        ("odd-even", model, net, OddEven(), 100_000, 25, (3, 20), 0),
+        ("constant", model, net, ConstantFirstPeriod(0), 100_000, 25, (5, 22), 0),
+        ("coordination-connected", model, net, CoordinationConnected(delta=0.05),
+         500, 40, (5, 35), 0),
+        # On complete(10) the block length M = 81 exceeds the horizon, so the
+        # profile above never votes twice. A directed 4-cycle (M = 9) with
+        # the same signals votes at t = 10, 19, 28 and 37 inside its window.
+        ("coordination-cycle", _binary_model(0.75, n_agents=4),
+         Network.directed_cycle(4), CoordinationConnected(delta=0.05), 50_000,
+         40, (10, 40), 3),
     ]
     summaries = []
     ok = True
-    for name, strategy, replications, horizon, window in profiles:
-        config = SimConfig(model, net, strategy, horizon, replications, _SEED)
+    for (name, case_model, network, strategy, replications, horizon, window,
+         least_votes) in profiles:
+        config = SimConfig(case_model, network, strategy, horizon, replications,
+                           _SEED)
         curve = mistake_curve(config)
-        fits = [fit_rate(curve, window, agent=i) for i in range(10)]
+        fits = [fit_rate(curve, window, agent=i) for i in range(network.n)]
         usable = [f.rate for f in fits if f.usable]
+        votes = ""
+        if isinstance(strategy, CoordinationConnected):
+            count = _votes_in(window, build_schedule(network).M)
+            ok = ok and count >= least_votes
+            votes = f" ({count} votes in window)"
         if not usable:
             ok = False
-            summaries.append(f"{name}: no usable fit")
+            summaries.append(f"{name}: no usable fit{votes}")
             continue
         slowest = min(usable)
         ok = ok and slowest <= cap
-        summaries.append(f"{name} {slowest:.3f}")
+        summaries.append(f"{name} {slowest:.3f}{votes}")
         if name == "odd-even":
             odd_flat = all(
                 fits[i].usable and abs(fits[i].rate) <= 0.01

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from ratebound import verification
 from ratebound.verification import run_checks
 
 
@@ -62,6 +63,21 @@ def test_criterion_6_small_systems_match_brute_force(capsys):
 
 def test_criterion_7_every_strategy_respects_the_rate_cap(capsys):
     report(capsys, 7, "slowest-agent rate cap", run_one("slowest-agent-cap"))
+
+
+def test_criterion_7_counts_the_votes_inside_each_fit_window(monkeypatch):
+    # Votes fall at t = 1 + j * M for j >= 1: none on complete(10) (M = 81)
+    # within (5, 35); t = 10, 19, 28, 37 on the 4-cycle (M = 9) within (10, 40).
+    assert verification._votes_in((5, 35), 81) == 0
+    assert verification._votes_in((10, 40), 9) == 4
+    assert verification._votes_in((1, 10), 9) == 1
+    assert verification._votes_in((11, 18), 9) == 0
+    # A connected profile whose window holds fewer than 3 votes fails the check.
+    monkeypatch.setattr(verification, "_votes_in", lambda window, block: 2)
+    result = run_one("slowest-agent-cap")
+    assert not result.passed
+    assert "coordination-cycle" in result.detail
+    assert "(2 votes in window)" in result.detail
 
 
 def _cli(args, threads=None):

@@ -1,6 +1,7 @@
 """State spaces, signal families, sampling determinism, and JSON round-trips."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from ratebound.signal_models import (
     Gaussian,
     SignalModel,
     StateSpace,
-    indices_from_uniforms,
+    indices_from_words,
     model_from_json,
     model_to_json,
+    word_edges,
 )
 
 LOG3 = 1.0986122886681098
@@ -173,32 +175,104 @@ def test_sample_profile_rejects_bad_arguments():
         model.sample_profile(0, -1, seed=0)
 
 
+# -- raw words and their inverse CDF ----------------------------------------------
+
+WORD_MAX = 2**64 - 1
+
+
+def _words(u):
+    """The smallest raw word whose uniform is u, for uniforms the generator
+    can produce: multiples of 2^-53 in [0, 1)."""
+    m = np.asarray(u, dtype=float) * 2.0**53
+    assert (m == np.floor(m)).all() and (m >= 0).all() and (m < 2.0**53).all()
+    return m.astype(np.uint64) << np.uint64(11)
+
+
+def _uniforms(words):
+    """numpy's uniform of each raw word: (w >> 11) * 2^-53."""
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
+def _indices(pmf, words):
+    return indices_from_words(word_edges(pmf), np.asarray(words, dtype=np.uint64))
+
+
+def test_philox_uniforms_are_the_top_53_bits_of_raw_words():
+    # The word path relies on numpy building random() from raw Philox words
+    # this way; if a numpy release changes it, the draws change and this fails.
+    for seed in (0, 1, 2024):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, 1, 3))
+        u = np.random.Generator(np.random.Philox(ss)).random(10_000)
+        words = np.random.Philox(ss).random_raw(10_000)
+        assert np.array_equal(u, (words >> np.uint64(11)) * 2.0**-53)
+
+
 def test_indices_from_uniforms_inverse_cdf_edges():
     pmf = np.array([0.25, 0.75])
-    u = np.array([0.0, 0.2499, 0.25, 0.9999, 1.0])
-    assert indices_from_uniforms(pmf, u).tolist() == [0, 0, 1, 1, 1]
-    # An admissible row may sum to 1 - 5e-10; a uniform above its last edge
+    below = np.floor(0.2499 * 2**53) / 2**53
+    words = np.append(_words([0.0, below, 0.25, 0.9999]), WORD_MAX)
+    assert _indices(pmf, words).tolist() == [0, 0, 1, 1, 1]
+    # An admissible row may sum to 1 - 5e-10; a word above its last edge
     # still draws the last atom of positive mass, not the trailing zero.
     model = SignalModel(
         StateSpace((0, 1)),
         Finite((0, 1, 2), ((0.7, 0.2999999995, 0.0), (0.3, 0.6999999995, 0.0))),
     )
     assert model.validate() == []
-    top = np.array([0.9999999998, 0.9999999996])
+    top = np.append(_words([0.9999999998, 0.9999999996]), WORD_MAX)
     for state in (0, 1):
-        assert indices_from_uniforms(model.pmf_row(0, state), top).tolist() == [1, 1]
+        assert _indices(model.pmf_row(0, state), top).tolist() == [1, 1, 1]
+
+
+def test_word_edges_are_exact_at_both_ends():
+    top = 1.0 - 2.0**-53  # the largest uniform the generator makes
+    # A first edge of 0 is cleared by every word, word 0 included.
+    assert _indices([0.0, 0.5, 0.5], [0, WORD_MAX]).tolist() == [1, 2]
+    # An edge at the largest uniform is cleared by the largest words only.
+    row = [top, 2.0**-53]
+    assert _indices(row, _words([0.0, top - 2.0**-53, top])).tolist() == [0, 0, 1]
+    assert _indices(row, [WORD_MAX]).tolist() == [1]
+    # An edge at 1, or past it in a row that sums to 1 + 1e-9, is cleared by
+    # no word: its atom is never drawn, not even at the largest word.
+    for row in ([0.25, 0.75, 1e-9], [0.25, 0.75 + 1e-9, 0.0], [1.0, 1e-9]):
+        edges = word_edges(row)
+        assert edges.cap is not None
+        got = _indices(row, [0, WORD_MAX - 1, WORD_MAX])
+        assert got.max() == len(row) - 2
+        assert got.tolist() == _reference_indices(
+            np.asarray(row), _uniforms([0, WORD_MAX - 1, WORD_MAX])
+        ).tolist()
 
 
 def test_indices_from_uniforms_hold_the_largest_index_at_type_boundaries():
     # The index type must hold L - 1: int8 up to 128 atoms, int16 up to
-    # 32,768. A uniform near 1 draws the last atom at each boundary size.
+    # 32,768. A word near the top draws the last atom at each boundary size.
     for atoms, dtype in ((128, np.int8), (129, np.int16), (32768, np.int16),
                          (32769, np.int32)):
         pmf = np.full(atoms, 1.0 / atoms)
-        u = np.array([0.0, 1.0 - 1e-12])
-        idx = indices_from_uniforms(pmf, u)
+        idx = _indices(pmf, _words([0.0, 1.0 - 1e-12]))
         assert idx.dtype == dtype
         assert idx.tolist() == [0, atoms - 1]
+
+
+def test_sample_profile_draws_the_inverse_cdf_of_its_uniforms():
+    # sample_profile thresholds raw words; the support values must be those
+    # of each agent's float uniforms through its own pmf row.
+    model = SignalModel(
+        StateSpace((0, 1, 2)),
+        Finite(("a", "b", "c"), (
+            ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (0.3, 0.4, 0.3)),
+            ((0.1, 0.6, 0.3), (0.3, 0.6, 0.1), (0.25, 0.5, 0.25)),
+        )),
+        n_agents=2,
+    )
+    for state in range(3):
+        got = model.sample_profile(state, 500, seed=9)
+        root = np.random.SeedSequence(entropy=9, spawn_key=(1, state))
+        for agent, ss in enumerate(root.spawn(2)):
+            u = np.random.Generator(np.random.Philox(ss)).random(500)
+            idx = _reference_indices(model.pmf_row(agent, state), u)
+            assert got[agent].tolist() == [model.support[i] for i in idx]
 
 
 def _reference_indices(pmf_row, u):
@@ -211,8 +285,7 @@ def _reference_indices(pmf_row, u):
 @st.composite
 def _pmf_rows(draw, k_min=2, k_max=6):
     """A row of k nonnegative weights, zero atoms included, with up to k-1
-    trailing zeros, normalized to a sum of 1 or up to 1e-9 below it, as
-    Finite admits."""
+    trailing zeros, normalized to a sum within 1e-9 of 1, as Finite admits."""
     weights = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
         min_size=k_min, max_size=k_max,
@@ -220,28 +293,35 @@ def _pmf_rows(draw, k_min=2, k_max=6):
     live = len(weights) - draw(st.integers(0, len(weights) - 1))
     weights[live:] = [0.0] * (len(weights) - live)
     weights[live - 1] = draw(st.floats(1e-6, 1.0))
-    shortfall = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-9)))
+    shortfall = draw(st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9)))
     return np.asarray(weights) * ((1.0 - shortfall) / sum(weights))
 
 
-@st.composite
-def _uniforms_for(draw, rows):
-    """Uniforms in [0,1): random ones, 0, every CDF edge of the rows below 1,
-    and the floats just beneath those edges."""
+def _thresholds(rows):
+    """ceil(e * 2^53) << 11 for every CDF edge e in [0, 1) of the rows,
+    computed in exact rationals."""
     edges = np.cumsum(rows, axis=-1).ravel()
-    inside = [float(e) for e in edges if 0.0 <= e < 1.0]
-    below = [float(np.nextafter(e, 0.0)) for e in inside if e > 0.0]
-    free = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
-    return np.asarray([0.0] + inside + below + free)
+    cuts = (math.ceil(Fraction(float(e)) * 2**53) for e in edges if 0 <= e < 1)
+    return [c << 11 for c in cuts if c < 2**53]
+
+
+@st.composite
+def _words_for(draw, rows):
+    """Raw words: 0, the largest, every threshold of the rows and the word
+    just below it, and random ones."""
+    thresholds = _thresholds(rows)
+    below = [t - 1 for t in thresholds if t > 0]
+    free = draw(st.lists(st.integers(0, WORD_MAX), max_size=20))
+    return np.asarray([0, WORD_MAX] + thresholds + below + free, dtype=np.uint64)
 
 
 @given(st.data())
 def test_indices_from_uniforms_matches_clipped_searchsorted(data):
     pmf_row = data.draw(_pmf_rows())
-    u = data.draw(_uniforms_for(pmf_row))
-    got = indices_from_uniforms(pmf_row, u)
-    assert got.shape == u.shape
-    assert np.array_equal(got, _reference_indices(pmf_row, u))
+    words = data.draw(_words_for(pmf_row))
+    got = _indices(pmf_row, words)
+    assert got.shape == words.shape
+    assert np.array_equal(got, _reference_indices(pmf_row, _uniforms(words)))
 
 
 @given(st.data())
@@ -249,12 +329,13 @@ def test_indices_from_uniforms_stacked_rows_match_each_row(data):
     k = data.draw(st.integers(2, 5))
     agents = data.draw(st.integers(1, 4))
     rows = np.stack([data.draw(_pmf_rows(k, k)) for _ in range(agents)])
-    u = data.draw(_uniforms_for(rows))
+    words = data.draw(_words_for(rows))
     reps = data.draw(st.integers(1, 3))
-    # (reps, agents, T) uniforms against (agents, 1, k) rows
-    u = np.broadcast_to(u, (reps, agents, len(u)))
-    got = indices_from_uniforms(rows[:, None, :], u)
-    assert got.shape == u.shape
+    # (reps, agents, T) words against (agents, 1, k) rows
+    words = np.broadcast_to(words, (reps, agents, len(words)))
+    got = _indices(rows[:, None, :], words)
+    assert got.shape == words.shape
+    u = _uniforms(words)
     for agent, row in enumerate(rows):
         assert np.array_equal(got[:, agent], _reference_indices(row, u[:, agent]))
 

@@ -20,6 +20,7 @@ from ratebound.signal_models import (
     StateSpace,
 )
 from ratebound.sim_engine import (
+    CHUNK,
     MistakeCurve,
     SimConfig,
     config_violations,
@@ -159,7 +160,7 @@ def _reference_counts(config, state):
     """Mistake counts of the first chunk, one scalar replay per trajectory."""
     gen = _chunk_generator(config.seed, state, 0)
     signals = _draw_chunk(
-        config.model, state, gen, config.replications, config.horizon
+        _Binding(config), state, gen, config.replications, config.horizon
     )
     total = np.zeros((config.network.n, config.horizon), dtype=np.int64)
     for trajectory in signals:
@@ -259,10 +260,11 @@ def test_engine_matches_the_scalar_reference_on_random_models(configs, data):
     for config in configs:
         state = data.draw(st.integers(0, config.model.states.n_states - 1))
         gen = _chunk_generator(config.seed, state, 0)
+        binding = _Binding(config)
         signals = _draw_chunk(
-            config.model, state, gen, config.replications, config.horizon
+            binding, state, gen, config.replications, config.horizon
         )
-        actions = _replay(config, _Binding(config), signals)
+        actions = _replay(config, binding, signals)
         assert actions.shape == signals.shape
         for r in range(config.replications):
             assert np.array_equal(
@@ -309,6 +311,69 @@ def test_trajectory_sums_reproduce_generic_counts():
         assert np.array_equal(total, curve.counts[state])
 
 
+def test_run_trajectory_replays_the_last_replication_of_a_partial_block():
+    # Two blocks, the last holding 37 replications: run_trajectory draws
+    # only a prefix of that block's stream and must still see the signals
+    # the whole-block draw gives each replication.
+    config = SimConfig(
+        binary_model(0.8, 3), Network.directed_cycle(3),
+        CoordinationConnected(0.05), 7, CHUNK + 37, 19,
+    )
+    binding = _Binding(config)
+    for state in (0, 1):
+        gen = _chunk_generator(config.seed, state, 1)
+        block = _replay(config, binding, _draw_chunk(binding, state, gen, 37, 7))
+        for offset in (0, 17, 36):
+            actions, mistakes = run_trajectory(config, state, CHUNK + offset)
+            assert np.array_equal(actions, block[offset]), (state, offset)
+            assert np.array_equal(mistakes, block[offset] != state)
+
+
+def _tile_workloads():
+    finite = SignalModel(
+        StateSpace((0, 1, 2), (0.5, 0.3, 0.2)),
+        Finite((0, 1, 2, 3), (
+            ((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.3, 0.2)),
+            ((0.5, 0.2, 0.3, 0.0), (0.2, 0.5, 0.3, 0.0), (0.3, 0.3, 0.4, 0.0)),
+            ((0.6, 0.1, 0.1, 0.2), (0.2, 0.3, 0.1, 0.4), (0.1, 0.6, 0.2, 0.1)),
+        )),
+        3,
+    )
+    gaussian = SignalModel(
+        StateSpace((0, 1, 2), (0.2, 0.3, 0.5)), Gaussian((0.0, 0.6, 1.2), 1.0), 4
+    )
+    return {
+        "binary-coordination": SimConfig(
+            binary_model(0.75, 3), Network.complete(3),
+            CoordinationComplete(0.05), 6, CHUNK + 37, 5,
+        ),
+        "finite-autarky": SimConfig(
+            finite, Network.complete(3), AutarkyML(), 8, 300, 6
+        ),
+        "gaussian-relay": SimConfig(
+            gaussian, Network.directed_cycle(4), CoordinationConnected(),
+            22, 150, 3,
+        ),
+        "odd-even": SimConfig(
+            binary_model(0.7, 4), Network.complete(4), OddEven(), 7, 250, 8
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_tile_workloads()))
+def test_counts_do_not_depend_on_the_tile_size(name, monkeypatch):
+    # Tiles of one replication (the budget is below one replication's
+    # cells), of 7, and of more than a whole block must all count exactly
+    # what the default tiles count.
+    monkeypatch.setenv("RATEBOUND_THREADS", "1")
+    config = _tile_workloads()[name]
+    reference = mistake_curve(config).counts
+    cells = config.network.n * config.horizon
+    for budget in (1, 7 * cells, (CHUNK + 5) * cells):
+        monkeypatch.setattr(sim_engine, "_TILE_CELLS", budget)
+        assert np.array_equal(mistake_curve(config).counts, reference), budget
+
+
 def test_monte_carlo_tracks_the_exact_autarky_curve():
     config = autarky_config(horizon=8, replications=40_000, seed=3)
     mc = mistake_curve(config)
@@ -348,7 +413,7 @@ def _actions_with_poisoned_columns(config, state, observer, rng, monkeypatch):
     observer's neighborhood makes the two runs diverge."""
     binding = _Binding(config)
     gen = _chunk_generator(config.seed, state, 0)
-    signals = _draw_chunk(config.model, state, gen, config.replications,
+    signals = _draw_chunk(binding, state, gen, config.replications,
                           config.horizon)
     clean = _replay(config, binding, signals).copy()
     hidden = [
