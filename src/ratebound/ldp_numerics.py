@@ -58,7 +58,7 @@ class PairKernel:
             self.variance = diff**2 / sigma**2
             self.mean = self.variance / 2.0
             self.domain = (-math.inf, math.inf)
-            self._llrs = None
+            self._llrs = self._llrs_sq = None
             self._log_pf = None
         else:
             pmf_f = model.pmf_row(agent, f)
@@ -71,9 +71,10 @@ class PairKernel:
             self._gaussian = False
             self._log_pf = np.log(pmf_f[mask])
             self._llrs = self._log_pf - np.log(pmf_g[mask])
+            self._llrs_sq = self._llrs**2
             self.mean = float(np.sum(pmf_f[mask] * self._llrs))
             self.variance = float(
-                np.sum(pmf_f[mask] * self._llrs**2) - self.mean**2
+                np.sum(pmf_f[mask] * self._llrs_sq) - self.mean**2
             )
             self.domain = (float(self._llrs.min()), float(self._llrs.max()))
 
@@ -100,9 +101,14 @@ class PairKernel:
         """d2/dz2 cgf(z): the variance under the z-tilted law (positive)."""
         if self._gaussian:
             return self.variance
+        return self._tilted_moments(z)[1]
+
+    def _tilted_moments(self, z: float) -> tuple[float, float]:
+        """(cgf_prime(z), cgf_second(z)) of a finite kernel, from one
+        tilted law."""
         w = self._tilted_weights(z)
         m1 = float(np.sum(w * self._llrs))
-        return float(np.sum(w * self._llrs**2)) - m1**2
+        return m1, float(np.sum(w * self._llrs_sq)) - m1**2
 
     def _tilted_weights(self, z: float) -> np.ndarray:
         logw = self._log_pf + z * self._llrs
@@ -155,14 +161,14 @@ class PairKernel:
             step *= 2.0
         z = (lo + hi) / 2.0
         for iteration in range(1, LEGENDRE_MAX_ITER + 1):
-            residual = self.cgf_prime(z) - eta
+            slope, curvature = self._tilted_moments(z)
+            residual = slope - eta
             if abs(residual) <= LEGENDRE_TOL:
                 return z, iteration
             if residual > 0.0:
                 hi = z
             else:
                 lo = z
-            curvature = self.cgf_second(z)
             step = residual / curvature if curvature > 0.0 else math.inf
             candidate = z - step
             if not lo < candidate < hi:

@@ -30,13 +30,16 @@ from ratebound.strategies import (
     CoordinationConnected,
     OddEven,
     Strategy,
+    dominance_plan,
     finite_llr_table,
     first_action,
     lowest_dominant,
     ml_choice,
+    ml_plan,
     pair_mean_matrix,
     plurality,
     prior_log_matrix,
+    signed_cuts,
     state_pairs,
 )
 
@@ -250,10 +253,13 @@ class _Binding:
     per state and agent and the shared sigma.
     Evidence: the log-prior term per state pair, and either per-pair llr
     tables flattened over (agent, atom) or the Gaussian diff, avg and var.
-    Coordination: the thresholds (m - delta) per ordered pair, shape
-    (k, k, agents). Connected coordination: the propagation schedule as
-    integer arrays, relay source agent and offset per block offset, and the
-    (own vote, harvest) source agent and offset per voter.
+    Per-agent arrays hold the agent axis second to last, (..., agents, 1),
+    so they broadcast against (agents, reps) cells.
+    Decisions: autarky's ml_plan; for coordination the dominance plan and,
+    in one array, the signed cuts (m - delta) * t of every period t. Connected
+    coordination: the propagation schedule as integer arrays, relay source
+    agent and offset per block offset, and the (own vote, harvest) source
+    agent and offset per voter.
     """
 
     def __init__(self, config: SimConfig):
@@ -281,7 +287,7 @@ class _Binding:
             )
             self.atom_offsets = None
             if tables.shape[0] > 1:
-                self.atom_offsets = np.arange(n) * tables.shape[2]
+                self.atom_offsets = np.arange(n)[:, None] * tables.shape[2]
         else:
             self.table = self.atom_offsets = None
             means = _per_agent(
@@ -291,16 +297,25 @@ class _Binding:
             sigma = model.gaussian_params(0, 0)[1]
             self.means = means.T[:, None, :, None]
             self.sigma = sigma
-            self.diff = np.stack([means[:, f] - means[:, g] for f, g in pairs])
-            self.avg = np.stack([(means[:, f] + means[:, g]) / 2.0 for f, g in pairs])
+            self.diff = np.stack(
+                [means[:, f] - means[:, g] for f, g in pairs]
+            )[:, :, None]
+            self.avg = np.stack(
+                [(means[:, f] + means[:, g]) / 2.0 for f, g in pairs]
+            )[:, :, None]
             self.var = sigma * sigma
         strat = config.strategy
+        if isinstance(strat, AutarkyML):
+            self.ml = ml_plan(k)
         if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
             delta = resolve_delta(model, strat.delta)
             thresholds = _per_agent(
                 np.stack([pair_mean_matrix(model, a) - delta for a in range(n)])
+            ).transpose(1, 2, 0)[..., None]
+            self.dominance = dominance_plan(k)
+            self.cuts = np.stack(
+                [signed_cuts(thresholds * t) for t in range(1, config.horizon + 1)]
             )
-            self.thresholds = thresholds.transpose(1, 2, 0)
         if isinstance(strat, CoordinationConnected):
             schedule = build_schedule(config.network)
             self.block = schedule.M
@@ -321,11 +336,11 @@ class _Binding:
 
 def _absorb(binding: _Binding, signals: np.ndarray, acc: np.ndarray,
             step: np.ndarray) -> None:
-    """acc[p] += the period's llr increment of pair p, for (reps, agents)
+    """acc[p] += the period's llr increment of pair p, for (agents, reps)
     signals: a table lookup, or diff * (x - avg) / var for Gaussians."""
     for p in range(acc.shape[0]):
         if binding.table is not None:
-            np.take(binding.table[p], signals, out=step, mode="clip")
+            binding.table[p].take(signals, out=step, mode="clip")
         else:
             np.subtract(signals, binding.avg[p], out=step)
             np.multiply(binding.diff[p], step, out=step)
@@ -334,95 +349,103 @@ def _absorb(binding: _Binding, signals: np.ndarray, acc: np.ndarray,
 
 
 def _play_period(config: SimConfig, binding: _Binding, t: int, L: np.ndarray,
-                 actions: np.ndarray) -> None:
-    """Write every agent's period-t action into actions[t - 1], a
-    (reps, agents) slice of the period-major history. Reads the evidence L
-    (pairs, reps, agents) and the history of periods before t only."""
+                 history: np.ndarray) -> None:
+    """Write every agent's period-t action into history[t - 1], the (agents,
+    reps) row of the (horizon, agents, reps) history. Reads the evidence L
+    (pairs, agents, reps) and the history of periods before t only."""
     strat = config.strategy
-    now = actions[t - 1]
+    now = history[t - 1]
     k = binding.k
     if isinstance(strat, AutarkyML):
-        ml_choice(L, k, now)
+        ml_choice(L, binding.ml, now)
         return
     if isinstance(strat, CoordinationComplete):
         if t == 1:
             now.fill(binding.first)
             return
-        now[...] = plurality(actions[t - 2], k, axis=1)[:, None]
+        now[...] = plurality(history[t - 2], k, axis=0)
     else:
         offset = (t - 1) % binding.block
         if offset:
             start = t - offset - 1
-            now[...] = actions[
-                start + binding.relay_offset[offset - 1], :,
+            now[...] = history[
+                start + binding.relay_offset[offset - 1],
                 binding.relay_source[offset - 1],
-            ].T
+            ]
             return
         if t == 1:
             now.fill(binding.first)
             return
-        votes = actions[
-            t - binding.block - 1 + binding.vote_offset, :, binding.vote_source
+        votes = history[
+            t - binding.block - 1 + binding.vote_offset, binding.vote_source
         ]
-        now[...] = plurality(votes, k, axis=1).T
-    lowest_dominant(L, binding.thresholds * t, k, now)
+        now[...] = plurality(votes, k, axis=1)
+    lowest_dominant(L, binding.dominance, binding.cuts[t - 1], now)
 
 
-def _odd_even(binding: _Binding, signals: np.ndarray, actions: np.ndarray) -> None:
-    """OddEven over a period-major (horizon, reps, agents) block, without a
-    loop over periods: odd agents play their signal; every even agent plays 1
-    when prior + balance * weight < 0, where balance counts the 0s minus the
-    1s revealed in earlier periods (an exact integer cumsum)."""
-    horizon, reps, _ = signals.shape
-    revealed = signals[:, :, 1::2]
-    actions[:, :, 1::2] = revealed
-    ones = revealed.sum(axis=2, dtype=np.int64)
+def _odd_even(binding: _Binding, signals: np.ndarray, history: np.ndarray) -> None:
+    """OddEven on (reps, agents, horizon) signals, into the (horizon, agents,
+    reps) history, without a loop over periods: odd agents play their
+    signal; every even agent plays 1 when prior + balance * weight < 0,
+    where balance counts the 0s minus the 1s revealed in earlier periods (an
+    exact integer cumsum)."""
+    reps, _, horizon = signals.shape
+    revealed = signals[:, 1::2]
+    history[:, 1::2] = revealed.T
+    ones = revealed.sum(axis=1, dtype=np.int64).T
     balance = np.zeros((horizon, reps), dtype=np.int64)
-    np.cumsum(revealed.shape[2] - 2 * ones[:-1], axis=0, out=balance[1:])
+    np.cumsum(revealed.shape[1] - 2 * ones[:-1], axis=0, out=balance[1:])
     weight = binding.table[0, 0]
-    actions[:, :, 0::2] = (binding.prior[0] + balance * weight < 0.0)[:, :, None]
+    history[:, 0::2] = (binding.prior[0] + balance * weight < 0.0)[:, None]
 
 
 def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.ndarray:
     """The engine: play the strategy on a batch of trajectories at once.
 
     signals has shape (reps, agents, horizon); the actions come back in the
-    same shape, as a view of a period-major history. Each period absorbs the
-    signals into the pair evidence, L = prior + acc, then plays; a strategy
-    reads its own evidence and the actions of the agents it observes. The
-    float operations are those of the scalar replay, in its order, so the
-    decisions are bit-identical to it.
+    same shape, as a view of the (horizon, agents, reps) history, whose
+    period rows hold each agent's replications contiguously. Each period
+    absorbs its (agents, reps) view of the signals into the pair evidence,
+    L = prior + acc (acc itself when every prior term is 0), then plays; a
+    strategy reads its own evidence and the actions of the agents it
+    observes. The float operations are those of the scalar replay, in its
+    order, so the decisions are bit-identical to it.
     """
     reps, n, horizon = signals.shape
     strat = config.strategy
-    actions = np.empty((horizon, reps, n), dtype=binding.action_dtype)
+    history = np.empty((horizon, n, reps), dtype=binding.action_dtype)
+    actions = history.transpose(2, 1, 0)
     if isinstance(strat, ConstantFirstPeriod):
-        actions.fill(strat.state)
-        return actions.transpose(1, 2, 0)
-    by_time = np.ascontiguousarray(np.moveaxis(signals, 2, 0))
+        history.fill(strat.state)
+        return actions
     if isinstance(strat, OddEven):
-        _odd_even(binding, by_time, actions)
-        return actions.transpose(1, 2, 0)
-    if binding.atom_offsets is not None:
-        by_time = by_time + binding.atom_offsets
-    acc = np.zeros((len(binding.prior), reps, n))
-    L = np.empty_like(acc)
-    step = np.empty((reps, n))
-    prior = binding.prior[:, None, None]
+        _odd_even(binding, signals, history)
+        return actions
+    acc = np.zeros((len(binding.prior), n, reps))
+    step = np.empty((n, reps))
+    prior = binding.prior[:, None, None] if binding.prior.any() else None
+    L = acc if prior is None else np.empty_like(acc)
     for t in range(1, horizon + 1):
-        _absorb(binding, by_time[t - 1], acc, step)
-        np.add(prior, acc, out=L)
-        _play_period(config, binding, t, L, actions)
-    return actions.transpose(1, 2, 0)
+        period = signals[:, :, t - 1].T
+        if binding.atom_offsets is not None:
+            period = period + binding.atom_offsets
+        _absorb(binding, period, acc, step)
+        if prior is not None:
+            np.add(prior, acc, out=L)
+        _play_period(config, binding, t, L, history)
+    return actions
 
 
 def _vector_counts(
     config: SimConfig, signals: np.ndarray, state: int, binding: _Binding
 ) -> np.ndarray:
     """Mistake counts (n_agents, horizon) of one block: the engine's actions
-    that differ from the true state, summed over replications."""
+    that differ from the true state, summed over replications. The mask keeps
+    the history's layout, so the sum runs along contiguous replication rows;
+    a tile's counts fit int32."""
     actions = _replay(config, binding, signals)
-    return np.count_nonzero(actions != state, axis=0).astype(np.int64, copy=False)
+    mistakes = np.not_equal(actions, state)
+    return mistakes.sum(axis=0, dtype=np.int32).astype(np.int64)
 
 
 # -- mistake curves ---------------------------------------------------------------
@@ -549,8 +572,11 @@ def enumerate_exact(config: SimConfig) -> MistakeCurve:
     for start in range(0, total, CHUNK):
         profile = np.arange(start, min(start + CHUNK, total))
         digits = (profile[:, None] // place) % support_size
-        actions = _replay(
-            config, binding, digits.reshape(-1, n, horizon)
+        # Profile-major, so each cell's weighted mistakes add up profile by
+        # profile in order; over the history's layout the profile axis would
+        # be innermost and numpy would sum it pairwise.
+        actions = np.ascontiguousarray(
+            _replay(config, binding, digits.reshape(-1, n, horizon))
         )
         for w in range(k):
             weight = pmf[w, cell_agent[0], digits[:, 0]]

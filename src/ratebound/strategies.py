@@ -1,10 +1,10 @@
 """Decision rules: the strategy profiles and the array kernels that play them.
 
-A strategy is a frozen description; sim_engine's batched engine plays it over
-(agents, replications) arrays. Evidence is held per unordered state pair:
-L[p] is L[f, g] for the p-th pair of state_pairs(k), and L[g, f] = -L[f, g]
-holds exactly in floating point, so one float per pair carries both
-directions. Actions are state indices.
+A strategy is a frozen description; sim_engine's batched engine plays it one
+period at a time over (agents, replications) arrays. Evidence is held per
+unordered state pair: L[p] is L[f, g] for the p-th pair of state_pairs(k), and
+L[g, f] = -L[f, g] holds exactly in floating point, so one float per pair
+carries both directions. Actions are state indices.
 """
 
 from __future__ import annotations
@@ -67,68 +67,123 @@ def state_pairs(k: int) -> list[tuple[int, int]]:
     return [(f, g) for f in range(k) for g in range(f + 1, k)]
 
 
-def _directed(L: np.ndarray, k: int, f: int, g: int) -> tuple[np.ndarray, int]:
-    """(L[p], sign) with L[f, g] = sign * L[p]."""
-    p = state_pairs(k).index((min(f, g), max(f, g)))
-    return L[p], 1 if f < g else -1
+def _pair_index(pairs: list[tuple[int, int]], f: int, g: int) -> int:
+    """Position of the unordered pair {f, g} in state_pairs order."""
+    return pairs.index((min(f, g), max(f, g)))
 
 
-def _put(actions: np.ndarray, f: int, where: np.ndarray) -> None:
-    """actions = f where `where`, in place; integer arithmetic, which is far
-    cheaper than a masked copy."""
-    step = np.subtract(f, actions, dtype=actions.dtype)
-    np.multiply(step, where, out=step)
-    np.add(actions, step, out=actions)
+def dominance_plan(k: int) -> tuple:
+    """lowest_dominant's tests, compiled once: for each state f from the
+    highest down, the (pair, compare, g) triples whose conjunction makes f
+    dominant. L[f, g] >= c reads L[p] >= c when f < g, and L[p] <= -c
+    otherwise, which negation makes exact; signed_cuts supplies the bounds
+    c and -c."""
+    pairs = state_pairs(k)
+    return tuple(
+        (f, tuple(
+            (_pair_index(pairs, f, g),
+             np.greater_equal if f < g else np.less_equal, g)
+            for g in range(k)
+            if g != f
+        ))
+        for f in reversed(range(k))
+    )
 
 
-def lowest_dominant(L: np.ndarray, cut, k: int, actions: np.ndarray) -> None:
-    """Where some state f has L[f, g] >= cut[f][g] for every g != f, set
-    actions to the lowest such f; other cells keep their value.
+def signed_cuts(cut: np.ndarray) -> np.ndarray:
+    """The bounds of dominance_plan's tests for a (k, k, ...) cut: cut[f, g]
+    above the diagonal, -cut[f, g] below it."""
+    k = cut.shape[0]
+    below = np.tri(k, k, -1, dtype=bool).reshape((k, k) + (1,) * (cut.ndim - 2))
+    return np.where(below, -cut, cut)
 
-    L[g, f] >= c is tested as L[f, g] <= -c, which negation makes exact.
-    """
-    for f in reversed(range(k)):
+
+def ml_plan(k: int) -> tuple:
+    """ml_choice's compiled form: for each state f, the (pair, sign) terms of
+    its row sum over g != f in g order; then the dominance plan and its zero
+    bounds."""
+    pairs = state_pairs(k)
+    rows = tuple(
+        tuple(
+            (_pair_index(pairs, f, g), 1 if f < g else -1)
+            for g in range(k)
+            if g != f
+        )
+        for f in range(k)
+    )
+    return rows, dominance_plan(k), np.zeros((k, k))
+
+
+def _put(actions: np.ndarray, f: int, where: np.ndarray, top: int) -> None:
+    """actions = f where `where`, in place, for actions in 0..top; `where`
+    (bool) is spent. State 0 is one multiply by the complement and state top
+    one maximum; the states between take integer arithmetic in three
+    passes. Each is far cheaper than a masked copy."""
+    if f == 0:
+        np.logical_not(where, out=where)
+        np.multiply(actions, where, out=actions)
+    elif f == top:
+        if f != 1:
+            where = np.multiply(where, f, dtype=actions.dtype)
+        np.maximum(actions, where, out=actions)
+    else:
+        step = np.subtract(f, actions, dtype=actions.dtype)
+        np.multiply(step, where, out=step)
+        np.add(actions, step, out=actions)
+
+
+def lowest_dominant(L: np.ndarray, plan: tuple, bounds: np.ndarray,
+                    actions: np.ndarray) -> None:
+    """Where some state f passes every test of plan against bounds (see
+    dominance_plan), set actions to the lowest such f; other cells keep
+    their value. actions must hold states, 0..k-1."""
+    top = plan[0][0]
+    for f, tests in plan:
         ok = None
-        for g in range(k):
-            if g == f:
-                continue
-            evidence, sign = _directed(L, k, f, g)
-            test = evidence >= cut[f][g] if sign > 0 else evidence <= -cut[f][g]
-            ok = test if ok is None else np.logical_and(ok, test, out=ok)
-        _put(actions, f, ok)
+        for p, compare, g in tests:
+            if ok is None:
+                ok = compare(L[p], bounds[f, g])
+            else:
+                np.logical_and(ok, compare(L[p], bounds[f, g]), out=ok)
+        _put(actions, f, ok, top)
 
 
-def ml_choice(L: np.ndarray, k: int, actions: np.ndarray) -> None:
-    """Maximum-likelihood action: the lowest state whose row dominates,
-    L[f, g] >= 0 for every g. Accumulated rounding can starve every row when
-    k > 2; such cells take the largest row sum, summed left to right over
-    g != f (ties to the lowest state)."""
+def ml_choice(L: np.ndarray, plan: tuple, actions: np.ndarray) -> None:
+    """Maximum-likelihood action (plan = ml_plan(k)): the lowest state whose
+    row dominates, L[f, g] >= 0 for every g. Accumulated rounding can starve
+    every row when k > 2; such cells take the largest row sum, summed left to
+    right over g != f (ties to the lowest state)."""
+    rows, dominance, zeros = plan
+    top = len(rows) - 1
     actions.fill(0)
     best = None
-    for f in range(k):
+    for f, terms in enumerate(rows):
         row = None
-        for g in range(k):
-            if g != f:
-                evidence, sign = _directed(L, k, f, g)
-                term = evidence if sign > 0 else -evidence
-                row = term if row is None else row + term
+        for p, sign in terms:
+            term = L[p] if sign > 0 else -L[p]
+            row = term if row is None else row + term
         if best is not None:
             better = row > best
-            _put(actions, f, better)
-            row = np.where(better, row, best)
+            if f < top:
+                row = np.where(better, row, best)
+            _put(actions, f, better, top)
         best = row
-    lowest_dominant(L, np.zeros((k, k)), k, actions)
+    lowest_dominant(L, dominance, zeros, actions)
 
 
 def plurality(actions: np.ndarray, k: int, axis: int) -> np.ndarray:
     """Most frequent state along axis; ties go to the lowest state."""
     counts = [(actions == f).sum(axis=axis, dtype=np.int32) for f in range(1, k)]
-    best = np.zeros(counts[0].shape, dtype=actions.dtype)
     best_count = actions.shape[axis] - sum(counts)
+    best = None
     for f, count in enumerate(counts, start=1):
         better = count > best_count
-        _put(best, f, better)
-        np.maximum(best_count, count, out=best_count)
+        if best is None:
+            best = better.astype(actions.dtype)
+        else:
+            _put(best, f, better, k - 1)
+        if f < k - 1:
+            np.maximum(best_count, count, out=best_count)
     return best
 
 

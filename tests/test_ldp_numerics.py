@@ -174,6 +174,71 @@ def test_legendre_is_the_supremum_of_the_linear_gap():
                 assert value >= eta * z - kern.cgf(float(z)) - 1e-8
 
 
+def _newton_reference(model, f, g, eta):
+    """The safeguarded Newton solve with the derivatives written out: each
+    iteration builds the tilted law once for cgf_prime and once more for
+    cgf_second. Returns (value, argmax_z, iterations)."""
+    log_pf = np.log(model.pmf_row(0, f))
+    llrs = log_pf - np.log(model.pmf_row(0, g))
+
+    def tilted(z):
+        logw = log_pf + z * llrs
+        logw -= logw.max()
+        w = np.exp(logw)
+        return w / w.sum()
+
+    def prime(z):
+        return float(np.sum(tilted(z) * llrs))
+
+    def second(z):
+        w = tilted(z)
+        m1 = float(np.sum(w * llrs))
+        return float(np.sum(w * llrs**2)) - m1**2
+
+    def cgf(z):
+        terms = log_pf + z * llrs
+        top = terms.max()
+        return float(top + np.log(np.exp(terms - top).sum()))
+
+    lo, hi, step = -1.0, 1.0, 1.0
+    while prime(lo) >= eta:
+        lo -= step
+        step *= 2.0
+    step = 1.0
+    while prime(hi) <= eta:
+        hi += step
+        step *= 2.0
+    z = (lo + hi) / 2.0
+    for iteration in range(1, 201):
+        residual = prime(z) - eta
+        if abs(residual) <= 1e-9:
+            return eta * z - cgf(z), z, iteration
+        if residual > 0.0:
+            hi = z
+        else:
+            lo = z
+        curvature = second(z)
+        candidate = z - (residual / curvature if curvature > 0.0 else math.inf)
+        z = candidate if lo < candidate < hi else (lo + hi) / 2.0
+    raise AssertionError("reference solve did not converge")
+
+
+def test_legendre_matches_the_two_call_newton_reference():
+    rng = np.random.default_rng(44)
+    for _ in range(12):
+        model = random_finite_model(rng)
+        k = model.states.n_states
+        f, g = (int(s) for s in rng.choice(k, size=2, replace=False))
+        kern = PairKernel(model, 0, f, g)
+        lo, hi = kern.domain
+        etas = [kern.mean, 0.0, *rng.uniform(lo + 1e-6, hi - 1e-6, 6)]
+        for eta in (float(e) for e in etas if lo < e < hi):
+            res = kern.legendre(eta)
+            assert (res.value, res.argmax_z, res.iterations) == _newton_reference(
+                model, f, g, eta
+            ), (f, g, eta)
+
+
 def test_legendre_zero_at_the_mean_and_positive_elsewhere():
     kern = binary_kernel(0.9)
     assert abs(kern.legendre(kern.mean).value) <= 1e-10

@@ -140,6 +140,30 @@ def test_enumeration_agrees_with_the_closed_form():
     assert enum.trials == 0 and enum.counts is None
 
 
+def test_enumeration_sums_profiles_in_order():
+    # One block of 2^12 profiles: each cell's weighted mistakes must add up
+    # profile by profile in lexicographic order, which pins enumerate_exact's
+    # bytes to the engine's decisions whatever layout the engine keeps.
+    n, horizon = 3, 4
+    config = SimConfig(
+        binary_model(0.7, n, (0.3, 0.7)), Network.complete(n),
+        CoordinationComplete(0.05), horizon, 1, 0,
+    )
+    cells = n * horizon
+    digits = (np.arange(2**cells)[:, None] >> np.arange(cells - 1, -1, -1)) & 1
+    binding = _Binding(config)
+    actions = _replay(config, binding, digits.reshape(-1, n, horizon))
+    expected = np.zeros((2, n, horizon))
+    for w in (0, 1):
+        pmf = config.model.pmf_row(0, w)
+        for profile, signal in zip(actions, digits):
+            weight = pmf[signal[0]]
+            for c in range(1, cells):
+                weight = weight * pmf[signal[c]]
+            expected[w] = expected[w] + weight * (profile != w)
+    assert enumerate_exact(config).probs.tobytes() == expected.tobytes()
+
+
 def test_enumeration_requires_finite_and_small_profiles():
     gaussian = SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 1.0))
     with pytest.raises(ValueError, match="finite"):
@@ -216,6 +240,49 @@ def test_gaussian_relay_matches_the_scalar_reference():
     curve = mistake_curve(config)
     for state in range(3):
         assert np.array_equal(_reference_counts(config, state), curve.counts[state])
+
+
+def test_engine_keeps_agents_and_replications_apart():
+    # A tile of as many replications as agents: per-agent arrays (atom
+    # offsets, Gaussian pair terms, coordination thresholds) that broadcast
+    # along the wrong axis still have the right shape. Both models give each
+    # agent its own law, the prior is not uniform, so the prior term is
+    # added, and there are three states.
+    n = 4
+    pmf = np.array([
+        [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+        [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]],
+        [[0.4, 0.35, 0.25], [0.25, 0.4, 0.35], [0.35, 0.25, 0.4]],
+        [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+    ])
+    states = StateSpace((0, 1, 2), (0.25, 0.45, 0.3))
+    models = [
+        SignalModel(states, Finite((0, 1, 2), pmf), n),
+        SignalModel(states, Gaussian(
+            ((0.0, 0.5, 1.0), (0.0, 1.5, 3.0), (1.0, 0.2, 0.6), (0.9, 0.0, 1.8)),
+            1.0,
+        ), n),
+    ]
+    strategies = [
+        AutarkyML(), CoordinationComplete(0.05), CoordinationConnected(0.05),
+        ConstantFirstPeriod(2),
+    ]
+    for model, strategy in itertools.product(models, strategies):
+        config = SimConfig(model, Network.complete(n), strategy, 20, n, 31)
+        binding = _Binding(config)
+        if model.has_finite_support:
+            assert binding.atom_offsets is not None
+        else:
+            assert binding.diff.shape == (3, n, 1)
+        for state in range(3):
+            gen = _chunk_generator(config.seed, state, 0)
+            signals = _draw_chunk(binding, state, gen, n, config.horizon)
+            actions = _replay(config, binding, signals)
+            assert actions.shape == (n, n, config.horizon)
+            for r in range(n):
+                assert np.array_equal(
+                    actions[r], replay_reference.replay(config, signals[r])
+                ), (model.family, strategy, state, r)
 
 
 @st.composite
@@ -406,11 +473,11 @@ def test_run_trajectory_validates_indices_and_reports_mistakes():
 # -- visibility: strategies cannot benefit from unobserved actions --------------------
 
 
-def _actions_with_poisoned_columns(config, state, observer, rng, monkeypatch):
+def _actions_with_poisoned_rows(config, state, observer, rng, monkeypatch):
     """Run the engine twice on one block: honestly, and with the observer
-    deciding each period on a copy of the action history whose columns of
-    unobserved agents hold random states. A rule that reads beyond the
-    observer's neighborhood makes the two runs diverge."""
+    deciding each period on a copy of the (horizon, agents, reps) history
+    whose rows of unobserved agents hold random states. A rule that reads
+    beyond the observer's neighborhood makes the two runs diverge."""
     binding = _Binding(config)
     gen = _chunk_generator(config.seed, state, 0)
     signals = _draw_chunk(binding, state, gen, config.replications,
@@ -422,14 +489,14 @@ def _actions_with_poisoned_columns(config, state, observer, rng, monkeypatch):
     ]
     honest_period = sim_engine._play_period
 
-    def poisoned_period(config, binding, t, L, actions):
-        honest_period(config, binding, t, L, actions)
-        garbage = actions.copy()
-        garbage[: t - 1, :, hidden] = rng.integers(
-            0, config.model.states.n_states, garbage[: t - 1, :, hidden].shape
+    def poisoned_period(config, binding, t, L, history):
+        honest_period(config, binding, t, L, history)
+        garbage = history.copy()
+        garbage[: t - 1, hidden] = rng.integers(
+            0, config.model.states.n_states, garbage[: t - 1, hidden].shape
         )
         honest_period(config, binding, t, L, garbage)
-        actions[t - 1, :, observer] = garbage[t - 1, :, observer]
+        history[t - 1, observer] = garbage[t - 1, observer]
 
     monkeypatch.setattr(sim_engine, "_play_period", poisoned_period)
     poisoned = _replay(config, binding, signals)
@@ -450,7 +517,7 @@ def test_unobserved_actions_cannot_influence_decisions(strategy, monkeypatch):
     rng = np.random.default_rng(55)
     for state in (0, 1):
         for observer in range(config.network.n):
-            clean, poisoned = _actions_with_poisoned_columns(
+            clean, poisoned = _actions_with_poisoned_rows(
                 config, state, observer, rng, monkeypatch
             )
             assert np.array_equal(clean, poisoned), (state, observer)

@@ -25,13 +25,16 @@ from ratebound.strategies import (
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
+    dominance_plan,
     finite_llr_table,
     first_action,
     lowest_dominant,
     ml_choice,
+    ml_plan,
     most_popular,
     pair_mean_matrix,
     prior_log_matrix,
+    signed_cuts,
     strategy_from_json,
     strategy_to_json,
 )
@@ -71,7 +74,7 @@ def test_first_action_is_the_prior_mode():
 def ml(pair_evidence, k):
     """ml_choice on one cell; pair_evidence lists L[f, g] for f < g."""
     out = np.empty(1, dtype=np.int8)
-    ml_choice(np.asarray(pair_evidence, dtype=float)[:, None], k, out)
+    ml_choice(np.asarray(pair_evidence, dtype=float)[:, None], ml_plan(k), out)
     return int(out[0])
 
 
@@ -89,18 +92,20 @@ def test_ml_action_picks_the_dominating_row():
 
 
 def test_decisive_state_thresholds():
+    # Each cell starts at either state; a decisive cell takes its state from
+    # both starts, every other cell keeps the one it had.
     thresholds = np.array([[0.0, 1.0], [1.0, 0.0]]) - 0.2
-    evidence = np.array([[4.1]])
-    for t, expected in ((5, 0), (6, 7)):
-        out = np.full(1, 7, dtype=np.int8)  # 7: "no decisive state"
-        lowest_dominant(evidence, thresholds * t, 2, out)
-        assert out[0] == expected
-    out = np.full(1, 7, dtype=np.int8)
-    lowest_dominant(np.array([[-4.1]]), thresholds * 5, 2, out)
-    assert out[0] == 1
-    out = np.full(1, 7, dtype=np.int8)
-    lowest_dominant(np.array([[0.0]]), thresholds * 1, 2, out)
-    assert out[0] == 7
+    for evidence, t, decisive in ((4.1, 5, 0), (4.1, 6, None), (-4.1, 5, 1),
+                                  (0.0, 1, None)):
+        for start in (0, 1):
+            out = np.full(1, start, dtype=np.int8)
+            lowest_dominant(
+                np.array([[evidence]]), dominance_plan(2),
+                signed_cuts(thresholds * t), out,
+            )
+            assert out[0] == (start if decisive is None else decisive), (
+                evidence, t, start,
+            )
 
 
 # -- evidence tables ---------------------------------------------------------------
@@ -158,7 +163,8 @@ def test_compiled_increments_match_llr_for_both_families():
     for p, (f, g) in enumerate(((0, 1), (0, 2), (1, 2))):
         for agent in (0, 1):
             for x in (-0.7, 0.3, 2.2):
-                inc = binding.diff[p, agent] * (x - binding.avg[p, agent]) / binding.var
+                diff, avg = binding.diff[p, agent, 0], binding.avg[p, agent, 0]
+                inc = diff * (x - avg) / binding.var
                 assert inc == pytest.approx(
                     gaussian.llr(agent, f, g, x), rel=1e-14
                 )
