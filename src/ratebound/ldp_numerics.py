@@ -58,8 +58,7 @@ class PairKernel:
             self.variance = diff**2 / sigma**2
             self.mean = self.variance / 2.0
             self.domain = (-math.inf, math.inf)
-            self._llrs = self._llrs_sq = None
-            self._log_pf = None
+            self._rows = None
         else:
             pmf_f = model.pmf_row(agent, f)
             pmf_g = model.pmf_row(agent, g)
@@ -69,14 +68,15 @@ class PairKernel:
                     "kernel requires mutually absolutely continuous states"
                 )
             self._gaussian = False
-            self._log_pf = np.log(pmf_f[mask])
-            self._llrs = self._log_pf - np.log(pmf_g[mask])
-            self._llrs_sq = self._llrs**2
-            self.mean = float(np.sum(pmf_f[mask] * self._llrs))
+            log_pf = np.log(pmf_f[mask])
+            llrs = log_pf - np.log(pmf_g[mask])
+            # The kernel's lane row: log p_f, llr and llr^2 over its atoms.
+            self._rows = np.array([log_pf, llrs, llrs**2])
+            self.mean = float(np.sum(pmf_f[mask] * llrs))
             self.variance = float(
-                np.sum(pmf_f[mask] * self._llrs_sq) - self.mean**2
+                np.sum(pmf_f[mask] * self._rows[2]) - self.mean**2
             )
-            self.domain = (float(self._llrs.min()), float(self._llrs.max()))
+            self.domain = (float(llrs.min()), float(llrs.max()))
 
     # -- cumulant generating function -------------------------------------
 
@@ -84,100 +84,180 @@ class PairKernel:
         """log E_f[exp(z * llr)]; exact log-sum-exp, finite for every real z."""
         if self._gaussian:
             return self.mean * z + self.variance * np.square(z) / 2.0
-        z = np.asarray(z, dtype=float)
-        terms = self._log_pf + z[..., None] * self._llrs
-        top = terms.max(axis=-1)
-        vals = top + np.log(np.exp(terms - top[..., None]).sum(axis=-1))
+        vals = _cgf(self._rows, np.asarray(z, dtype=float))
         return float(vals) if vals.ndim == 0 else vals
 
     def cgf_prime(self, z: float) -> float:
         """d/dz cgf(z) = E[llr e^{z llr}] / E[e^{z llr}], strictly increasing."""
         if self._gaussian:
             return self.mean + self.variance * z
-        w = self._tilted_weights(z)
-        return float(np.sum(w * self._llrs))
+        return float(_tilted_mean(self._rows, np.asarray(z, dtype=float)))
 
     def cgf_second(self, z: float) -> float:
         """d2/dz2 cgf(z): the variance under the z-tilted law (positive)."""
         if self._gaussian:
             return self.variance
-        return self._tilted_moments(z)[1]
-
-    def _tilted_moments(self, z: float) -> tuple[float, float]:
-        """(cgf_prime(z), cgf_second(z)) of a finite kernel, from one
-        tilted law."""
-        w = self._tilted_weights(z)
-        m1 = float(np.sum(w * self._llrs))
-        return m1, float(np.sum(w * self._llrs_sq)) - m1**2
-
-    def _tilted_weights(self, z: float) -> np.ndarray:
-        logw = self._log_pf + z * self._llrs
-        logw -= logw.max()
-        w = np.exp(logw)
-        return w / w.sum()
+        w = _tilted_law(self._rows, np.asarray(z, dtype=float))
+        m1, m2 = np.add.reduce(w * self._rows[1:], axis=-1).tolist()
+        return m2 - m1**2
 
     # -- Fenchel-Legendre transform ----------------------------------------
 
     def legendre(self, eta: float) -> ConjugateResult:
         """sup_z (eta*z - cgf(z)), solved via the strictly increasing cgf_prime.
 
-        Interior etas (inside the open llr range) are solved by a bracketed,
-        safeguarded Newton iteration on cgf_prime(z) = eta to |residual| <=
-        1e-9. Etas at or beyond a finite endpoint return the limiting value
-        -log P_f[llr = endpoint] with argmax_z = +-inf.
+        The one-lane case of `conjugates`: interior etas (inside the open llr
+        range) are solved by a bracketed, safeguarded Newton iteration on
+        cgf_prime(z) = eta to |residual| <= 1e-9. Etas at or beyond a finite
+        endpoint return the limiting value -log P_f[llr = endpoint] with
+        argmax_z = +-inf.
         """
         eta = float(eta)
-        if self._gaussian:
-            z = (eta - self.mean) / self.variance
-            value = (eta - self.mean) ** 2 / (2.0 * self.variance)
-            return ConjugateResult(eta, value, z, 0)
-        lo_llr, hi_llr = self.domain
-        if eta >= hi_llr:
-            return ConjugateResult(eta, self._endpoint_value(hi_llr), math.inf, 0)
-        if eta <= lo_llr:
-            return ConjugateResult(
-                eta, self._endpoint_value(lo_llr), -math.inf, 0
-            )
-        z, iterations = self._solve_tilt(eta)
-        value = eta * z - self.cgf(z)
-        return ConjugateResult(eta, value, z, iterations)
+        value, z, iterations = conjugates((self,), (eta,))
+        return ConjugateResult(eta, float(value[0]), float(z[0]), int(iterations[0]))
 
     def _endpoint_value(self, endpoint: float) -> float:
         scale = max(1.0, abs(endpoint))
-        mass = np.exp(
-            self._log_pf[np.abs(self._llrs - endpoint) <= 1e-12 * scale]
-        ).sum()
+        log_pf, llrs = self._rows[0], self._rows[1]
+        mass = np.exp(log_pf[np.abs(llrs - endpoint) <= 1e-12 * scale]).sum()
         return -math.log(mass)
 
-    def _solve_tilt(self, eta: float) -> tuple[float, int]:
-        lo, hi = -1.0, 1.0
-        step = 1.0
-        while self.cgf_prime(lo) >= eta:
-            lo -= step
-            step *= 2.0
-        step = 1.0
-        while self.cgf_prime(hi) <= eta:
-            hi += step
-            step *= 2.0
-        z = (lo + hi) / 2.0
+
+def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugates of many (kernel, eta) lanes: lane i is the i-th kernel at
+    the i-th eta of `etas` in C order. `kernels` is any iterable with one
+    kernel per eta, read once.
+
+    Returns (value, argmax_z, iterations) arrays shaped like `etas`; each
+    lane equals its kernel's `legendre(eta).value`, `.argmax_z` and
+    `.iterations`. Gaussian lanes take the closed form and etas at or beyond
+    a finite endpoint the limiting value, lane by lane. The interior finite
+    lanes are solved together by one lockstep Newton iteration, so their
+    kernels must have the same number of atoms.
+    """
+    eta = np.asarray(etas, dtype=float)
+    flat = eta.ravel()
+    value = np.empty(flat.size)
+    argmax = np.empty(flat.size)
+    iterations = np.zeros(flat.size, dtype=np.int64)
+    interior = []
+    rows = []
+    for lane, (kern, e) in enumerate(zip(kernels, flat.tolist(), strict=True)):
+        if kern._gaussian:
+            argmax[lane] = (e - kern.mean) / kern.variance
+            value[lane] = (e - kern.mean) ** 2 / (2.0 * kern.variance)
+        elif e >= kern.domain[1]:
+            value[lane] = kern._endpoint_value(kern.domain[1])
+            argmax[lane] = math.inf
+        elif e <= kern.domain[0]:
+            value[lane] = kern._endpoint_value(kern.domain[0])
+            argmax[lane] = -math.inf
+        else:
+            interior.append(lane)
+            rows.append(kern._rows)
+    if interior:
+        if len({r.shape for r in rows}) > 1:
+            raise ValueError(
+                "the interior lanes of one solve need kernels with equal atom counts"
+            )
+        rows = np.array(rows)
+        interior = np.array(interior, dtype=np.intp)
+        lane_eta = flat[interior]
+        z, iterations[interior] = _solve_tilt(rows, lane_eta)
+        argmax[interior] = z
+        value[interior] = lane_eta * z - _cgf(rows, z)
+    return (
+        value.reshape(eta.shape),
+        argmax.reshape(eta.shape),
+        iterations.reshape(eta.shape),
+    )
+
+
+# Kernel rows are stacked as (..., 3, atoms): log p_f, llr, llr^2. Each lane
+# reduces its own contiguous row, so a lane's sums add its atoms in the same
+# order, and give the same bits, as a one-kernel solve.
+
+
+def _cgf(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    terms = z[..., None] * rows[..., 1, :]
+    terms += rows[..., 0, :]
+    top = np.maximum.reduce(terms, axis=-1)
+    terms -= top[..., None]
+    return top + np.log(np.add.reduce(np.exp(terms), axis=-1))
+
+
+def _tilted_law(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The z-tilted law of each row: weights prop. to p_f * e^{z llr}."""
+    w = z[..., None] * rows[..., 1, :]
+    w += rows[..., 0, :]
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    return w
+
+
+def _tilted_mean(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.add.reduce(_tilted_law(rows, z) * rows[..., 1, :], axis=-1)
+
+
+def _bracket(rows: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(lo, hi) per lane with cgf_prime(lo) < eta < cgf_prime(hi): from -1
+    and 1, an end whose slope is not yet past eta doubles. The scalar rule's
+    steps 1, 2, 4, ... land exactly on these powers of two."""
+    ends = np.empty((2, eta.size))
+    ends[0], ends[1] = -1.0, 1.0
+    while True:
+        slope = _tilted_mean(rows, ends)
+        short = slope >= eta
+        np.less_equal(slope[1], eta, out=short[1])
+        if not short.any():
+            return ends
+        ends[short] *= 2.0
+
+
+def _solve_tilt(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cgf_prime(z) = eta for every lane of (lanes, 3, atoms) rows, in
+    lockstep: each lane keeps its own bracket, takes the Newton step when it
+    lands inside the bracket and bisects otherwise, and leaves the loop once
+    its residual is within LEGENDRE_TOL. Returns (z, iterations)."""
+    z_out = np.empty(eta.size)
+    iters_out = np.empty(eta.size, dtype=np.int64)
+    lo, hi = _bracket(rows, eta)
+    z = (lo + hi) / 2.0
+    lanes = np.arange(eta.size)
+    # No positive tilted variance, or an overflowing step, means an
+    # infinite step, which bisects.
+    with np.errstate(divide="ignore", over="ignore"):
         for iteration in range(1, LEGENDRE_MAX_ITER + 1):
-            slope, curvature = self._tilted_moments(z)
+            w = _tilted_law(rows, z)
+            slope, second = np.add.reduce(w[:, None, :] * rows[:, 1:, :], axis=-1).T
             residual = slope - eta
-            if abs(residual) <= LEGENDRE_TOL:
-                return z, iteration
-            if residual > 0.0:
-                hi = z
-            else:
-                lo = z
-            step = residual / curvature if curvature > 0.0 else math.inf
+            done = np.abs(residual) <= LEGENDRE_TOL
+            finished = np.count_nonzero(done)
+            if finished:
+                z_out[lanes[done]] = z[done]
+                iters_out[lanes[done]] = iteration
+                if finished == lanes.size:
+                    return z_out, iters_out
+                keep = ~done
+                lanes, rows, eta, z = lanes[keep], rows[keep], eta[keep], z[keep]
+                lo, hi, residual = lo[keep], hi[keep], residual[keep]
+                slope, second = slope[keep], second[keep]
+            # Python's m**2 (libm pow) and numpy's m*m differ in the last bit
+            # on about 0.1% of floats, enough to move argmax_z by one ulp.
+            curvature = second - np.array([m**2 for m in slope.tolist()])
+            step = np.where(curvature > 0.0, residual / curvature, np.inf)
+            above = residual > 0.0
+            hi = np.where(above, z, hi)
+            lo = np.where(above, lo, z)
             candidate = z - step
-            if not lo < candidate < hi:
-                candidate = (lo + hi) / 2.0
-            z = candidate
-        raise RuntimeError(
-            f"legendre solve did not converge for eta={eta} "
-            f"(best bracket [{lo}, {hi}])"
-        )
+            z = np.where(
+                (lo < candidate) & (candidate < hi), candidate, (lo + hi) / 2.0
+            )
+    raise RuntimeError(
+        f"legendre solve did not converge for eta={eta[0]} "
+        f"(best bracket [{lo[0]}, {hi[0]}])"
+    )
 
 
 def kl_bernoulli(a: float, b: float) -> float:

@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from ratebound.ldp_numerics import PairKernel
+import numpy as np
+
+from ratebound.ldp_numerics import PairKernel, conjugates
 from ratebound.network import Network
 from ratebound.signal_models import BinarySymmetric, SignalModel, StateSpace
 
@@ -158,12 +160,21 @@ def coordination_threshold(model: SignalModel, delta: float) -> int:
 
 def sweep_figure1(p_values) -> list[tuple[float, float, float]]:
     """Autarky and bounded rates for symmetric binary models across signal
-    precisions. Returns (q, r_aut, r_bdd) rows in input order."""
-    rows = []
+    precisions. Returns (q, r_aut, r_bdd) rows in input order.
+
+    Every point's conjugates at zero, one per ordered pair, are solved in one
+    lockstep call; each equals the point's own autarky_rate solve."""
+    models = []
     for q in p_values:
         q = float(q)
         if not 0.5 < q < 1.0:
             raise ValueError(f"signal precision {q} outside (1/2, 1)")
-        model = SignalModel(StateSpace((0, 1)), BinarySymmetric(q))
-        rows.append((q, autarky_rate(model, 0), bounded_rate(model)))
-    return rows
+        models.append((q, SignalModel(StateSpace((0, 1)), BinarySymmetric(q))))
+    pairs = _ordered_pairs(2)
+    # A generator, so each kernel is released once the solve has its row.
+    kernels = (PairKernel(model, 0, f, g) for _, model in models for f, g in pairs)
+    values = conjugates(kernels, np.zeros(len(models) * len(pairs)))[0].tolist()
+    return [
+        (q, min(values[i * len(pairs) : (i + 1) * len(pairs)]), bounded_rate(model))
+        for i, (q, model) in enumerate(models)
+    ]

@@ -7,6 +7,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,6 +170,12 @@ class SimConfig:
         )
         if violations:
             raise ValueError("inadmissible simulation config: " + "; ".join(violations))
+
+    @cached_property
+    def _binding(self) -> _Binding:
+        """The engine's per-config constants, compiled on first use and kept
+        with the config, which is frozen."""
+        return _Binding(self)
 
 
 @dataclass(frozen=True)
@@ -485,6 +492,21 @@ def worker_count() -> int:
     return workers
 
 
+# Inside a pool worker: the run's (config, binding), sent once per worker by
+# the pool initializer, so that each task carries only (state, chunk).
+_worker_run: tuple[SimConfig, _Binding] | None = None
+
+
+def _start_worker(config: SimConfig, binding: _Binding) -> None:
+    global _worker_run
+    _worker_run = (config, binding)
+
+
+def _worker_counts(state: int, chunk: int) -> np.ndarray:
+    config, binding = _worker_run
+    return _chunk_counts(config, state, chunk, binding)
+
+
 def mistake_curve(config: SimConfig) -> MistakeCurve:
     """Monte Carlo mistake curve with `replications` trajectories per state.
 
@@ -494,21 +516,27 @@ def mistake_curve(config: SimConfig) -> MistakeCurve:
     """
     k = config.model.states.n_states
     n_chunks = -(-config.replications // CHUNK)
-    binding = _Binding(config)
-    tasks = [
-        (config, state, chunk, binding) for state in range(k) for chunk in range(n_chunks)
-    ]
+    binding = config._binding
+    blocks = [(state, chunk) for state in range(k) for chunk in range(n_chunks)]
     counts = np.zeros((k, config.network.n, config.horizon), dtype=np.int64)
     workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for (_, state, _, _), result in zip(
-                tasks, pool.map(_chunk_counts, *zip(*tasks))
+    if workers > 1 and len(blocks) > 1:
+        # numpy loads numpy.random on first use; loading it here, before the
+        # pool forks, spares every new worker that import on its first block.
+        import numpy.random  # noqa: F401
+
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(blocks)),
+            initializer=_start_worker,
+            initargs=(config, binding),
+        ) as pool:
+            for (state, _), result in zip(
+                blocks, pool.map(_worker_counts, *zip(*blocks))
             ):
                 counts[state] += result
     else:
-        for task in tasks:
-            counts[task[1]] += _chunk_counts(*task)
+        for state, chunk in blocks:
+            counts[state] += _chunk_counts(config, state, chunk, binding)
     return MistakeCurve(
         probs=counts / config.replications,
         prior=config.model.states.prior,
@@ -532,7 +560,7 @@ def run_trajectory(
         raise ValueError("state index out of range")
     chunk, offset = divmod(replication_index, CHUNK)
     gen = _chunk_generator(config.seed, state, chunk)
-    binding = _Binding(config)
+    binding = config._binding
     signals = _draw_chunk(binding, state, gen, offset + 1, config.horizon)
     actions = _replay(config, binding, signals[offset:])[0]
     return actions, actions != state
@@ -565,7 +593,7 @@ def enumerate_exact(config: SimConfig) -> MistakeCurve:
     pmf = np.stack(
         [[model.pmf_row(agent, w) for agent in range(n)] for w in range(k)]
     )
-    binding = _Binding(config)
+    binding = config._binding
     probs = np.zeros((k, n, horizon))
     place = support_size ** np.arange(cells - 1, -1, -1)
     cell_agent = np.repeat(np.arange(n), horizon)

@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ratebound.ldp_numerics import PairKernel, binomial_tail_bound, kl_bernoulli
+from ratebound.ldp_numerics import (
+    PairKernel,
+    binomial_tail_bound,
+    conjugates,
+    kl_bernoulli,
+)
 from ratebound.signal_models import (
     BinarySymmetric,
     Finite,
@@ -237,6 +242,106 @@ def test_legendre_matches_the_two_call_newton_reference():
             assert (res.value, res.argmax_z, res.iterations) == _newton_reference(
                 model, f, g, eta
             ), (f, g, eta)
+
+
+def _random_kernel(rng, atoms):
+    """A pair kernel with the given number of atoms; every atom has mass
+    under both states, and some pmfs are far from uniform."""
+    while True:
+        pmf = rng.dirichlet(np.full(atoms, float(rng.choice([0.3, 1.0, 5.0]))), size=2)
+        pmf = (pmf + 1e-3) / (1.0 + 1e-3 * atoms)
+        model = SignalModel(StateSpace((0, 1)), Finite(tuple(range(atoms)), pmf))
+        if not model.validate():
+            return model, PairKernel(model, 0, 0, 1)
+
+
+def _as_tuples(lanes):
+    return list(zip(*(a.tolist() for a in lanes)))
+
+
+def test_lanes_equal_one_lane_solves_and_the_reference():
+    # Each kernel's etas, shuffled: its mean, 0, both endpoints and beyond,
+    # etas close to each endpoint, and random interior points.
+    rng = np.random.default_rng(66)
+    for atoms in [2, 3, 5, 8, 9, 16, 17, 24, 39]:
+        model, kern = _random_kernel(rng, atoms)
+        lo, hi = kern.domain
+        width = hi - lo
+        etas = np.array(
+            [kern.mean, 0.0, lo, hi, lo - 1.0, hi + 2.5,
+             lo + 1e-7 * width, hi - 1e-7 * width,
+             *rng.uniform(lo, hi, 12)]
+        )
+        rng.shuffle(etas)
+        lanes = _as_tuples(conjugates([kern] * etas.size, etas))
+        for eta, lane in zip(etas.tolist(), lanes):
+            one = kern.legendre(eta)
+            assert lane == (one.value, one.argmax_z, one.iterations), (atoms, eta)
+            if lo < eta < hi:
+                assert lane == _newton_reference(model, 0, 1, eta), (atoms, eta)
+            else:
+                assert lane[1] == (math.inf if eta >= hi else -math.inf)
+                assert lane[2] == 0
+
+
+def test_lanes_of_many_kernels_equal_their_own_solves():
+    # The rate sweep's shape: many kernels with one atom count, one solve.
+    rng = np.random.default_rng(67)
+    for atoms in (2, 6):
+        kernels = [_random_kernel(rng, atoms)[1] for _ in range(30)]
+        etas = [float(rng.uniform(*k.domain)) for k in kernels]
+        lanes = _as_tuples(conjugates(kernels, etas))
+        for kern, eta, lane in zip(kernels, etas, lanes):
+            one = kern.legendre(eta)
+            assert lane == (one.value, one.argmax_z, one.iterations)
+
+
+def test_lanes_keep_the_shape_and_order_of_the_etas():
+    rng = np.random.default_rng(68)
+    finite = [_random_kernel(rng, 4)[1] for _ in range(3)]
+    gaussian = PairKernel(
+        SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 1.0)), 0, 0, 1
+    )
+    kernels = [finite[0], gaussian, finite[1], finite[2], gaussian, finite[0]]
+    etas = np.array([[0.3, -2.0, 0.0], [-0.4, 4.0, 50.0]])
+    value, argmax, iterations = conjugates(kernels, etas)
+    assert value.shape == argmax.shape == iterations.shape == (2, 3)
+    assert iterations.dtype.kind == "i"
+    for kern, eta, v, z, it in zip(
+        kernels, etas.ravel(), value.ravel(), argmax.ravel(), iterations.ravel()
+    ):
+        one = kern.legendre(float(eta))
+        assert (v, z, it) == (one.value, one.argmax_z, one.iterations)
+    assert argmax[1, 2] == math.inf
+    assert iterations[0, 1] == iterations[1, 1] == 0
+
+
+def test_lanes_of_no_etas_and_mismatched_inputs():
+    value, argmax, iterations = conjugates([], [])
+    assert value.shape == argmax.shape == iterations.shape == (0,)
+    rng = np.random.default_rng(69)
+    two, three = _random_kernel(rng, 2)[1], _random_kernel(rng, 3)[1]
+    with pytest.raises(ValueError):
+        conjugates([two], [0.0, 0.1])
+    with pytest.raises(ValueError):
+        conjugates([two, three], [0.0, 0.0])
+    # Lanes at or beyond an endpoint are not solved, so their atoms may differ.
+    mixed = conjugates([two, three], [two.domain[1], 0.0])
+    assert mixed[1][0] == math.inf
+
+
+def test_tilted_variance_keeps_pythons_power():
+    # Squaring the tilted mean with numpy's m*m instead of Python's m**2
+    # (libm pow) moves this solve's argmax_z and value in the last bit.
+    pmf = np.array([[0.598, 0.402], [0.159, 0.841]])
+    model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf))
+    kern = PairKernel(model, 0, 0, 1)
+    expected = (0.4599937629212296, 2.010558476078127, 6)
+    res = kern.legendre(1.303)
+    assert (res.value, res.argmax_z, res.iterations) == expected
+    assert _newton_reference(model, 0, 1, 1.303) == expected
+    lanes = _as_tuples(conjugates([kern] * 3, [0.0, 1.303, kern.mean]))
+    assert lanes[1] == expected
 
 
 def test_legendre_zero_at_the_mean_and_positive_elsewhere():

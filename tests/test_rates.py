@@ -158,6 +158,15 @@ def test_sweep_rows_follow_the_input_grid():
     assert all(a < b for a, b in zip(rauts, rauts[1:]))
 
 
+def test_sweep_rows_equal_each_points_own_rates():
+    # The sweep solves every point in one call; each row must equal the
+    # point's own solves bit for bit, including near 1/2 and 1.
+    grid = [0.5000001, *np.linspace(0.51, 0.99, 41), 0.9999999]
+    for q, raut, rbdd in sweep_figure1(grid):
+        model = binary_model(q)
+        assert (raut, rbdd) == (autarky_rate(model), bounded_rate(model)), q
+
+
 def test_sweep_rejects_precisions_outside_the_open_interval():
     with pytest.raises(ValueError):
         sweep_figure1([0.5])

@@ -459,6 +459,37 @@ def test_identical_configs_give_identical_counts():
     assert a.trials == b.trials == 5000
 
 
+def test_binding_is_compiled_once_per_config(monkeypatch):
+    # run_trajectory, the serial and the pooled mistake_curve, and
+    # enumerate_exact share the config's one binding; pool workers receive
+    # it once and count what the serial loop counts.
+    builds = []
+    compile_binding = sim_engine._Binding
+
+    def counted(config):
+        builds.append(config)
+        return compile_binding(config)
+
+    monkeypatch.setattr(sim_engine, "_Binding", counted)
+    config = SimConfig(
+        binary_model(0.75, 2), Network.complete(2), CoordinationComplete(),
+        5, CHUNK + 10, 12,
+    )
+    trajectories = [run_trajectory(config, 1, i)[0] for i in (0, 7, CHUNK + 9)]
+    monkeypatch.setenv("RATEBOUND_THREADS", "1")
+    serial = mistake_curve(config).counts
+    monkeypatch.setenv("RATEBOUND_THREADS", "2")
+    pooled = mistake_curve(config).counts
+    enumerate_exact(config)
+    assert builds == [config]
+    assert np.array_equal(pooled, serial)
+    equal = SimConfig(*(getattr(config, f) for f in (
+        "model", "network", "strategy", "horizon", "replications", "seed")))
+    assert equal == config and hash(equal) == hash(config)
+    assert np.array_equal(run_trajectory(equal, 1, 7)[0], trajectories[1])
+    assert len(builds) == 2
+
+
 def test_run_trajectory_validates_indices_and_reports_mistakes():
     config = autarky_config(horizon=4, replications=10)
     actions, mistakes = run_trajectory(config, 1, 3)
