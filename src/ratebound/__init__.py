@@ -31,7 +31,6 @@ from ratebound.strategies import (
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
-    most_popular,
 )
 from ratebound.sim_engine import (
     FitResult,
@@ -74,7 +73,6 @@ __all__ = [
     "fit_rate",
     "kl_bernoulli",
     "mistake_curve",
-    "most_popular",
     "neighborhood_bounded_rate",
     "rate_report",
     "replay_knowledge",

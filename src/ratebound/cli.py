@@ -16,7 +16,6 @@ import numpy as np
 
 from ratebound import verification
 from ratebound.network import (
-    Imitate,
     Network,
     build_schedule,
     network_from_json,
@@ -174,23 +173,29 @@ def _fit_dict(fit) -> dict:
 
 
 def _schedule_doc(net: Network, schedule, knowledge) -> dict:
+    # a relay naming its own agent repeats her vote (offset 0)
     directives = [
         [
-            {"action": "imitate", "source": d.source, "offset": d.source_offset}
-            if isinstance(d, Imitate)
-            else {"action": "repeat", "offset": d.own_offset}
-            for d in row
+            {"action": "repeat", "offset": offset}
+            if source == i
+            else {"action": "imitate", "source": source, "offset": offset}
+            for i, (source, offset) in enumerate(zip(sources, offsets))
         ]
-        for row in schedule.directives
+        for sources, offsets in zip(
+            schedule.relay_source.tolist(), schedule.relay_offset.tolist()
+        )
+    ]
+    harvest = [
+        [[owner, *entry] for owner, entry in
+         zip((j for j in range(net.n) if j != i), entries)]
+        for i, entries in enumerate(schedule.harvest.tolist())
     ]
     return {
         "n": net.n,
         "block_length": schedule.M,
         "voting_periods": {"first": 1, "stride": schedule.M},
         "directives": directives,
-        "harvest": [
-            [list(entry) for entry in entries] for entries in schedule.harvest
-        ],
+        "harvest": harvest,
         "full_knowledge": all(k == set(range(net.n)) for k in knowledge),
     }
 

@@ -135,42 +135,40 @@ def distances(net: Network) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True)
-class Imitate:
-    """Display source's action from the given block offset (0 = voting period)."""
+def voting_periods(horizon: int, block: int) -> range:
+    """Voting periods 1, 1+M, 1+2M, ... up to horizon, for block length M.
 
-    source: int
-    source_offset: int
-
-
-@dataclass(frozen=True)
-class Repeat:
-    """Display one's own action from the given block offset (0 = voting period)."""
-
-    own_offset: int = 0
+    The periods in between are propagation periods."""
+    return range(1, horizon + 1, block)
 
 
 @dataclass(frozen=True)
 class PropagationSchedule:
     """Per-block relay plan that spreads voting actions through the graph.
 
-    Periods {1, 1+M, 1+2M, ...} are voting periods; the M-1 offsets in
-    between are propagation periods. directives[o-1][i] tells agent i what to
-    display at block offset o. harvest[i] lists (vote_owner, source, offset)
-    triples: agent i learns vote_owner's voting action by watching source (a
-    neighbor or herself) act at the given block offset.
+    Each block of M periods starts with a voting period (see voting_periods);
+    the M-1 offsets after it are propagation periods. At block offset o >= 1
+    agent i displays the action that agent relay_source[o-1, i] took at block
+    offset relay_offset[o-1, i]; relay_source[o-1, i] == i means she repeats
+    her own vote (offset 0). harvest[i, m] = (source, offset): agent i learns
+    the vote of the m-th agent other than herself, in ascending order, by
+    watching source (a neighbor) act at that block offset. The arrays, of
+    shapes (M-1, n), (M-1, n) and (n, n-1, 2), are read-only.
     """
 
     n: int
     M: int
-    directives: tuple[tuple[Imitate | Repeat, ...], ...]
-    harvest: tuple[tuple[tuple[int, int, int], ...], ...]
+    relay_source: np.ndarray
+    relay_offset: np.ndarray
+    harvest: np.ndarray
 
-    def is_voting_period(self, t: int) -> bool:
-        return t >= 1 and (t - 1) % self.M == 0
 
-    def voting_periods(self, horizon: int) -> list[int]:
-        return list(range(1, horizon + 1, self.M))
+def _observes(net: Network) -> np.ndarray:
+    """Boolean (n, n) matrix: observes[i, u] iff u is in i's neighborhood."""
+    observes = np.zeros((net.n, net.n), dtype=bool)
+    for i, hood in enumerate(net.neighborhoods):
+        observes[i, list(hood)] = True
+    return observes
 
 
 def build_schedule(net: Network) -> PropagationSchedule:
@@ -178,113 +176,82 @@ def build_schedule(net: Network) -> PropagationSchedule:
 
     Block length is M = 1 + n(n-2) for n >= 3 (M = 1 for n <= 2: every
     period is a voting period). Offset o = (j+1) + k*n is round (j, k):
-    agents at distance k+1 from j display j's voting action, read from the
-    lowest-indexed neighbor at distance k who displayed it at offset o - n
-    (at distance 1, from j's own vote at offset 0); everyone else repeats
-    her own voting action. One pass per distance level reaches distance
-    n-2; agents at distance n-1 still learn the vote by observing a
-    distance-(n-2) displayer, which replay_knowledge certifies.
+    agents at distance k+1 from j display j's voting action, read from
+    their carrier for j, the lowest-indexed neighbor at distance k from j,
+    who displayed it at offset o - n (at distance 1 the carrier is j, read
+    at offset 0); everyone else repeats her own voting action. One pass per
+    distance level reaches distance n-2; agents at distance n-1 still learn
+    the vote by observing their carrier, which replay_knowledge certifies.
     """
     if not is_strongly_connected(net):
         raise ValueError("a propagation schedule requires a strongly connected network")
     n = net.n
-    if n <= 2:
-        harvest = tuple(
-            tuple((j, j, 0) for j in net.neighborhoods[i] if j != i)
-            for i in range(n)
-        )
-        return PropagationSchedule(n=n, M=1, directives=(), harvest=harvest)
     dist = distances(net)
-    directives: list[tuple[Imitate | Repeat, ...]] = []
-    for offset in range(1, n * (n - 2) + 1):
-        j = (offset - 1) % n
-        k = (offset - 1) // n
-        row: list[Imitate | Repeat] = []
-        for i in range(n):
-            if dist[i, j] != k + 1:
-                row.append(Repeat(0))
-            elif k == 0:
-                row.append(Imitate(j, 0))
-            else:
-                source = _carrier(net, dist, i, j, k)
-                row.append(Imitate(source, offset - n))
-        directives.append(tuple(row))
-    harvest: list[tuple[tuple[int, int, int], ...]] = []
-    for i in range(n):
-        entries = []
-        for j in range(n):
-            if j == i:
-                continue
-            if j in net.neighborhoods[i]:
-                entries.append((j, j, 0))
-            else:
-                d = int(dist[i, j])
-                source = _carrier(net, dist, i, j, d - 1)
-                entries.append((j, source, (j + 1) + (d - 2) * n))
-        harvest.append(tuple(entries))
-    return PropagationSchedule(
-        n=n, M=1 + n * (n - 2), directives=tuple(directives), harvest=tuple(harvest)
-    )
-
-
-def _carrier(net: Network, dist: np.ndarray, i: int, j: int, k: int) -> int:
-    """Lowest-indexed neighbor of i at distance k from j."""
-    for u in net.neighborhoods[i]:
-        if dist[u, j] == k:
-            return u
-    raise RuntimeError(
-        f"no carrier at distance {k} from {j} among neighbors of {i}"
-    )
+    agents = np.arange(n)
+    # carrier[i, j]: the lowest u with observes[i, u] and d(u, j) = d(i, j) - 1
+    steps = _observes(net)[:, :, None] & (dist[None, :, :] == dist[:, None, :] - 1)
+    carrier = steps.argmax(axis=1)
+    # shown[u, j]: the block offset at which u displays j's vote, 0 for u = j
+    # and else that of round (j, d(u, j) - 1); carriers are within n-2 of j
+    shown = np.where(dist == 0, 0, agents + 1 + (dist - 1) * n)
+    relay_at = shown[carrier, agents]
+    # rounds (k, j) in offset order; agent i relays in round (d(i, j) - 1, j)
+    relaying = dist.T == np.arange(1, n - 1)[:, None, None]
+    M = max(1, 1 + n * (n - 2))
+    relay_source = np.where(relaying, carrier.T, agents).reshape(M - 1, n)
+    relay_offset = np.where(relaying, relay_at.T, 0).reshape(M - 1, n)
+    others = ~np.eye(n, dtype=bool)
+    harvest = np.stack([carrier, relay_at], axis=-1)[others].reshape(n, n - 1, 2)
+    for array in (relay_source, relay_offset, harvest):
+        array.flags.writeable = False
+    return PropagationSchedule(n, M, relay_source, relay_offset, harvest)
 
 
 def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[int]]:
     """Symbolically replay one block; return whose votes each agent ends up knowing.
 
-    display[o][u] is the agent whose voting action u shows at block offset o
-    (offset 0: everyone shows her own vote). Every Imitate directive is checked
-    against the network and against what the source actually displays, and
-    every harvest entry is checked to deliver the vote it claims. The result
-    is the schedule-correctness oracle: full knowledge means every set equals
+    display[o, u] is the agent whose voting action u shows at block offset o
+    (offset 0: everyone shows her own vote). Every relay is checked against
+    the network and against what its source actually displays, and every
+    harvest entry is checked to deliver the vote it claims. The result is the
+    schedule-correctness oracle: full knowledge means every set equals
     {0, ..., n-1}.
     """
     n = net.n
-    display = [list(range(n))]
-    for offset in range(1, schedule.M):
-        row = []
-        for i, directive in enumerate(schedule.directives[offset - 1]):
-            if isinstance(directive, Repeat):
-                if directive.own_offset >= offset:
-                    raise RuntimeError(
-                        f"directive at offset {offset} reads a future offset"
-                    )
-                row.append(display[directive.own_offset][i])
-            else:
-                if directive.source not in net.neighborhoods[i]:
-                    raise RuntimeError(
-                        f"directive at offset {offset} makes agent {i} imitate "
-                        f"unobserved agent {directive.source}"
-                    )
-                if directive.source_offset >= offset:
-                    raise RuntimeError(
-                        f"directive at offset {offset} reads a future offset"
-                    )
-                row.append(display[directive.source_offset][directive.source])
-        display.append(row)
-    knowledge: list[set[int]] = []
-    for i in range(n):
-        known = {i}
-        for u in net.neighborhoods[i]:
-            for offset in range(schedule.M):
-                known.add(display[offset][u])
-        for vote_owner, source, offset in schedule.harvest[i]:
-            if source not in net.neighborhoods[i]:
-                raise RuntimeError(
-                    f"harvest entry of agent {i} reads unobserved agent {source}"
-                )
-            if display[offset][source] != vote_owner:
-                raise RuntimeError(
-                    f"harvest entry of agent {i} expected agent {source} to show "
-                    f"{vote_owner}'s vote at offset {offset}"
-                )
-        knowledge.append(known)
-    return knowledge
+    agents = np.arange(n)
+    observes = _observes(net)
+    source, offset = schedule.relay_source, schedule.relay_offset
+    unobserved = np.argwhere(~observes[agents, source])
+    if len(unobserved):
+        o, i = unobserved[0]
+        raise RuntimeError(
+            f"directive at offset {o + 1} makes agent {i} imitate "
+            f"unobserved agent {source[o, i]}"
+        )
+    future = np.argwhere(offset >= np.arange(1, schedule.M)[:, None])
+    if len(future):
+        raise RuntimeError(f"directive at offset {future[0, 0] + 1} reads a future offset")
+    display = np.empty((schedule.M, n), dtype=np.intp)
+    display[0] = agents
+    for o in range(1, schedule.M):
+        display[o] = display[offset[o - 1], source[o - 1]]
+    owners = np.broadcast_to(agents, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    source, offset = schedule.harvest[..., 0], schedule.harvest[..., 1]
+    unobserved = np.argwhere(~observes[agents[:, None], source])
+    if len(unobserved):
+        i, m = unobserved[0]
+        raise RuntimeError(
+            f"harvest entry of agent {i} reads unobserved agent {source[i, m]}"
+        )
+    lies = np.argwhere(display[offset, source] != owners)
+    if len(lies):
+        i, m = lies[0]
+        raise RuntimeError(
+            f"harvest entry of agent {i} expected agent {source[i, m]} to show "
+            f"{owners[i, m]}'s vote at offset {offset[i, m]}"
+        )
+    # shows[u, a]: u displays a's vote at some offset of the block
+    shows = np.zeros((n, n), dtype=bool)
+    shows[agents, display] = True
+    knowledge = observes @ shows
+    return [set(np.flatnonzero(row).tolist()) for row in knowledge]

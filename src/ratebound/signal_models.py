@@ -10,9 +10,6 @@ import numpy as np
 _PRIOR_TOL = 1e-12
 _PMF_TOL = 1e-9
 
-# spawn-key domains keep the sampling streams of different consumers disjoint
-_DOMAIN_PROFILE = 1
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -210,33 +207,6 @@ class SignalModel:
         if pf <= 0.0 or pg <= 0.0:
             raise ValueError(f"signal value {s!r} has zero probability")
         return math.log(pf) - math.log(pg)
-
-    def sample_profile(self, state: int, period_count: int, seed) -> np.ndarray:
-        """Draw an (n_agents, period_count) matrix of signals under one state.
-
-        Draws are i.i.d. across agents and periods conditional on the state.
-        Each agent has her own counter-based substream, so the matrix is a pure
-        function of the seed alone: evaluation order and worker counts cannot
-        change it. Finite families return support values, Gaussian returns reals.
-        """
-        self._check_state(state)
-        if period_count < 0:
-            raise ValueError("period_count must be nonnegative")
-        root = np.random.SeedSequence(entropy=seed, spawn_key=(_DOMAIN_PROFILE, state))
-        streams = root.spawn(self.n_agents)
-        if isinstance(self.family, Gaussian):
-            out = np.empty((self.n_agents, period_count))
-            sigma = float(self.family.sigma)
-            for agent, ss in enumerate(streams):
-                gen = np.random.Generator(np.random.Philox(ss))
-                out[agent] = gen.normal(self._means[agent, state], sigma, period_count)
-            return out
-        words = np.empty((self.n_agents, period_count), dtype=np.uint64)
-        for agent, ss in enumerate(streams):
-            words[agent] = np.random.Philox(ss).random_raw(period_count)
-        idx = indices_from_words(word_edges(self._pmf[:, state, None, :]), words)
-        support = np.asarray(self.support)
-        return support[idx]
 
     def validate(self) -> list[str]:
         """Return every violated admissibility condition; empty iff admissible."""

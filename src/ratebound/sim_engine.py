@@ -12,7 +12,6 @@ from functools import cached_property
 import numpy as np
 
 from ratebound.network import (
-    Imitate,
     Network,
     build_schedule,
     is_complete,
@@ -326,19 +325,13 @@ class _Binding:
         if isinstance(strat, CoordinationConnected):
             schedule = build_schedule(config.network)
             self.block = schedule.M
-            relay = np.array(
-                [[(d.source, d.source_offset) if isinstance(d, Imitate)
-                  else (i, d.own_offset) for i, d in enumerate(row)]
-                 for row in schedule.directives],
-                dtype=np.intp,
-            ).reshape(schedule.M - 1, n, 2)
-            self.relay_source, self.relay_offset = relay[..., 0], relay[..., 1]
-            votes = np.array(
-                [[(i, 0)] + [(source, offset) for _, source, offset in entries]
-                 for i, entries in enumerate(schedule.harvest)],
-                dtype=np.intp,
+            self.relay_source = schedule.relay_source
+            self.relay_offset = schedule.relay_offset
+            # column 0: the agent's own vote, read at offset 0
+            self.vote_source = np.column_stack([np.arange(n), schedule.harvest[..., 0]])
+            self.vote_offset = np.column_stack(
+                [np.zeros(n, dtype=np.intp), schedule.harvest[..., 1]]
             )
-            self.vote_source, self.vote_offset = votes[..., 0], votes[..., 1]
 
 
 def _absorb(binding: _Binding, signals: np.ndarray, acc: np.ndarray,

@@ -9,7 +9,6 @@ carries both directions. Actions are state indices.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,14 +16,6 @@ import numpy as np
 
 from ratebound.ldp_numerics import PairKernel
 from ratebound.signal_models import SignalModel
-
-
-def most_popular(actions: Iterable[int]) -> int:
-    """Plurality action; ties go to the lowest state index."""
-    counts = Counter(actions)
-    if not counts:
-        raise ValueError("most_popular needs at least one action")
-    return max(counts.items(), key=lambda item: (item[1], -item[0]))[0]
 
 
 def first_action(prior: Iterable[float]) -> int:

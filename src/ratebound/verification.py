@@ -11,12 +11,12 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ratebound.ldp_numerics import PairKernel, conjugates
-from ratebound.network import Network, build_schedule, replay_knowledge
+from ratebound.network import Network, build_schedule, replay_knowledge, voting_periods
 from ratebound.rates import autarky_rate, bounded_rate, sweep_figure1
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -213,18 +213,23 @@ def _check_autarky_exactness() -> tuple[bool, str]:
 # -- 4: schedule coverage -----------------------------------------------------------
 
 
-def _check_schedule_coverage() -> tuple[bool, str]:
+def _coverage_networks() -> list[Network]:
     rng = np.random.default_rng(_SEED)
     nets = [Network.complete(6), Network.directed_cycle(7), Network.complete(2)]
     for trial in range(100):
         n = 3 + trial % 10
         edge_prob = float(rng.uniform(0.15, 0.6))
         nets.append(Network.random_strongly_connected(n, edge_prob, seed=trial))
+    return nets
+
+
+def _check_schedule_coverage() -> tuple[bool, str]:
+    nets = _coverage_networks()
     failures = 0
     for net in nets:
         schedule = build_schedule(net)
         expected_m = 1 + net.n * (net.n - 2) if net.n >= 3 else 1
-        if schedule.M != expected_m or len(schedule.directives) != schedule.M - 1:
+        if schedule.M != expected_m or len(schedule.relay_source) != schedule.M - 1:
             failures += 1
             continue
         knowledge = replay_knowledge(net, schedule)
@@ -292,9 +297,9 @@ def _check_small_system_exact() -> tuple[bool, str]:
 
 def _votes_in(window: tuple[int, int], block: int) -> int:
     """Voting periods of a connected coordination profile inside a fit
-    window: every t > 1 with (t - 1) divisible by the block length."""
+    window, period 1 (the prior's choice) excepted."""
     lo, hi = window
-    return sum(1 for t in range(max(lo, 2), hi + 1) if (t - 1) % block == 0)
+    return sum(1 for t in voting_periods(hi, block) if t >= max(lo, 2))
 
 
 def _check_slowest_agent_cap() -> tuple[bool, str]:
@@ -399,7 +404,9 @@ def _check_determinism() -> tuple[bool, str]:
     if sweep_figure1([0.6, 0.75, 0.9]) != sweep_figure1([0.6, 0.75, 0.9]):
         problems.append("sweep rows not reproducible")
     net = Network.random_strongly_connected(6, 0.4, seed=5)
-    if build_schedule(net) != build_schedule(net):
+    first, second = build_schedule(net), build_schedule(net)
+    if not all(np.array_equal(getattr(first, field.name), getattr(second, field.name))
+               for field in fields(first)):
         problems.append("schedule not reproducible")
     return not problems, (
         "curves, CSV bytes, sweeps, schedules identical across 1 and 3 workers"

@@ -6,9 +6,11 @@ agents she observes (reading any other agent's record is a KeyError). The
 tests compare ratebound.sim_engine._replay with `replay`, bit for bit.
 """
 
+from collections import Counter
+
 import numpy as np
 
-from ratebound.network import Imitate, build_schedule
+from ratebound.network import build_schedule
 from ratebound.sim_engine import resolve_delta
 from ratebound.strategies import (
     AutarkyML,
@@ -17,10 +19,17 @@ from ratebound.strategies import (
     OddEven,
     finite_llr_table,
     first_action,
-    most_popular,
     pair_mean_matrix,
     prior_log_matrix,
 )
+
+
+def most_popular(actions):
+    """Plurality action; ties go to the lowest state index."""
+    counts = Counter(actions)
+    if not counts:
+        raise ValueError("most_popular needs at least one action")
+    return max(counts.items(), key=lambda item: (item[1], -item[0]))[0]
 
 
 def increment_fn(model, agent):
@@ -97,12 +106,10 @@ def replay(config, signals):
                 previous = t - schedule.M
                 return coordinate(i, L, t, lambda: [history[i][previous - 1]] + [
                     history[source][previous + source_offset - 1]
-                    for _, source, source_offset in schedule.harvest[i]
+                    for source, source_offset in schedule.harvest[i].tolist()
                 ])
-            directive = schedule.directives[offset - 1][i]
-            if isinstance(directive, Imitate):
-                return history[directive.source][start + directive.source_offset - 1]
-            return history[i][start + directive.own_offset - 1]
+            source = int(schedule.relay_source[offset - 1, i])
+            return history[source][start + int(schedule.relay_offset[offset - 1, i]) - 1]
         if isinstance(strat, OddEven):
             if i % 2 == 1:
                 return int(signals[i, t - 1])

@@ -1,5 +1,6 @@
 """Config parsing diagnostics, CSV goldens, exit codes, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,7 +18,12 @@ from ratebound.cli import (
     parse_config,
     run_config_to_json,
 )
-from ratebound.network import Network, network_to_json
+from ratebound.network import (
+    Network,
+    build_schedule,
+    network_to_json,
+    replay_knowledge,
+)
 from ratebound.sim_engine import read_curve_csv
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -25,9 +31,13 @@ from ratebound.signal_models import (
     StateSpace,
     model_to_json,
 )
-from ratebound.verification import CheckResult
+from ratebound.verification import CheckResult, _coverage_networks
 
 GOLDEN_SWEEP = b"q,raut,rmaj\n0.750000,0.143841,0.549306\n"
+# sha256 of the schedule documents of the schedule-coverage networks, then
+# cycle(5), complete(1), complete(2) and complete(6), as `ratebound schedule`
+# writes them, recorded when schedules were built as per-cell directive objects
+GOLDEN_SCHEDULES = "65753ce0977031f4284d42fcf24a1a45963af15d620f1b7ad89206586fe389ae"
 
 
 def binary_doc(p=0.75, n_agents=1):
@@ -362,6 +372,20 @@ def test_schedule_command_certifies_networks(tmp_path, capsys):
         capsys,
     )
     assert code == 0 and json.loads(out)["full_knowledge"] is True
+
+
+def test_schedule_documents_match_their_golden_bytes():
+    nets = _coverage_networks() + [
+        Network.directed_cycle(5), Network.complete(1), Network.complete(2),
+        Network.complete(6),
+    ]
+    digest = hashlib.sha256()
+    for net in nets:
+        schedule = build_schedule(net)
+        doc = cli_module._schedule_doc(net, schedule, replay_knowledge(net, schedule))
+        digest.update(json.dumps(doc, indent=2, sort_keys=True).encode())
+    assert len(nets) == 107
+    assert digest.hexdigest() == GOLDEN_SCHEDULES
 
 
 def test_usage_errors_exit_with_one(capsys):

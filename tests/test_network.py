@@ -1,19 +1,19 @@
 """Observation graphs, distances, schedules, and the knowledge-replay oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ratebound.network import (
-    Imitate,
     Network,
-    PropagationSchedule,
-    Repeat,
     build_schedule,
     distances,
     is_strongly_connected,
     network_from_json,
     network_to_json,
     replay_knowledge,
+    voting_periods,
 )
 
 
@@ -100,16 +100,19 @@ def test_block_length_formula():
     for n in (3, 5, 9):
         schedule = build_schedule(Network.complete(n))
         assert schedule.M == 1 + n * (n - 2)
-        assert len(schedule.directives) == schedule.M - 1
+        assert schedule.relay_source.shape == (schedule.M - 1, n)
+        assert schedule.relay_offset.shape == (schedule.M - 1, n)
+        assert schedule.harvest.shape == (n, n - 1, 2)
     for n in (1, 2):
         schedule = build_schedule(Network.complete(n))
         assert schedule.M == 1
-        assert schedule.directives == ()
+        assert schedule.relay_source.shape == (0, n)
+        assert schedule.harvest.shape == (n, n - 1, 2)
 
 
 def test_two_agent_schedule_harvests_the_neighbor_directly():
     schedule = build_schedule(Network.complete(2))
-    assert schedule.harvest == (((1, 1, 0),), ((0, 0, 0),))
+    assert schedule.harvest.tolist() == [[[1, 0]], [[0, 0]]]
     knowledge = replay_knowledge(Network.complete(2), schedule)
     assert knowledge == [{0, 1}, {0, 1}]
 
@@ -117,11 +120,11 @@ def test_two_agent_schedule_harvests_the_neighbor_directly():
 def test_voting_period_arithmetic():
     schedule = build_schedule(Network.directed_cycle(4))
     assert schedule.M == 9
-    assert schedule.voting_periods(30) == [1, 10, 19, 28]
-    assert schedule.is_voting_period(1)
-    assert not schedule.is_voting_period(2)
-    assert schedule.is_voting_period(10)
-    assert not schedule.is_voting_period(0)
+    assert list(voting_periods(30, schedule.M)) == [1, 10, 19, 28]
+    assert 1 in voting_periods(1, schedule.M)
+    assert 2 not in voting_periods(2, schedule.M)
+    assert 10 in voting_periods(10, schedule.M)
+    assert 0 not in voting_periods(0, schedule.M)
 
 
 def test_schedules_certify_full_knowledge_on_random_graphs():
@@ -135,50 +138,101 @@ def test_schedules_certify_full_knowledge_on_random_graphs():
         assert all(known == set(range(n)) for known in knowledge)
 
 
+def test_schedules_certify_full_knowledge_at_large_n():
+    nets = [Network.directed_cycle(100)] + [
+        Network.random_strongly_connected(n, 0.08, seed=n) for n in (60, 70, 80)
+    ]
+    for net in nets:
+        schedule = build_schedule(net)
+        assert schedule.M == 1 + net.n * (net.n - 2)
+        assert schedule.relay_source.shape == (schedule.M - 1, net.n)
+        assert schedule.harvest.shape == (net.n, net.n - 1, 2)
+        knowledge = replay_knowledge(net, schedule)
+        assert all(known == set(range(net.n)) for known in knowledge)
+
+
+def test_schedule_carriers_match_a_brute_force_search():
+    # Round (j, k) sits at offset (j+1) + k*n. An agent at distance k+1 from
+    # j relays j's vote from the lowest-indexed neighbor at distance k, read
+    # at the offset where that neighbor showed it (j's own vote: offset 0);
+    # everyone else repeats her own vote. Harvests use the same carriers.
+    net = Network.random_strongly_connected(20, 0.12, seed=4)
+    n = net.n
+    dist = distances(net)
+    assert dist.max() >= 4
+
+    def carrier(i, j):
+        return next(u for u in range(n)
+                    if u in net.neighborhoods[i] and dist[u, j] == dist[i, j] - 1)
+
+    def shown(u, j):
+        return 0 if u == j else (j + 1) + (dist[u, j] - 1) * n
+
+    schedule = build_schedule(net)
+    ties = 0
+    for offset in range(1, schedule.M):
+        j, k = (offset - 1) % n, (offset - 1) // n
+        for i in range(n):
+            expected = (i, 0)
+            if dist[i, j] == k + 1:
+                u = carrier(i, j)
+                expected = (u, shown(u, j))
+                ties += sum(dist[v, j] == k for v in net.neighborhoods[i]) > 1
+            got = (schedule.relay_source[offset - 1, i],
+                   schedule.relay_offset[offset - 1, i])
+            assert got == expected
+    assert ties > 0
+    for i in range(n):
+        for m, j in enumerate(j for j in range(n) if j != i):
+            u = carrier(i, j)
+            assert tuple(schedule.harvest[i, m]) == (u, shown(u, j))
+
+
+def test_schedule_arrays_are_read_only():
+    schedule = build_schedule(Network.directed_cycle(4))
+    for array in (schedule.relay_source, schedule.relay_offset, schedule.harvest):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+
+
 def test_build_schedule_requires_strong_connectivity():
     with pytest.raises(ValueError):
         build_schedule(Network(3, ((0,), (0, 1), (1, 2))))
 
 
+def _corrupted(schedule, name, index, value):
+    array = getattr(schedule, name).copy()
+    array[index] = value
+    return replace(schedule, **{name: array})
+
+
 def test_replay_rejects_imitating_an_unobserved_agent():
     cycle = Network.directed_cycle(3)
-    schedule = build_schedule(cycle)
-    rows = list(schedule.directives)
-    # agent 2 does not observe agent 0, so this directive is illegal
-    bad_row = list(rows[0])
-    bad_row[2] = Imitate(0, 0)
-    rows[0] = tuple(bad_row)
-    corrupted = PropagationSchedule(
-        schedule.n, schedule.M, tuple(rows), schedule.harvest
-    )
-    with pytest.raises(RuntimeError, match="unobserved"):
+    # agent 2 does not observe agent 0, so this relay is illegal
+    corrupted = _corrupted(build_schedule(cycle), "relay_source", (0, 2), 0)
+    with pytest.raises(RuntimeError, match="imitate unobserved agent 0"):
         replay_knowledge(cycle, corrupted)
 
 
 def test_replay_rejects_reading_the_future():
     cycle = Network.directed_cycle(3)
-    schedule = build_schedule(cycle)
-    rows = list(schedule.directives)
-    bad_row = list(rows[0])
-    bad_row[0] = Repeat(own_offset=2)
-    rows[0] = tuple(bad_row)
-    corrupted = PropagationSchedule(
-        schedule.n, schedule.M, tuple(rows), schedule.harvest
-    )
+    corrupted = _corrupted(build_schedule(cycle), "relay_offset", (0, 0), 1)
     with pytest.raises(RuntimeError, match="future"):
         replay_knowledge(cycle, corrupted)
 
 
 def test_replay_rejects_a_harvest_entry_that_lies():
     cycle = Network.directed_cycle(3)
-    schedule = build_schedule(cycle)
-    harvest = list(schedule.harvest)
-    first = list(harvest[0])
-    vote_owner, source, offset = first[0]
-    first[0] = ((vote_owner + 1) % 3, source, offset)
-    harvest[0] = tuple(first)
-    corrupted = PropagationSchedule(
-        schedule.n, schedule.M, schedule.directives, tuple(harvest)
-    )
-    with pytest.raises(RuntimeError, match="expected"):
+    # agent 0 learns agent 1's vote from agent 2 at offset 2; agent 2 shows
+    # her own vote at offset 0
+    corrupted = _corrupted(build_schedule(cycle), "harvest", (0, 0, 1), 0)
+    with pytest.raises(RuntimeError, match="expected agent 2 to show 1's vote"):
+        replay_knowledge(cycle, corrupted)
+
+
+def test_replay_rejects_a_harvest_from_an_unobserved_agent():
+    cycle = Network.directed_cycle(3)
+    # agent 0 observes agents 0 and 2 only
+    corrupted = _corrupted(build_schedule(cycle), "harvest", (0, 0, 0), 1)
+    with pytest.raises(RuntimeError, match="harvest entry of agent 0 reads unobserved"):
         replay_knowledge(cycle, corrupted)

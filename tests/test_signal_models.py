@@ -1,4 +1,4 @@
-"""State spaces, signal families, sampling determinism, and JSON round-trips."""
+"""State spaces, signal families, signal drawing, and JSON round-trips."""
 
 import math
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
     Finite,
@@ -19,6 +20,8 @@ from ratebound.signal_models import (
     model_to_json,
     word_edges,
 )
+from ratebound.sim_engine import SimConfig, _Binding, _chunk_generator, _draw_chunk
+from ratebound.strategies import AutarkyML
 
 LOG3 = 1.0986122886681098
 
@@ -141,38 +144,15 @@ def test_llr_rejects_bad_queries():
 # -- sampling ---------------------------------------------------------------------
 
 
-def test_sample_profile_is_a_pure_function_of_the_seed():
-    model = binary_model(0.75, n_agents=3)
-    a = model.sample_profile(0, 20, seed=42)
-    b = model.sample_profile(0, 20, seed=42)
-    assert np.array_equal(a, b)
-    assert a.shape == (3, 20)
-    assert set(np.unique(a)) <= {0, 1}
-    c = model.sample_profile(0, 20, seed=43)
-    assert not np.array_equal(a, c)
-    d = model.sample_profile(1, 20, seed=42)
-    assert not np.array_equal(a, d)
-
-
-def test_sample_profile_matches_the_signal_precision():
-    model = binary_model(0.75)
-    draws = model.sample_profile(0, 200_000, seed=7)
-    assert np.mean(draws == 0) == pytest.approx(0.75, abs=5e-3)
-
-
-def test_sample_profile_gaussian_moments():
+def test_draw_chunk_gaussian_moments():
     model = SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 2.0))
-    draws = model.sample_profile(1, 200_000, seed=7)
-    assert float(draws.mean()) == pytest.approx(0.0, abs=0.02)
-    assert float(draws.std()) == pytest.approx(2.0, abs=0.02)
-
-
-def test_sample_profile_rejects_bad_arguments():
-    model = binary_model()
-    with pytest.raises(ValueError):
-        model.sample_profile(2, 5, seed=0)
-    with pytest.raises(ValueError):
-        model.sample_profile(0, -1, seed=0)
+    config = SimConfig(model, Network.complete(1), AutarkyML(), 2, 100_000, 7)
+    binding = _Binding(config)
+    for state, mean in ((0, 1.0), (1, 0.0)):
+        draws = _draw_chunk(binding, state, _chunk_generator(7, state, 0), 100_000, 2)
+        assert draws.shape == (100_000, 1, 2)
+        assert float(draws.mean()) == pytest.approx(mean, abs=0.02)
+        assert float(draws.std()) == pytest.approx(2.0, abs=0.02)
 
 
 # -- raw words and their inverse CDF ----------------------------------------------
@@ -255,9 +235,9 @@ def test_indices_from_uniforms_hold_the_largest_index_at_type_boundaries():
         assert idx.tolist() == [0, atoms - 1]
 
 
-def test_sample_profile_draws_the_inverse_cdf_of_its_uniforms():
-    # sample_profile thresholds raw words; the support values must be those
-    # of each agent's float uniforms through its own pmf row.
+def test_draw_chunk_draws_the_inverse_cdf_of_its_uniforms():
+    # _draw_chunk thresholds raw words; the support indices must be those of
+    # each agent's float uniforms through her own pmf row.
     model = SignalModel(
         StateSpace((0, 1, 2)),
         Finite(("a", "b", "c"), (
@@ -266,13 +246,14 @@ def test_sample_profile_draws_the_inverse_cdf_of_its_uniforms():
         )),
         n_agents=2,
     )
+    config = SimConfig(model, Network.complete(2), AutarkyML(), 5, 100, 9)
+    binding = _Binding(config)
     for state in range(3):
-        got = model.sample_profile(state, 500, seed=9)
-        root = np.random.SeedSequence(entropy=9, spawn_key=(1, state))
-        for agent, ss in enumerate(root.spawn(2)):
-            u = np.random.Generator(np.random.Philox(ss)).random(500)
-            idx = _reference_indices(model.pmf_row(agent, state), u)
-            assert got[agent].tolist() == [model.support[i] for i in idx]
+        got = _draw_chunk(binding, state, _chunk_generator(9, state, 0), 100, 5)
+        u = _chunk_generator(9, state, 0).random((100, 2, 5))
+        for agent in range(2):
+            idx = _reference_indices(model.pmf_row(agent, state), u[:, agent])
+            assert np.array_equal(got[:, agent], idx)
 
 
 def _reference_indices(pmf_row, u):

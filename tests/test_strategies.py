@@ -31,13 +31,13 @@ from ratebound.strategies import (
     lowest_dominant,
     ml_choice,
     ml_plan,
-    most_popular,
     pair_mean_matrix,
     prior_log_matrix,
     signed_cuts,
     strategy_from_json,
     strategy_to_json,
 )
+from replay_reference import most_popular
 
 LOG3 = 1.0986122886681098
 
@@ -58,6 +58,7 @@ def play(strategy, model, signals, network=None):
 
 
 def test_most_popular_breaks_ties_toward_the_lowest_state():
+    # the scalar reference's plurality, which the engine must reproduce
     assert most_popular([1, 1, 0]) == 1
     assert most_popular([0, 1]) == 0
     assert most_popular([2, 1, 2, 1]) == 1
