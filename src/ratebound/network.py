@@ -60,11 +60,10 @@ class Network:
         for _ in range(10_000):
             adjacency = rng.random((n, n)) < edge_prob
             np.fill_diagonal(adjacency, True)
-            net = Network(
-                n, tuple(tuple(np.flatnonzero(adjacency[i])) for i in range(n))
-            )
-            if is_strongly_connected(net):
-                return net
+            if _reaches_everyone(adjacency):
+                return Network(
+                    n, tuple(tuple(np.flatnonzero(row).tolist()) for row in adjacency)
+                )
         raise RuntimeError(
             f"no strongly connected graph found for n={n}, edge_prob={edge_prob}"
         )
@@ -81,29 +80,33 @@ def network_to_json(net: Network) -> dict:
     return {"n": net.n, "neighborhoods": [list(h) for h in net.neighborhoods]}
 
 
-def _reachable(net: Network, start: int, reverse: bool) -> set[int]:
-    if reverse:
-        edges: list[list[int]] = [[] for _ in range(net.n)]
-        for i, hood in enumerate(net.neighborhoods):
-            for j in hood:
-                edges[j].append(i)
-    else:
-        edges = [list(hood) for hood in net.neighborhoods]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in edges[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _observes(net: Network) -> np.ndarray:
+    """Boolean (n, n) matrix: observes[i, u] iff u is in i's neighborhood."""
+    observes = np.zeros((net.n, net.n), dtype=bool)
+    for i, hood in enumerate(net.neighborhoods):
+        observes[i, list(hood)] = True
+    return observes
+
+
+def _reaches_everyone(observes: np.ndarray) -> bool:
+    """True iff the boolean (n, n) observation matrix, diagonal set, links
+    every agent to every other. Each squaring of the 0/1 reachability matrix
+    doubles the path length it covers, until every pair is reached or no
+    pair is added."""
+    reach = observes.astype(np.float32)
+    known = np.count_nonzero(reach)
+    while known < reach.size:
+        reach = np.minimum(reach @ reach, 1.0)
+        wider = np.count_nonzero(reach)
+        if wider == known:
+            return False
+        known = wider
+    return True
 
 
 def is_strongly_connected(net: Network) -> bool:
     """True iff every agent reaches every other along observation edges."""
-    full = set(range(net.n))
-    return _reachable(net, 0, False) == full and _reachable(net, 0, True) == full
+    return _reaches_everyone(_observes(net))
 
 
 def is_complete(net: Network) -> bool:
@@ -163,14 +166,6 @@ class PropagationSchedule:
     harvest: np.ndarray
 
 
-def _observes(net: Network) -> np.ndarray:
-    """Boolean (n, n) matrix: observes[i, u] iff u is in i's neighborhood."""
-    observes = np.zeros((net.n, net.n), dtype=bool)
-    for i, hood in enumerate(net.neighborhoods):
-        observes[i, list(hood)] = True
-    return observes
-
-
 def build_schedule(net: Network) -> PropagationSchedule:
     """Construct the relay plan for a strongly connected network.
 
@@ -228,6 +223,13 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[in
             f"directive at offset {o + 1} makes agent {i} imitate "
             f"unobserved agent {source[o, i]}"
         )
+    negative = np.argwhere(offset < 0)
+    if len(negative):
+        o, i = negative[0]
+        raise RuntimeError(
+            f"directive at offset {o + 1} makes agent {i} read negative "
+            f"offset {offset[o, i]}"
+        )
     future = np.argwhere(offset >= np.arange(1, schedule.M)[:, None])
     if len(future):
         raise RuntimeError(f"directive at offset {future[0, 0] + 1} reads a future offset")
@@ -242,6 +244,13 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[in
         i, m = unobserved[0]
         raise RuntimeError(
             f"harvest entry of agent {i} reads unobserved agent {source[i, m]}"
+        )
+    outside = np.argwhere((offset < 0) | (offset >= schedule.M))
+    if len(outside):
+        i, m = outside[0]
+        raise RuntimeError(
+            f"harvest entry of agent {i} reads offset {offset[i, m]}, outside "
+            f"the block's 0..{schedule.M - 1}"
         )
     lies = np.argwhere(display[offset, source] != owners)
     if len(lies):

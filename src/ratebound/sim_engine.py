@@ -48,11 +48,20 @@ from ratebound.strategies import (
 # sums over blocks, so results cannot depend on scheduling or worker count.
 CHUNK = 4096
 _DOMAIN_SIM = 2
-# A block is drawn and played in tiles of about this many signals, so each
-# tile's words and signals stay in cache. The tiles draw from the block's one
-# stream in order; Philox draws are consumed element by element, so they see
-# exactly the signals of one whole-block draw.
+# The engine's work unit holds about this many signals, counting each
+# replication as at least _TILE_PERIODS periods, so that its words and
+# signals stay in cache and, on short horizons, its per-period (agents, reps)
+# rows stay within _TILE_CELLS / _TILE_PERIODS = 2^15 cells. A block larger
+# than that is drawn and played in tiles, in order from the block's one
+# stream; Philox draws are consumed element by element, so the tiles see
+# exactly the signals of one whole-block draw. Smaller blocks are packed, a
+# run of whole blocks of one state to a unit (see _chunk_counts).
 _TILE_CELLS = 2**19
+_TILE_PERIODS = 16
+# With RATEBOUND_THREADS unset, a curve of fewer cells (states x replications
+# x agents x horizon) than this runs in the calling process: starting the
+# pool costs about as much as 16 tiles of work.
+_POOL_CELLS = 2**23
 _ENUM_LIMIT = 2**20
 _MIN_FIT_MISTAKES = 20
 
@@ -455,13 +464,32 @@ def _chunk_bounds(replications: int, chunk: int) -> int:
     return min(CHUNK, replications - chunk * CHUNK)
 
 
+def _tile_reps(binding: _Binding, horizon: int) -> int:
+    """Replications in one tile, the most a work unit plays at once."""
+    return max(1, _TILE_CELLS // (binding.n * max(horizon, _TILE_PERIODS)))
+
+
 def _chunk_counts(
-    config: SimConfig, state: int, chunk: int, binding: _Binding
+    config: SimConfig, state: int, chunk: int, binding: _Binding, blocks: int = 1
 ) -> np.ndarray:
-    """Mistake counts of one block, drawn and played tile by tile."""
+    """Mistake counts of one work unit: `blocks` consecutive blocks of one
+    state from block `chunk` on. A lone block is drawn and played tile by
+    tile. A unit of several blocks, which together fit one tile, draws each
+    block from its own stream and plays their signals joined along the
+    replication axis in one call; counts are integer sums over replications,
+    so the grouping cannot change them."""
+    if blocks > 1:
+        signals = np.concatenate([
+            _draw_chunk(
+                binding, state, _chunk_generator(config.seed, state, block),
+                _chunk_bounds(config.replications, block), config.horizon,
+            )
+            for block in range(chunk, chunk + blocks)
+        ])
+        return _vector_counts(config, signals, state, binding)
     count = _chunk_bounds(config.replications, chunk)
     gen = _chunk_generator(config.seed, state, chunk)
-    tile = max(1, _TILE_CELLS // (binding.n * config.horizon))
+    tile = _tile_reps(binding, config.horizon)
     counts = np.zeros((binding.n, config.horizon), dtype=np.int64)
     for start in range(0, count, tile):
         signals = _draw_chunk(
@@ -471,11 +499,11 @@ def _chunk_counts(
     return counts
 
 
-def worker_count() -> int:
-    """Worker processes for curve estimation: RATEBOUND_THREADS or cpu count."""
+def _threads_setting() -> int | None:
+    """RATEBOUND_THREADS as a worker count; None when unset or empty."""
     env = os.environ.get("RATEBOUND_THREADS")
-    if env is None or env == "":
-        return os.cpu_count() or 1
+    if not env:
+        return None
     try:
         workers = int(env)
     except ValueError:
@@ -485,8 +513,13 @@ def worker_count() -> int:
     return workers
 
 
+def worker_count() -> int:
+    """Worker processes for a pooled curve: RATEBOUND_THREADS or cpu count."""
+    return _threads_setting() or os.cpu_count() or 1
+
+
 # Inside a pool worker: the run's (config, binding), sent once per worker by
-# the pool initializer, so that each task carries only (state, chunk).
+# the pool initializer, so that each task carries only its unit.
 _worker_run: tuple[SimConfig, _Binding] | None = None
 
 
@@ -495,9 +528,9 @@ def _start_worker(config: SimConfig, binding: _Binding) -> None:
     _worker_run = (config, binding)
 
 
-def _worker_counts(state: int, chunk: int) -> np.ndarray:
+def _worker_counts(state: int, chunk: int, blocks: int) -> np.ndarray:
     config, binding = _worker_run
-    return _chunk_counts(config, state, chunk, binding)
+    return _chunk_counts(config, state, chunk, binding, blocks)
 
 
 def mistake_curve(config: SimConfig) -> MistakeCurve:
@@ -505,31 +538,41 @@ def mistake_curve(config: SimConfig) -> MistakeCurve:
 
     Work is split into fixed blocks with their own deterministic streams, so
     the counts are a pure function of the config regardless of how many
-    workers process the blocks.
+    workers process the blocks. Blocks smaller than a tile are packed into
+    units of consecutive blocks of one state. With RATEBOUND_THREADS unset,
+    a curve of fewer than _POOL_CELLS cells runs in the calling process and
+    a larger one on a pool of cpu-count workers; an explicit setting is the
+    worker count whatever the curve's size.
     """
     k = config.model.states.n_states
     n_chunks = -(-config.replications // CHUNK)
     binding = config._binding
-    blocks = [(state, chunk) for state in range(k) for chunk in range(n_chunks)]
+    per_unit = max(1, _tile_reps(binding, config.horizon) // CHUNK)
+    units = [
+        (state, chunk, min(per_unit, n_chunks - chunk))
+        for state in range(k)
+        for chunk in range(0, n_chunks, per_unit)
+    ]
     counts = np.zeros((k, config.network.n, config.horizon), dtype=np.int64)
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
+    cells = k * config.replications * binding.n * config.horizon
+    workers = _threads_setting() or (1 if cells < _POOL_CELLS else worker_count())
+    if workers > 1 and len(units) > 1:
         # numpy loads numpy.random on first use; loading it here, before the
-        # pool forks, spares every new worker that import on its first block.
+        # pool forks, spares every new worker that import on its first unit.
         import numpy.random  # noqa: F401
 
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(blocks)),
+            max_workers=min(workers, len(units)),
             initializer=_start_worker,
             initargs=(config, binding),
         ) as pool:
-            for (state, _), result in zip(
-                blocks, pool.map(_worker_counts, *zip(*blocks))
+            for (state, _, _), result in zip(
+                units, pool.map(_worker_counts, *zip(*units))
             ):
                 counts[state] += result
     else:
-        for state, chunk in blocks:
-            counts[state] += _chunk_counts(config, state, chunk, binding)
+        for state, chunk, blocks in units:
+            counts[state] += _chunk_counts(config, state, chunk, binding, blocks)
     return MistakeCurve(
         probs=counts / config.replications,
         prior=config.model.states.prior,

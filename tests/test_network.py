@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ratebound import verification
 from ratebound.network import (
     Network,
     build_schedule,
@@ -56,6 +57,37 @@ def test_random_networks_are_seeded_connected_and_self_looped():
     assert a != c
     with pytest.raises(ValueError):
         Network.random_strongly_connected(4, 0.0, seed=0)
+
+
+def _redrawn_network(n, edge_prob, seed):
+    """The redraw loop that built and normalized a Network for every draw
+    and kept the first strongly connected one, as a reference; distances
+    raises on a network that is not strongly connected."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(3,))
+    rng = np.random.Generator(np.random.Philox(ss))
+    while True:
+        adjacency = rng.random((n, n)) < edge_prob
+        np.fill_diagonal(adjacency, True)
+        net = Network(n, tuple(tuple(np.flatnonzero(adjacency[i])) for i in range(n)))
+        try:
+            distances(net)
+        except ValueError:
+            continue
+        return net
+
+
+def test_random_networks_keep_the_draws_of_the_redraw_loop():
+    # The coverage check's 100 random networks, rebuilt the way
+    # _coverage_networks draws their sizes and edge probabilities.
+    rng = np.random.default_rng(verification._SEED)
+    expected = []
+    for trial in range(100):
+        edge_prob = float(rng.uniform(0.15, 0.6))
+        expected.append(_redrawn_network(3 + trial % 10, edge_prob, trial))
+    nets = verification._coverage_networks()[3:]
+    assert [net.neighborhoods for net in nets] == [
+        net.neighborhoods for net in expected
+    ]
 
 
 def test_network_json_round_trip():
@@ -236,3 +268,20 @@ def test_replay_rejects_a_harvest_from_an_unobserved_agent():
     corrupted = _corrupted(build_schedule(cycle), "harvest", (0, 0, 0), 1)
     with pytest.raises(RuntimeError, match="harvest entry of agent 0 reads unobserved"):
         replay_knowledge(cycle, corrupted)
+
+
+def test_replay_rejects_a_negative_relay_offset():
+    cycle = Network.directed_cycle(4)
+    corrupted = _corrupted(build_schedule(cycle), "relay_offset", (3, 1), -1)
+    with pytest.raises(RuntimeError, match="agent 1 read negative offset -1"):
+        replay_knowledge(cycle, corrupted)
+
+
+def test_replay_rejects_a_harvest_offset_outside_the_block():
+    cycle = Network.directed_cycle(3)
+    schedule = build_schedule(cycle)
+    for offset in (-1, schedule.M):
+        corrupted = _corrupted(schedule, "harvest", (0, 0, 1), offset)
+        message = f"agent 0 reads offset {offset}, outside"
+        with pytest.raises(RuntimeError, match=message):
+            replay_knowledge(cycle, corrupted)

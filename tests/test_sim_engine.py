@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -424,21 +425,62 @@ def _tile_workloads():
         "odd-even": SimConfig(
             binary_model(0.7, 4), Network.complete(4), OddEven(), 7, 250, 8
         ),
+        "autarky-blocks": autarky_config(horizon=5, replications=2 * CHUNK + 100),
+        "gaussian-blocks": SimConfig(
+            SignalModel(StateSpace((0, 1)), Gaussian((0.0, 0.5), 1.0), 1),
+            Network.complete(1), AutarkyML(), 2, CHUNK + 9, 4,
+        ),
     }
 
 
 @pytest.mark.parametrize("name", list(_tile_workloads()))
 def test_counts_do_not_depend_on_the_tile_size(name, monkeypatch):
-    # Tiles of one replication (the budget is below one replication's
-    # cells), of 7, and of more than a whole block must all count exactly
-    # what the default tiles count.
+    # Tiles of one replication, of 7, and of more than a whole block, and
+    # units packing two and three whole blocks, must all count exactly what
+    # the default units count, serially and on a pool. With several blocks
+    # per state the last unit holds the partial block (autarky-blocks: units
+    # of 2 + 1 and of 3).
     monkeypatch.setenv("RATEBOUND_THREADS", "1")
     config = _tile_workloads()[name]
     reference = mistake_curve(config).counts
-    cells = config.network.n * config.horizon
-    for budget in (1, 7 * cells, (CHUNK + 5) * cells):
-        monkeypatch.setattr(sim_engine, "_TILE_CELLS", budget)
-        assert np.array_equal(mistake_curve(config).counts, reference), budget
+    cells = config.network.n * max(config.horizon, sim_engine._TILE_PERIODS)
+    for reps in (1, 7, CHUNK + 5, 2 * CHUNK, 3 * CHUNK + 1):
+        monkeypatch.setattr(sim_engine, "_TILE_CELLS", reps * cells)
+        assert np.array_equal(mistake_curve(config).counts, reference), reps
+    monkeypatch.setenv("RATEBOUND_THREADS", "2")
+    for reps in (7, 2 * CHUNK):
+        monkeypatch.setattr(sim_engine, "_TILE_CELLS", reps * cells)
+        assert np.array_equal(mistake_curve(config).counts, reference), reps
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    raise _PoolStarted
+
+
+def test_small_curves_stay_in_process_unless_threads_are_set(monkeypatch):
+    # 2 states x 3 blocks x 1 agent x 5 periods, in two units, one per state
+    config = autarky_config(horizon=5, replications=3 * CHUNK)
+    cells = 2 * config.replications * config.horizon
+    monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("RATEBOUND_THREADS", raising=False)
+    assert cells < sim_engine._POOL_CELLS
+    counts = mistake_curve(config).counts
+    monkeypatch.setenv("RATEBOUND_THREADS", "1")
+    assert np.array_equal(mistake_curve(config).counts, counts)
+    monkeypatch.setenv("RATEBOUND_THREADS", "2")
+    with pytest.raises(_PoolStarted):
+        mistake_curve(config)
+    monkeypatch.setenv("RATEBOUND_THREADS", "")
+    monkeypatch.setattr(sim_engine, "_POOL_CELLS", cells)
+    with pytest.raises(_PoolStarted):
+        mistake_curve(config)
+    monkeypatch.setattr(sim_engine, "_POOL_CELLS", cells + 1)
+    assert np.array_equal(mistake_curve(config).counts, counts)
 
 
 def test_monte_carlo_tracks_the_exact_autarky_curve():
