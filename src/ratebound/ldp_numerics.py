@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from ratebound.signal_models import Gaussian, SignalModel
 
 LEGENDRE_TOL = 1e-9
-LEGENDRE_MAX_ITER = 200
+LEGENDRE_MAX_ITER = 400
+# Newton steps can alternate around the root, each inside the bracket, and
+# barely shrink it; past this iteration every step bisects. A lane that
+# Newton solves in fewer iterations (up to 186 seen) takes the same steps.
+_STALL_AFTER = 200
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,40 @@ class PairKernel:
         return -math.log(mass)
 
 
+def llr_table(model: SignalModel) -> np.ndarray:
+    """Every agent's llr increment per atom, shape (agents, atoms, k, k):
+    table[a, s, f, g] = log p_f(s) - log p_g(s) for agent a. An atom with
+    zero mass in every state of its agent is never drawn; its increments are
+    0. Raises ValueError unless each agent's states share one support."""
+    pmf = model.pmf
+    support = pmf > 0.0
+    if np.any(support[:, :, None, :] > support[:, None, :, :]):
+        raise ValueError("kernel requires mutually absolutely continuous states")
+    with np.errstate(divide="ignore"):
+        logs = np.log(pmf).transpose(0, 2, 1)
+    logs[~support.any(axis=1)] = 0.0
+    return logs[..., :, None] - logs[..., None, :]
+
+
+def pair_means(model: SignalModel) -> np.ndarray:
+    """E_f[llr] of every agent and ordered state pair, shape (agents, k, k),
+    zero on the diagonal: means[a, f, g] = PairKernel(model, a, f, g).mean."""
+    k = model.states.n_states
+    means = np.zeros((model.n_agents, k, k))
+    for a, f, g in product(range(model.n_agents), range(k), range(k)):
+        if f != g:
+            means[a, f, g] = PairKernel(model, a, f, g).mean
+    return means
+
+
+def argmin_pair(matrix: np.ndarray) -> tuple[int, int]:
+    """The ordered state pair (f, g), f != g, at which a (k, k) matrix is
+    smallest; ties go to the first pair in row-major order."""
+    off = np.array(matrix, dtype=float)
+    np.fill_diagonal(off, np.inf)
+    return divmod(int(off.argmin()), len(off))
+
+
 def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conjugates of many (kernel, eta) lanes: lane i is the i-th kernel at
     the i-th eta of `etas` in C order. `kernels` is any iterable with one
@@ -218,8 +257,9 @@ def _bracket(rows: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def _solve_tilt(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cgf_prime(z) = eta for every lane of (lanes, 3, atoms) rows, in
     lockstep: each lane keeps its own bracket, takes the Newton step when it
-    lands inside the bracket and bisects otherwise, and leaves the loop once
-    its residual is within LEGENDRE_TOL. Returns (z, iterations)."""
+    lands inside the bracket, up to _STALL_AFTER iterations, and bisects
+    otherwise, and leaves the loop once its residual is within LEGENDRE_TOL.
+    Returns (z, iterations)."""
     z_out = np.empty(eta.size)
     iters_out = np.empty(eta.size, dtype=np.int64)
     lo, hi = _bracket(rows, eta)
@@ -247,6 +287,8 @@ def _solve_tilt(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarr
             # on about 0.1% of floats, enough to move argmax_z by one ulp.
             curvature = second - np.array([m**2 for m in slope.tolist()])
             step = np.where(curvature > 0.0, residual / curvature, np.inf)
+            if iteration > _STALL_AFTER:
+                step[:] = np.inf
             above = residual > 0.0
             hi = np.where(above, z, hi)
             lo = np.where(above, lo, z)

@@ -8,7 +8,13 @@ from itertools import permutations
 
 import numpy as np
 
-from ratebound.ldp_numerics import PairKernel, conjugates
+from ratebound.ldp_numerics import (
+    PairKernel,
+    argmin_pair,
+    conjugates,
+    llr_table,
+    pair_means,
+)
 from ratebound.network import Network
 from ratebound.signal_models import BinarySymmetric, SignalModel, StateSpace
 
@@ -58,22 +64,10 @@ def autarky_rate(model: SignalModel, agent: int = 0) -> float:
 
 
 def _bounded_detail(model: SignalModel) -> tuple[float, tuple[int, int], int]:
-    best_rate = math.inf
-    best_pair = (0, 1)
-    best_agent = 0
-    for f, g in _ordered_pairs(model.states.n_states):
-        pair_max = -math.inf
-        pair_agent = 0
-        for agent in range(model.n_agents):
-            m = PairKernel(model, agent, f, g).mean
-            if m > pair_max:
-                pair_max = m
-                pair_agent = agent
-        if pair_max < best_rate:
-            best_rate = pair_max
-            best_pair = (f, g)
-            best_agent = pair_agent
-    return best_rate, best_pair, best_agent
+    means = pair_means(model)
+    best = means.max(axis=0)
+    f, g = argmin_pair(best)
+    return float(best[f, g]), (f, g), int(means[:, f, g].argmax())
 
 
 def bounded_rate(model: SignalModel) -> float:
@@ -87,25 +81,20 @@ def weak_bounded_rate(model: SignalModel) -> float:
     |llr| over the support. UNBOUNDED for Gaussian signals."""
     if not model.has_finite_support:
         return UNBOUNDED
-    worst = math.inf
-    for f, g in _ordered_pairs(model.states.n_states):
-        best = -math.inf
-        for agent in range(model.n_agents):
-            lo, hi = PairKernel(model, agent, f, g).domain
-            best = max(best, max(abs(lo), abs(hi)))
-        worst = min(worst, best)
-    return 2.0 * worst
+    # An atom no state draws holds 0, which never raises a reach.
+    reach = np.abs(llr_table(model)).max(axis=(0, 1))
+    return 2.0 * float(reach[argmin_pair(reach)])
 
 
 def rate_report(model: SignalModel) -> RateReport:
     """All rate constants of a model in one report."""
-    r_bdd, argmin_pair, argmax_agent = _bounded_detail(model)
+    r_bdd, pair, agent = _bounded_detail(model)
     return RateReport(
         r_aut=tuple(autarky_rate(model, i) for i in range(model.n_agents)),
         r_bdd=r_bdd,
         r_tilde_bdd=weak_bounded_rate(model),
-        argmin_pair=argmin_pair,
-        argmax_agent=argmax_agent,
+        argmin_pair=pair,
+        argmax_agent=agent,
     )
 
 
@@ -121,15 +110,12 @@ def neighborhood_bounded_rate(
     """
     if model.n_agents != network.n:
         raise ValueError("model and network disagree on the number of agents")
-    exact = math.inf
-    for f, g in _ordered_pairs(model.states.n_states):
-        means = [PairKernel(model, j, f, g).mean for j in range(model.n_agents)]
-        best = max(
-            sum(means[j] for j in network.neighborhoods[i])
-            for i in range(network.n)
-        )
-        exact = min(exact, best)
-    return exact, network.max_degree * bounded_rate(model)
+    means = pair_means(model)
+    # Each agent's neighborhood sums in its listed order, as scalars would.
+    best = np.max(
+        [sum(means[j] for j in hood) for hood in network.neighborhoods], axis=0
+    )
+    return float(best[argmin_pair(best)]), network.max_degree * bounded_rate(model)
 
 
 def coordination_threshold(model: SignalModel, delta: float) -> int:

@@ -166,6 +166,12 @@ class SignalModel:
             return self.family.support
         raise TypeError("Gaussian signals have no finite support")
 
+    @property
+    def pmf(self) -> np.ndarray:
+        """Probabilities over the finite support, shape (agents, states,
+        support)."""
+        return self._pmf
+
     def pmf_row(self, agent: int, state: int) -> np.ndarray:
         """Probability vector over the support, for one agent and state."""
         self._check_agent(agent)

@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ratebound.ldp_numerics import argmin_pair, llr_table, pair_means
 from ratebound.network import (
     Network,
     build_schedule,
@@ -31,12 +32,10 @@ from ratebound.strategies import (
     OddEven,
     Strategy,
     dominance_plan,
-    finite_llr_table,
     first_action,
     lowest_dominant,
     ml_choice,
     ml_plan,
-    pair_mean_matrix,
     plurality,
     prior_log_matrix,
     signed_cuts,
@@ -63,23 +62,17 @@ _TILE_PERIODS = 16
 # pool costs about as much as 16 tiles of work.
 _POOL_CELLS = 2**23
 _ENUM_LIMIT = 2**20
+# An exact probability is a sum of products of pmf entries, whose rows may
+# sum to 1 + 1e-9, so a mistake probability of 1 can read a little above it.
+_PROB_SLACK = 1e-6
 _MIN_FIT_MISTAKES = 20
-
-
-def _min_pair_mean(model: SignalModel) -> float:
-    k = model.states.n_states
-    best = math.inf
-    for agent in range(model.n_agents):
-        means = pair_mean_matrix(model, agent)
-        off = means[~np.eye(k, dtype=bool)]
-        best = min(best, float(off.min()))
-    return best
 
 
 def resolve_delta(model: SignalModel, delta: float | None) -> float:
     """Default delta is a tenth of the smallest pair mean; any explicit value
     must leave the decisiveness thresholds positive."""
-    min_mean = _min_pair_mean(model)
+    least = pair_means(model).min(axis=0)
+    min_mean = float(least[argmin_pair(least)])
     resolved = 0.1 * min_mean if delta is None else float(delta)
     if not 0.0 < resolved < min_mean:
         raise ValueError(
@@ -290,11 +283,11 @@ class _Binding:
         self.first = first_action(model.states.prior)
         self.edges = self.means = None
         if model.has_finite_support:
-            pmf = np.stack(
-                [[model.pmf_row(a, w) for a in range(n)] for w in range(k)]
-            )
-            self.edges = [word_edges(_per_agent(rows)[:, None, :]) for rows in pmf]
-            tables = np.stack([finite_llr_table(model, a) for a in range(n)])
+            self.edges = [
+                word_edges(_per_agent(rows)[:, None, :])
+                for rows in model.pmf.transpose(1, 0, 2)
+            ]
+            tables = llr_table(model)
             tables = _per_agent(np.stack([tables[:, :, f, g] for f, g in pairs], 1))
             # table[p] is indexed by agent * n_atoms + atom
             self.table = np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(
@@ -324,9 +317,8 @@ class _Binding:
             self.ml = ml_plan(k)
         if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
             delta = resolve_delta(model, strat.delta)
-            thresholds = _per_agent(
-                np.stack([pair_mean_matrix(model, a) - delta for a in range(n)])
-            ).transpose(1, 2, 0)[..., None]
+            slack = _per_agent(pair_means(model) - delta)
+            thresholds = slack.transpose(1, 2, 0)[..., None]
             self.dominance = dominance_plan(k)
             self.cuts = np.stack(
                 [signed_cuts(thresholds * t) for t in range(1, config.horizon + 1)]
@@ -626,9 +618,7 @@ def enumerate_exact(config: SimConfig) -> MistakeCurve:
             f"{support_size}^{cells} profiles exceed the enumeration limit"
         )
     k = model.states.n_states
-    pmf = np.stack(
-        [[model.pmf_row(agent, w) for agent in range(n)] for w in range(k)]
-    )
+    pmf = model.pmf.transpose(1, 0, 2)
     binding = config._binding
     probs = np.zeros((k, n, horizon))
     place = support_size ** np.arange(cells - 1, -1, -1)
@@ -788,7 +778,9 @@ def read_curve_csv(path) -> MistakeCurve:
 
     Files without the metadata lines still read: their states are mixed
     uniformly, and the provenance is monte-carlo when trials are recorded,
-    exact-enumeration otherwise.
+    exact-enumeration otherwise. A file must list every (agent, period,
+    state) cell exactly once, with integer counts in [0, trials], or with
+    probabilities in [0, 1] when trials is 0.
     """
     meta = {}
     with open(path) as fh:
@@ -807,25 +799,35 @@ def read_curve_csv(path) -> MistakeCurve:
                 meta[key] = value
                 continue
             agent, period, state, mistakes, trials = line.split(",")
-            rows.append(
-                (int(agent), int(period), int(state), float(mistakes), int(trials))
-            )
+            rows.append((int(agent), int(period), int(state), mistakes, int(trials)))
     if not rows:
         raise ValueError("curve file has no data rows")
-    n_agents = max(r[0] for r in rows) + 1
-    horizon = max(r[1] for r in rows)
-    n_states = max(r[2] for r in rows) + 1
-    trials = rows[0][4]
-    if any(r[4] != trials for r in rows):
+    agents, periods, states, values, all_trials = zip(*rows)
+    trials = all_trials[0]
+    if any(t != trials for t in all_trials):
         raise ValueError("curve file mixes different trial counts")
-    probs = np.zeros((n_states, n_agents, horizon))
-    counts = np.zeros((n_states, n_agents, horizon), dtype=np.int64) if trials else None
-    for agent, period, state, mistakes, _ in rows:
-        if trials:
-            counts[state, agent, period - 1] = int(mistakes)
-            probs[state, agent, period - 1] = mistakes / trials
-        else:
-            probs[state, agent, period - 1] = mistakes
+    if min(agents) < 0 or min(periods) < 1 or min(states) < 0:
+        raise ValueError("curve file has an agent or state below 0 or a period below 1")
+    n_states = max(states) + 1
+    shape = (n_states, max(agents) + 1, max(periods))
+    cells = np.ravel_multi_index((states, agents, np.array(periods) - 1), shape)
+    if np.unique(cells).size != cells.size or cells.size != math.prod(shape):
+        raise ValueError("curve file must list every (agent, period, state) once")
+    counts = None
+    if trials:
+        counts = np.zeros(shape, dtype=np.int64)
+        try:
+            counts.flat[cells] = [int(v) for v in values]
+        except ValueError:
+            raise ValueError("curve file has a non-integer mistake count") from None
+        if counts.min() < 0 or counts.max() > trials:
+            raise ValueError(f"curve file has a mistake count outside [0, {trials}]")
+        probs = counts / trials
+    else:
+        probs = np.zeros(shape)
+        probs.flat[cells] = [float(v) for v in values]
+        if not ((probs >= 0.0) & (probs <= 1.0 + _PROB_SLACK)).all():
+            raise ValueError("curve file has a mistake probability outside [0, 1]")
     if "prior" in meta:
         prior = tuple(float(q) for q in meta["prior"].split(","))
         if len(prior) != n_states:

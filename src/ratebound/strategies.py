@@ -14,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ratebound.ldp_numerics import PairKernel
 from ratebound.signal_models import SignalModel
 
 
@@ -27,30 +26,6 @@ def prior_log_matrix(model: SignalModel) -> np.ndarray:
     """Matrix of log prior(f) - log prior(g)."""
     logs = np.log(np.asarray(model.states.prior, dtype=np.float64))
     return logs[:, None] - logs[None, :]
-
-
-def pair_mean_matrix(model: SignalModel, agent: int) -> np.ndarray:
-    """Matrix of expected one-period log-likelihood ratios m[f, g]; zero diagonal."""
-    k = model.states.n_states
-    means = np.zeros((k, k), dtype=np.float64)
-    for f in range(k):
-        for g in range(k):
-            if f != g:
-                means[f, g] = PairKernel(model, agent, f, g).mean
-    return means
-
-
-def finite_llr_table(model: SignalModel, agent: int) -> np.ndarray:
-    """Per-signal-index increment matrices: table[s, f, g] = llr of atom s for
-    (f, g). An atom with zero mass in every state is never drawn; its
-    increments are 0."""
-    pmf = np.stack(
-        [model.pmf_row(agent, f) for f in range(model.states.n_states)]
-    )
-    with np.errstate(divide="ignore"):
-        logs = np.log(pmf)
-    logs[:, ~(pmf > 0.0).any(axis=0)] = 0.0
-    return logs.T[:, :, None] - logs.T[:, None, :]
 
 
 def state_pairs(k: int) -> list[tuple[int, int]]:

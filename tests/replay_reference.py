@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 
+from ratebound.ldp_numerics import llr_table, pair_means
 from ratebound.network import build_schedule
 from ratebound.sim_engine import resolve_delta
 from ratebound.strategies import (
@@ -17,9 +18,7 @@ from ratebound.strategies import (
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
-    finite_llr_table,
     first_action,
-    pair_mean_matrix,
     prior_log_matrix,
 )
 
@@ -36,7 +35,7 @@ def increment_fn(model, agent):
     """Signal -> k x k log-likelihood-ratio increment of one agent; finite
     families receive a support index, Gaussian ones the raw value."""
     if model.has_finite_support:
-        table = finite_llr_table(model, agent)
+        table = llr_table(model)[agent]
         return lambda signal: table[int(signal)]
     k = model.states.n_states
     means = np.array([model.gaussian_params(agent, f)[0] for f in range(k)])
@@ -78,11 +77,11 @@ def replay(config, signals):
     first = first_action(model.states.prior)
     if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
         delta = resolve_delta(model, strat.delta)
-        means = [pair_mean_matrix(model, i) for i in range(n)]
+        means = pair_means(model)
     if isinstance(strat, CoordinationConnected):
         schedule = build_schedule(net)
     if isinstance(strat, OddEven):
-        weight = finite_llr_table(model, 0)[0, 0, 1]
+        weight = llr_table(model)[0, 0, 0, 1]
 
     def coordinate(i, L, t, votes):
         f = dominant_row(L, (means[i] - delta) * t)

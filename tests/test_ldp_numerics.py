@@ -330,6 +330,33 @@ def test_lanes_of_no_etas_and_mismatched_inputs():
     assert mixed[1][0] == math.inf
 
 
+def test_legendre_bisects_out_of_an_alternating_newton_stall():
+    # Newton steps here alternate around the root, each inside the bracket,
+    # and shrink it by little: 200 iterations end in [-1.4739, -0.6632],
+    # and bisection takes over.
+    pmf = (
+        (1.5691298565860281e-07, 0.03628572229903652, 3.88761908284786e-05,
+         0.006116415669266428, 1.1696855281674205e-06, 0.04199073623658461,
+         0.5992992999949722, 0.20972005818771472, 0.044420018204407594,
+         5.4654330650825204e-05, 0.00014842026167448462,
+         3.2172798401785446e-12, 0.061924472023133),
+        (0.12492614981738434, 9.999999999979999e-13, 1.6975019798148156e-05,
+         0.6132067915172061, 0.00010233220485282303, 1.7701027488227186e-07,
+         0.0045674847470939155, 0.11844054048804833, 0.08960850544849053,
+         0.033553501315233165, 0.015557520379405313, 9.999999999979999e-13,
+         2.0022050212252686e-05),
+    )
+    model = SignalModel(StateSpace((0, 1)), Finite(tuple(range(13)), pmf))
+    assert not model.validate()
+    kern = PairKernel(model, 0, 0, 1)
+    eta = -8.253719483291245
+    res = kern.legendre(eta)
+    assert abs(kern.cgf_prime(res.argmax_z) - eta) <= 1e-9
+    grid = np.linspace(-3.0, 1.0, 4001)
+    assert res.value >= np.max(eta * grid - kern.cgf(grid)) - 1e-12
+    assert res.iterations == 234
+
+
 def test_tilted_variance_keeps_pythons_power():
     # Squaring the tilted mean with numpy's m*m instead of Python's m**2
     # (libm pow) moves this solve's argmax_z and value in the last bit.

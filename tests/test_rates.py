@@ -71,13 +71,24 @@ def test_rate_report_picks_the_binding_pair_and_agent():
     model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf), n_agents=2)
     report = rate_report(model)
     assert report.argmax_agent == 1
-    assert report.argmin_pair in [(0, 1), (1, 0)]
+    # Both pairs' means are exactly equal: the first in row-major order binds.
+    assert report.argmin_pair == (0, 1)
     assert report.r_bdd == pytest.approx(
         0.8 * math.log(9.0), rel=1e-12
     )
     assert len(report.r_aut) == 2
     assert report.r_aut[0] < report.r_aut[1]
     assert report.as_dict()["r_tilde_bdd"] == pytest.approx(2 * math.log(9.0))
+
+
+def test_rate_report_breaks_an_exact_tie_by_the_first_pair_and_agent():
+    # Cyclic rows: (0, 2), (1, 0) and (2, 1) share the smallest mean bit for
+    # bit, and both agents are identical.
+    pmf = ((0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.3, 0.2, 0.5))
+    model = SignalModel(StateSpace((0, 1, 2)), Finite((0, 1, 2), pmf), n_agents=2)
+    report = rate_report(model)
+    assert report.argmin_pair == (0, 2)
+    assert report.argmax_agent == 0
 
 
 def test_rate_report_serializes_unbounded_as_a_word():

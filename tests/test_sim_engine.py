@@ -720,12 +720,18 @@ def test_curve_csv_keeps_the_prior_and_the_fit(tmp_path):
 def test_curve_csv_keeps_the_provenance(tmp_path):
     binomial = exact_autarky_curve(binary_model(0.75), 4)
     enumerated = enumerate_exact(autarky_config(horizon=4))
-    for curve in (binomial, enumerated):
-        path = tmp_path / f"{curve.provenance}.csv"
+    # Always wrong in state 1: the summed profile mass rounds above 1.
+    above_one = enumerate_exact(SimConfig(
+        binary_model(0.7), Network.complete(1), ConstantFirstPeriod(0), 8, 1, 0
+    ))
+    assert above_one.probs.max() > 1.0
+    for i, curve in enumerate((binomial, enumerated, above_one)):
+        path = tmp_path / f"{i}.csv"
         write_curve_csv(curve, path)
         back = read_curve_csv(path)
         assert back.provenance == curve.provenance
         assert back.prior == curve.prior
+        assert np.array_equal(back.probs, curve.probs)
 
 
 def test_curve_csv_without_metadata_still_reads(tmp_path):
@@ -758,6 +764,21 @@ def test_read_curve_rejects_malformed_files(tmp_path):
     )
     with pytest.raises(ValueError, match="trial counts"):
         read_curve_csv(mixed)
+    for body, message in (
+        ("0,1,0,3,100\n0,2,0,3,100\n0,2,1,3,100\n", "every"),
+        ("0,0,0,0.5,0\n", "period below 1"),
+        ("-1,1,0,0.5,0\n", "agent or state below 0"),
+        ("0,1,0,3,100\n0,1,0,4,100\n", "once"),
+        ("0,1,0,2.5,100\n", "non-integer"),
+        ("0,1,0,30,10\n", r"outside \[0, 10\]"),
+        ("0,1,0,-1,10\n", r"outside \[0, 10\]"),
+        ("0,1,0,1.5,0\n", r"outside \[0, 1\]"),
+        ("0,1,0,nan,0\n", r"outside \[0, 1\]"),
+    ):
+        bad_rows = tmp_path / "e.csv"
+        bad_rows.write_text(f"agent,period,state,mistakes,trials\n{body}")
+        with pytest.raises(ValueError, match=message):
+            read_curve_csv(bad_rows)
     rows = "0,1,0,3,100\n0,1,1,3,100\n"
     for meta, message in (
         ("# seed=4", "metadata"),

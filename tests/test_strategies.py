@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ratebound.ldp_numerics import PairKernel, llr_table, pair_means
 from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -26,12 +27,10 @@ from ratebound.strategies import (
     CoordinationConnected,
     OddEven,
     dominance_plan,
-    finite_llr_table,
     first_action,
     lowest_dominant,
     ml_choice,
     ml_plan,
-    pair_mean_matrix,
     prior_log_matrix,
     signed_cuts,
     strategy_from_json,
@@ -122,29 +121,79 @@ def test_prior_log_matrix_vanishes_for_uniform_priors():
     assert mat[1, 0] == -mat[0, 1]
 
 
-def test_pair_mean_matrix_golden():
-    means = pair_mean_matrix(binary_model(0.75), 0)
-    assert means[0, 0] == 0.0 and means[1, 1] == 0.0
-    assert means[0, 1] == pytest.approx(0.5 * LOG3, rel=1e-14)
-    assert means[1, 0] == pytest.approx(0.5 * LOG3, rel=1e-14)
+def _pair_table_models():
+    """Binary, heterogeneous finite, zero-mass-atom and Gaussian models; the
+    zero-mass atoms differ between agents."""
+    rng = np.random.default_rng(91)
+    hetero = rng.dirichlet(np.ones(6), size=(3, 3))
+    sparse = rng.dirichlet(np.ones(11), size=(2, 3))
+    sparse[0, :, [3, 7]] = 0.0
+    sparse[1, :, 5] = 0.0
+    sparse /= sparse.sum(axis=-1, keepdims=True)
+    return [
+        binary_model(0.75, n_agents=2),
+        SignalModel(StateSpace((0, 1, 2)), Finite(tuple(range(6)), hetero), 3),
+        SignalModel(StateSpace((0, 1, 2)), Finite(tuple(range(11)), sparse), 2),
+        SignalModel(
+            StateSpace((0, 1, 2)),
+            Gaussian(rng.normal(size=(3, 3)) * 3.0, 1.7),
+            3,
+        ),
+    ]
 
 
-def test_finite_llr_table_golden_and_exact_antisymmetry():
-    table = finite_llr_table(binary_model(0.75), 0)
+def _agent_llr_table(model, agent):
+    """Reference: one agent's table from that agent's pmf rows alone."""
+    pmf = np.stack([model.pmf_row(agent, f) for f in range(model.states.n_states)])
+    with np.errstate(divide="ignore"):
+        logs = np.log(pmf)
+    logs[:, ~(pmf > 0.0).any(axis=0)] = 0.0
+    return logs.T[:, :, None] - logs.T[:, None, :]
+
+
+def test_pair_tables_equal_each_agents_kernels_and_table():
+    means = pair_means(binary_model(0.75))
+    assert means[0, 0, 0] == 0.0 and means[0, 1, 1] == 0.0
+    assert means[0, 0, 1] == pytest.approx(0.5 * LOG3, rel=1e-14)
+    assert means[0, 1, 0] == pytest.approx(0.5 * LOG3, rel=1e-14)
+    for model in _pair_table_models():
+        n, k = model.n_agents, model.states.n_states
+        means = pair_means(model)
+        assert means.shape == (n, k, k)
+        for a in range(n):
+            for f in range(k):
+                for g in range(k):
+                    want = 0.0 if f == g else PairKernel(model, a, f, g).mean
+                    assert means[a, f, g] == want, (model, a, f, g)
+        if model.has_finite_support:
+            table = llr_table(model)
+            assert table.shape == (n, len(model.support), k, k)
+            for a in range(n):
+                assert np.array_equal(table[a], _agent_llr_table(model, a))
+    disjoint = SignalModel(
+        StateSpace((0, 1)), Finite((0, 1, 2), ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)))
+    )
+    for tables in (pair_means, llr_table):
+        with pytest.raises(ValueError, match="absolutely continuous"):
+            tables(disjoint)
+
+
+def test_llr_table_golden_and_exact_antisymmetry():
+    table = llr_table(binary_model(0.75))[0]
     assert table.shape == (2, 2, 2)
     assert table[0, 0, 1] == pytest.approx(LOG3, rel=1e-15)
     assert table[1, 0, 1] == pytest.approx(-LOG3, rel=1e-15)
     assert np.array_equal(table, -np.swapaxes(table, 1, 2))
 
 
-def test_finite_llr_table_is_silent_on_atoms_no_state_draws():
+def test_llr_table_is_silent_on_atoms_no_state_draws():
     model = SignalModel(
         StateSpace((0, 1, 2)),
         Finite((0, 1, 2), ((0.6, 0.4, 0.0), (0.4, 0.6, 0.0), (0.5, 0.5, 0.0))),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = finite_llr_table(model, 0)
+        table = llr_table(model)[0]
     assert np.array_equal(table[2], np.zeros((3, 3)))
     assert np.isfinite(table).all()
 
