@@ -61,18 +61,21 @@ def _load_json(path: str, what: str) -> dict:
         raise ConfigError([f"{what}: malformed JSON in {path}: {exc}"]) from None
 
 
-def _resolve_section(doc: dict, key: str, violations: list[str]):
-    """A section is given inline as an object or as a path to a JSON file."""
+def _read_section(doc: dict, key: str, reader, violations: list[str]):
+    """reader applied to the section doc[key], given inline as an object or
+    as a path to a JSON file; None, with the reasons added to violations
+    as `key: ...`, when it cannot be read."""
     value = doc[key]
-    if isinstance(value, str):
-        try:
-            return _load_json(value, key)
-        except ConfigError as exc:
-            violations.extend(exc.violations)
-            return None
-    if isinstance(value, dict):
-        return value
-    violations.append(f"{key}: must be an object or a file path")
+    try:
+        if isinstance(value, str):
+            value = _load_json(value, key)
+        elif not isinstance(value, dict):
+            raise ValueError("must be an object or a file path")
+        return reader(value)
+    except ConfigError as exc:
+        violations.extend(exc.violations)
+    except (ValueError, TypeError) as exc:
+        violations.append(f"{key}: {exc}")
     return None
 
 
@@ -91,23 +94,11 @@ def parse_config(path: str) -> RunConfig:
     if "model" not in doc:
         violations.append("model: required")
     else:
-        section = _resolve_section(doc, "model", violations)
-        if section is not None:
-            try:
-                model = model_from_json(section)
-            except (ValueError, TypeError) as exc:
-                violations.append(f"model: {exc}")
-
-    network: Network | None = None
+        model = _read_section(doc, "model", model_from_json, violations)
     if "network" in doc:
-        section = _resolve_section(doc, "network", violations)
-        if section is not None:
-            try:
-                network = network_from_json(section)
-            except (ValueError, TypeError) as exc:
-                violations.append(f"network: {exc}")
-    elif model is not None:
-        network = Network.complete(model.n_agents)
+        network = _read_section(doc, "network", network_from_json, violations)
+    else:
+        network = None if model is None else Network.complete(model.n_agents)
 
     strategy = None
     if "strategy" not in doc:

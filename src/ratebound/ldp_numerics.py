@@ -171,16 +171,14 @@ def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lane equals its kernel's `legendre(eta).value`, `.argmax_z` and
     `.iterations`. Gaussian lanes take the closed form and etas at or beyond
     a finite endpoint the limiting value, lane by lane. The interior finite
-    lanes are solved together by one lockstep Newton iteration, so their
-    kernels must have the same number of atoms.
+    lanes are solved by one lockstep Newton iteration per atom count.
     """
     eta = np.asarray(etas, dtype=float)
     flat = eta.ravel()
     value = np.empty(flat.size)
     argmax = np.empty(flat.size)
     iterations = np.zeros(flat.size, dtype=np.int64)
-    interior = []
-    rows = []
+    groups = {}  # atom count: (interior lanes, their kernel rows)
     for lane, (kern, e) in enumerate(zip(kernels, flat.tolist(), strict=True)):
         if kern._gaussian:
             argmax[lane] = (e - kern.mean) / kern.variance
@@ -192,19 +190,16 @@ def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             value[lane] = kern._endpoint_value(kern.domain[0])
             argmax[lane] = -math.inf
         else:
-            interior.append(lane)
+            lanes, rows = groups.setdefault(kern._rows.shape[1], ([], []))
+            lanes.append(lane)
             rows.append(kern._rows)
-    if interior:
-        if len({r.shape for r in rows}) > 1:
-            raise ValueError(
-                "the interior lanes of one solve need kernels with equal atom counts"
-            )
+    for lanes, rows in groups.values():
         rows = np.array(rows)
-        interior = np.array(interior, dtype=np.intp)
-        lane_eta = flat[interior]
-        z, iterations[interior] = _solve_tilt(rows, lane_eta)
-        argmax[interior] = z
-        value[interior] = lane_eta * z - _cgf(rows, z)
+        lanes = np.array(lanes, dtype=np.intp)
+        lane_eta = flat[lanes]
+        z, iterations[lanes] = _solve_tilt(rows, lane_eta)
+        argmax[lanes] = z
+        value[lanes] = lane_eta * z - _cgf(rows, z)
     return (
         value.reshape(eta.shape),
         argmax.reshape(eta.shape),

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from ratebound.signal_models import is_count
 
 _DOMAIN_GRAPH = 3
 
@@ -21,14 +24,19 @@ class Network:
     neighborhoods: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("a network needs at least one agent")
+        if not is_count(self.n, 1):
+            raise ValueError("a network needs a positive integer number of agents")
         if len(self.neighborhoods) != self.n:
             raise ValueError("need one neighborhood per agent")
         normalized = []
         for i, hood in enumerate(self.neighborhoods):
-            members = sorted(set(int(j) for j in hood))
-            if any(j < 0 or j >= self.n for j in members):
+            try:
+                members = sorted(set(map(operator.index, hood)))
+            except TypeError:
+                members = None
+            if members is None or bool in map(type, hood):
+                raise ValueError(f"neighborhood of agent {i} must list integer indices")
+            if members and (members[0] < 0 or members[-1] >= self.n):
                 raise ValueError(f"neighborhood of agent {i} has out-of-range indices")
             if i not in members:
                 raise ValueError(f"agent {i} must observe herself")
@@ -73,7 +81,7 @@ def network_from_json(doc: dict) -> Network:
     """Build a Network from {"n": k, "neighborhoods": [[...], ...]}."""
     if not isinstance(doc, dict) or "n" not in doc or "neighborhoods" not in doc:
         raise ValueError('network document needs "n" and "neighborhoods"')
-    return Network(int(doc["n"]), tuple(tuple(h) for h in doc["neighborhoods"]))
+    return Network(doc["n"], tuple(tuple(h) for h in doc["neighborhoods"]))
 
 
 def network_to_json(net: Network) -> dict:

@@ -54,13 +54,21 @@ def _ordered_pairs(k: int) -> list[tuple[int, int]]:
     return list(permutations(range(k), 2))
 
 
+def _autarky_rates(cases: list, k: int) -> list[float]:
+    """autarky_rate of each (model, agent) case, all of k states. Their
+    conjugates at zero are solved in one lockstep call; each equals its
+    kernel's own legendre(0) solve."""
+    pairs = _ordered_pairs(k)
+    # A generator, so each kernel is released once the solve has its row.
+    kernels = (PairKernel(model, a, f, g) for model, a in cases for f, g in pairs)
+    values = conjugates(kernels, np.zeros(len(cases) * len(pairs)))[0].tolist()
+    return [min(values[i : i + len(pairs)]) for i in range(0, len(values), len(pairs))]
+
+
 def autarky_rate(model: SignalModel, agent: int = 0) -> float:
     """Exponential rate of an agent learning alone: min over ordered state
     pairs of the conjugate at zero."""
-    return min(
-        PairKernel(model, agent, f, g).legendre(0.0).value
-        for f, g in _ordered_pairs(model.states.n_states)
-    )
+    return _autarky_rates([(model, agent)], model.states.n_states)[0]
 
 
 def _bounded_detail(model: SignalModel) -> tuple[float, tuple[int, int], int]:
@@ -89,8 +97,9 @@ def weak_bounded_rate(model: SignalModel) -> float:
 def rate_report(model: SignalModel) -> RateReport:
     """All rate constants of a model in one report."""
     r_bdd, pair, agent = _bounded_detail(model)
+    cases = [(model, i) for i in range(model.n_agents)]
     return RateReport(
-        r_aut=tuple(autarky_rate(model, i) for i in range(model.n_agents)),
+        r_aut=tuple(_autarky_rates(cases, model.states.n_states)),
         r_bdd=r_bdd,
         r_tilde_bdd=weak_bounded_rate(model),
         argmin_pair=pair,
@@ -148,19 +157,11 @@ def sweep_figure1(p_values) -> list[tuple[float, float, float]]:
     """Autarky and bounded rates for symmetric binary models across signal
     precisions. Returns (q, r_aut, r_bdd) rows in input order.
 
-    Every point's conjugates at zero, one per ordered pair, are solved in one
-    lockstep call; each equals the point's own autarky_rate solve."""
+    Every point's conjugates at zero are solved in one lockstep call."""
     models = []
-    for q in p_values:
-        q = float(q)
+    for q in map(float, p_values):
         if not 0.5 < q < 1.0:
             raise ValueError(f"signal precision {q} outside (1/2, 1)")
-        models.append((q, SignalModel(StateSpace((0, 1)), BinarySymmetric(q))))
-    pairs = _ordered_pairs(2)
-    # A generator, so each kernel is released once the solve has its row.
-    kernels = (PairKernel(model, 0, f, g) for _, model in models for f, g in pairs)
-    values = conjugates(kernels, np.zeros(len(models) * len(pairs)))[0].tolist()
-    return [
-        (q, min(values[i * len(pairs) : (i + 1) * len(pairs)]), bounded_rate(model))
-        for i, (q, model) in enumerate(models)
-    ]
+        models.append(SignalModel(StateSpace((0, 1)), BinarySymmetric(q)))
+    rates = _autarky_rates([(model, 0) for model in models], 2)
+    return [(m.family.p, r_aut, bounded_rate(m)) for m, r_aut in zip(models, rates)]

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 _PRIOR_TOL = 1e-12
 _PMF_TOL = 1e-9
+
+
+def is_count(value, least: int) -> bool:
+    """True iff value is an integer, not a bool, of at least `least`: the
+    one check of every count and state index a config gives."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return integer and value >= least
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,8 @@ def _freeze_nested(values):
 class SignalModel:
     """A signal distribution per agent and state, conditionally i.i.d. over periods.
 
-    Immutable after construction; all operations are pure given the seed.
+    Immutable, its read-only arrays included; all operations are pure given
+    the seed.
     Structural problems (bad shapes, non-probability rows) raise here;
     admissibility violations are reported by validate().
     """
@@ -114,14 +123,15 @@ class SignalModel:
     n_agents: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be positive")
+        if not is_count(self.n_agents, 1):
+            raise ValueError("n_agents must be a positive integer")
         n, k = self.n_agents, self.states.n_states
         if isinstance(self.family, BinarySymmetric):
             p = float(self.family.p)
             pmf = np.empty((n, 2, 2))
             pmf[:, 0] = (p, 1.0 - p)
             pmf[:, 1] = (1.0 - p, p)
+            pmf.flags.writeable = False
             object.__setattr__(self, "_pmf", pmf)
         elif isinstance(self.family, Finite):
             pmf = np.asarray(self.family.pmf, dtype=float)
@@ -138,6 +148,7 @@ class SignalModel:
                 raise ValueError("pmf entries must be nonnegative")
             if np.any(np.abs(pmf.sum(axis=2) - 1.0) > _PMF_TOL):
                 raise ValueError("each per-state pmf must sum to 1")
+            pmf.flags.writeable = False
             object.__setattr__(self, "_pmf", pmf)
         elif isinstance(self.family, Gaussian):
             means = np.asarray(self.family.means, dtype=float)
@@ -147,6 +158,7 @@ class SignalModel:
                 raise ValueError(
                     "means must have shape (n_agents, n_states) or (n_states,)"
                 )
+            means.flags.writeable = False
             object.__setattr__(self, "_means", means)
         else:
             raise TypeError(f"unknown signal family: {self.family!r}")
@@ -352,15 +364,18 @@ def model_from_json(doc: dict) -> SignalModel:
     if not isinstance(fam, dict) or "type" not in fam:
         raise ValueError("family must be an object with a 'type' field")
     kind = fam["type"]
-    if kind == "binary_symmetric":
-        family = BinarySymmetric(p=float(fam["p"]))
-    elif kind == "finite":
-        family = Finite(support=tuple(fam["support"]), pmf=fam["pmf"])
-    elif kind == "gaussian":
-        family = Gaussian(means=fam["means"], sigma=float(fam["sigma"]))
-    else:
-        raise ValueError(f"unknown family type {kind!r}")
-    return SignalModel(states, family, int(doc.get("n_agents", 1)))
+    try:
+        if kind == "binary_symmetric":
+            family = BinarySymmetric(p=float(fam["p"]))
+        elif kind == "finite":
+            family = Finite(support=tuple(fam["support"]), pmf=fam["pmf"])
+        elif kind == "gaussian":
+            family = Gaussian(means=fam["means"], sigma=float(fam["sigma"]))
+        else:
+            raise ValueError(f"unknown family type {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"{kind} family needs {exc}") from None
+    return SignalModel(states, family, doc.get("n_agents", 1))
 
 
 def model_to_json(model: SignalModel) -> dict:

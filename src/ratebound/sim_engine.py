@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,11 +21,13 @@ from ratebound.signal_models import (
     BinarySymmetric,
     SignalModel,
     indices_from_words,
+    is_count,
     word_edges,
 )
 from ratebound.strategies import (
     AutarkyML,
     ConstantFirstPeriod,
+    Coordination,
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
@@ -81,10 +82,6 @@ def resolve_delta(model: SignalModel, delta: float | None) -> float:
     return resolved
 
 
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, numbers.Integral) and value >= least
-
-
 def config_violations(
     model: SignalModel | None,
     network: Network | None,
@@ -100,11 +97,11 @@ def config_violations(
     need it are skipped. Delta is checked only against an admissible model.
     """
     violations = []
-    if not _is_count(horizon, 1):
+    if not is_count(horizon, 1):
         violations.append("horizon: must be a positive integer")
-    if not _is_count(replications, 1):
+    if not is_count(replications, 1):
         violations.append("replications: must be a positive integer")
-    if not _is_count(seed, 0):
+    if not is_count(seed, 0):
         violations.append("seed: must be a nonnegative integer")
     problems = [] if model is None else model.validate()
     violations.extend(f"model: {v}" for v in problems)
@@ -113,11 +110,7 @@ def config_violations(
             f"model/network: model has {model.n_agents} agents but the "
             f"network has {network.n}"
         )
-    if (
-        isinstance(strategy, (CoordinationComplete, CoordinationConnected))
-        and model is not None
-        and not problems
-    ):
+    if isinstance(strategy, Coordination) and model is not None and not problems:
         try:
             resolve_delta(model, strategy.delta)
         except ValueError as exc:
@@ -315,7 +308,7 @@ class _Binding:
         strat = config.strategy
         if isinstance(strat, AutarkyML):
             self.ml = ml_plan(k)
-        if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
+        if isinstance(strat, Coordination):
             delta = resolve_delta(model, strat.delta)
             slack = _per_agent(pair_means(model) - delta)
             thresholds = slack.transpose(1, 2, 0)[..., None]
@@ -360,10 +353,11 @@ def _play_period(config: SimConfig, binding: _Binding, t: int, L: np.ndarray,
     if isinstance(strat, AutarkyML):
         ml_choice(L, binding.ml, now)
         return
+    # coordination plays the prior's mode at t = 1 (connected: block offset 0)
+    if t == 1:
+        now.fill(binding.first)
+        return
     if isinstance(strat, CoordinationComplete):
-        if t == 1:
-            now.fill(binding.first)
-            return
         now[...] = plurality(history[t - 2], k, axis=0)
     else:
         offset = (t - 1) % binding.block
@@ -373,9 +367,6 @@ def _play_period(config: SimConfig, binding: _Binding, t: int, L: np.ndarray,
                 start + binding.relay_offset[offset - 1],
                 binding.relay_source[offset - 1],
             ]
-            return
-        if t == 1:
-            now.fill(binding.first)
             return
         votes = history[
             t - binding.block - 1 + binding.vote_offset, binding.vote_source

@@ -9,12 +9,13 @@ carries both directions. Actions are state indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from ratebound.signal_models import SignalModel
+from ratebound.signal_models import SignalModel, is_count
 
 
 def first_action(prior: Iterable[float]) -> int:
@@ -159,24 +160,33 @@ class AutarkyML:
 
 
 @dataclass(frozen=True)
-class CoordinationComplete:
-    """On complete networks: act decisively on strong evidence, else copy the crowd.
+class Coordination:
+    """Act decisively on strong evidence, else follow the group's plurality.
 
     A state is decisive when every pairwise evidence total clears the linear
-    threshold (m[f, g] - delta) * t. Absent a decisive state the agent
-    repeats the previous period's plurality action. Period 1 plays the
-    prior's mode.
+    threshold (m[f, g] - delta) * t; delta None takes the engine's default.
+    Period 1 plays the prior's mode. The shared base of CoordinationComplete
+    and CoordinationConnected, which say whose plurality is followed.
     """
 
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.delta is not None and not self.delta > 0.0:
-            raise ValueError("delta must be positive")
+        if type(self) is Coordination:
+            raise TypeError("build CoordinationComplete or CoordinationConnected")
+        real = isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
+        if self.delta is not None and not (real and self.delta > 0.0):
+            raise ValueError("delta must be a positive number")
 
 
 @dataclass(frozen=True)
-class CoordinationConnected:
+class CoordinationComplete(Coordination):
+    """Coordination on complete networks: absent a decisive state the agent
+    repeats the previous period's plurality action."""
+
+
+@dataclass(frozen=True)
+class CoordinationConnected(Coordination):
     """Coordination on any strongly connected network via vote propagation.
 
     Voting periods (block offset 0) follow the decisive-else-popular rule,
@@ -184,12 +194,6 @@ class CoordinationConnected:
     the propagation schedule. Propagation periods display whatever action the
     schedule directs, spending no evidence.
     """
-
-    delta: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.delta is not None and not self.delta > 0.0:
-            raise ValueError("delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -211,32 +215,31 @@ class ConstantFirstPeriod:
     state: int = 0
 
     def __post_init__(self) -> None:
-        if self.state < 0:
-            raise ValueError("state index must be nonnegative")
+        if not is_count(self.state, 0):
+            raise ValueError("state must be a nonnegative integer")
 
 
 Strategy = AutarkyML | CoordinationComplete | CoordinationConnected | OddEven | ConstantFirstPeriod
 
 
+# JSON names of the strategies; a document carries the dataclass's fields
+# beside the name, and one whose default is None may be left out.
+_STRATEGY_NAMES = {
+    "autarky-ml": AutarkyML,
+    "coordination": CoordinationComplete,
+    "coordination-connected": CoordinationConnected,
+    "odd-even": OddEven,
+    "constant": ConstantFirstPeriod,
+}
+_NAME_OF = {cls: name for name, cls in _STRATEGY_NAMES.items()}
+
+
 def strategy_to_json(strategy: Strategy) -> dict:
     """Inverse of strategy_from_json."""
-    if isinstance(strategy, AutarkyML):
-        return {"strategy": "autarky-ml"}
-    if isinstance(strategy, CoordinationComplete):
-        doc = {"strategy": "coordination"}
-        if strategy.delta is not None:
-            doc["delta"] = strategy.delta
-        return doc
-    if isinstance(strategy, CoordinationConnected):
-        doc = {"strategy": "coordination-connected"}
-        if strategy.delta is not None:
-            doc["delta"] = strategy.delta
-        return doc
-    if isinstance(strategy, OddEven):
-        return {"strategy": "odd-even"}
-    if isinstance(strategy, ConstantFirstPeriod):
-        return {"strategy": "constant", "state": strategy.state}
-    raise TypeError(f"unknown strategy object: {strategy!r}")
+    if type(strategy) not in _NAME_OF:
+        raise TypeError(f"unknown strategy object: {strategy!r}")
+    values = {name: v for name, v in asdict(strategy).items() if v is not None}
+    return {"strategy": _NAME_OF[type(strategy)], **values}
 
 
 def strategy_from_json(doc: dict) -> Strategy:
@@ -244,16 +247,10 @@ def strategy_from_json(doc: dict) -> Strategy:
     if not isinstance(doc, dict) or "strategy" not in doc:
         raise ValueError('strategy document needs a "strategy" name')
     name = doc["strategy"]
-    if name == "autarky-ml":
-        return AutarkyML()
-    if name == "coordination":
-        return CoordinationComplete(delta=doc.get("delta"))
-    if name == "coordination-connected":
-        return CoordinationConnected(delta=doc.get("delta"))
-    if name == "odd-even":
-        return OddEven()
-    if name == "constant":
-        if "state" not in doc:
-            raise ValueError('constant strategy needs a "state" index')
-        return ConstantFirstPeriod(state=int(doc["state"]))
-    raise ValueError(f"unknown strategy {name!r}")
+    cls = _STRATEGY_NAMES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"unknown strategy {name!r}")
+    for field in fields(cls):
+        if field.default is not None and field.name not in doc:
+            raise ValueError(f'{name} strategy needs "{field.name}"')
+    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})

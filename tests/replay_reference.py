@@ -15,6 +15,7 @@ from ratebound.network import build_schedule
 from ratebound.sim_engine import resolve_delta
 from ratebound.strategies import (
     AutarkyML,
+    Coordination,
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
@@ -75,7 +76,7 @@ def replay(config, signals):
     acc = [np.zeros_like(prior) for _ in range(n)]
     seen = [{j: [] for j in net.neighborhoods[i]} for i in range(n)]
     first = first_action(model.states.prior)
-    if isinstance(strat, (CoordinationComplete, CoordinationConnected)):
+    if isinstance(strat, Coordination):
         delta = resolve_delta(model, strat.delta)
         means = pair_means(model)
     if isinstance(strat, CoordinationConnected):
@@ -92,16 +93,14 @@ def replay(config, signals):
         history = seen[i]
         if isinstance(strat, AutarkyML):
             return ml_action(L)
+        if isinstance(strat, Coordination) and t == 1:
+            return first
         if isinstance(strat, CoordinationComplete):
-            if t == 1:
-                return first
             return coordinate(i, L, t, lambda: [history[j][t - 2] for j in range(n)])
         if isinstance(strat, CoordinationConnected):
             offset = (t - 1) % schedule.M
             start = t - offset
             if offset == 0:
-                if t == 1:
-                    return first
                 previous = t - schedule.M
                 return coordinate(i, L, t, lambda: [history[i][previous - 1]] + [
                     history[source][previous + source_offset - 1]

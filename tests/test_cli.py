@@ -98,6 +98,18 @@ def test_parse_config_reads_sections_from_side_files(tmp_path):
     assert run.out is None
 
 
+def non_integer_config():
+    """One non-integer count or index in each of six fields."""
+    return {
+        "model": dict(binary_doc(0.75), n_agents=2.9),
+        "network": {"n": 2, "neighborhoods": [[0, 1.7], [0, 1]]},
+        "strategy": {"strategy": "constant", "state": 1.5},
+        "horizon": True,
+        "replications": True,
+        "seed": False,
+    }
+
+
 def test_parse_config_collects_every_violation(tmp_path):
     doc = {
         "model": binary_doc(0.4),
@@ -117,6 +129,11 @@ def test_parse_config_collects_every_violation(tmp_path):
     assert any(v.startswith("replications:") for v in violations)
     assert any(v.startswith("seed:") for v in violations)
     assert any(v.startswith("out:") for v in violations)
+
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(write_json(tmp_path, "counts.json", non_integer_config()))
+    fields = [v.split(":")[0] for v in excinfo.value.violations]
+    assert fields == ["model", "network", "strategy", "horizon", "replications", "seed"]
 
 
 def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
@@ -316,6 +333,13 @@ def test_simulate_surfaces_every_config_violation(tmp_path, capsys):
     code, _, err = run_cli(["simulate", "--config", config_path], capsys)
     assert code == 1
     assert err.count("error:") == 3
+    config_path = write_json(tmp_path, "counts.json", non_integer_config())
+    code, _, err = run_cli(
+        ["simulate", "--config", config_path, "--out", str(tmp_path / "c.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert err.count("error:") == 6
 
 
 def test_simulate_requires_an_output_path(tmp_path, capsys):

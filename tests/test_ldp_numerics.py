@@ -323,8 +323,13 @@ def test_lanes_of_no_etas_and_mismatched_inputs():
     two, three = _random_kernel(rng, 2)[1], _random_kernel(rng, 3)[1]
     with pytest.raises(ValueError):
         conjugates([two], [0.0, 0.1])
-    with pytest.raises(ValueError):
-        conjugates([two, three], [0.0, 0.0])
+    # Interior lanes of different atom counts are solved group by group,
+    # each lane as its one-lane solve.
+    kernels, etas = [two, three, two, three], [0.0, 0.0, 0.1, -0.2]
+    solves = [kern.legendre(eta) for kern, eta in zip(kernels, etas)]
+    assert _as_tuples(conjugates(kernels, etas)) == [
+        (res.value, res.argmax_z, res.iterations) for res in solves
+    ]
     # Lanes at or beyond an endpoint are not solved, so their atoms may differ.
     mixed = conjugates([two, three], [two.domain[1], 0.0])
     assert mixed[1][0] == math.inf

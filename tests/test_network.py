@@ -36,6 +36,14 @@ def test_network_requires_self_observation_and_valid_indices():
         Network(0, ())
     with pytest.raises(ValueError):
         Network(2, ((0,),))
+    with pytest.raises(ValueError, match="must observe herself"):
+        Network(2, ((), (1,)))
+    for hood in ((0, 1.7), (0, True), (0, "1")):
+        with pytest.raises(ValueError, match="integer indices"):
+            Network(2, (hood, (1,)))
+    for n in (2.0, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            Network(n, ((0,), (1,)))
 
 
 def test_complete_and_cycle_generators():

@@ -103,6 +103,22 @@ def test_gaussian_broadcasts_means_and_checks_shape():
         binary_model().gaussian_params(0, 0)
 
 
+def test_model_arrays_are_read_only():
+    finite = SignalModel(
+        StateSpace((0, 1)), Finite((0, 1), ((0.7, 0.3), (0.3, 0.7))), n_agents=2
+    )
+    gaussian = SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 2.0))
+    for array in (
+        binary_model(0.75, n_agents=2).pmf_row(0, 0),
+        finite.pmf,
+        finite.pmf_row(1, 0),
+        gaussian._means,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.9
+    assert finite.pmf_row(0, 0).tolist() == [0.7, 0.3]
+
+
 def test_unknown_family_rejected():
     with pytest.raises(TypeError):
         SignalModel(StateSpace((0, 1)), "not a family")
@@ -383,3 +399,10 @@ def test_model_from_json_rejects_malformed_documents():
         model_from_json({"states": [0, 1], "family": {"p": 0.75}})
     with pytest.raises(ValueError):
         model_from_json({"states": [0, 1], "family": {"type": "mystery"}})
+    for family in ({"type": "binary_symmetric"}, {"type": "gaussian", "means": [0, 1]}):
+        with pytest.raises(ValueError, match="family needs"):
+            model_from_json({"states": [0, 1], "family": family})
+    binary = {"type": "binary_symmetric", "p": 0.75}
+    for n_agents in (2.0, 2.9, True, "2", 0):
+        with pytest.raises(ValueError, match="n_agents"):
+            model_from_json({"states": [0, 1], "family": binary, "n_agents": n_agents})

@@ -5,6 +5,7 @@ trajectories whose actions follow from the rule definitions.
 """
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from ratebound.sim_engine import SimConfig, _Binding, _replay
 from ratebound.strategies import (
     AutarkyML,
     ConstantFirstPeriod,
+    Coordination,
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
@@ -330,3 +332,26 @@ def test_strategy_from_json_rejects_malformed_documents():
         strategy_from_json({"strategy": "telepathy"})
     with pytest.raises(ValueError):
         strategy_from_json({"strategy": "constant"})
+    for doc in (
+        {"strategy": "constant", "state": 1.5},
+        {"strategy": "constant", "state": True},
+        {"strategy": "constant", "state": -1},
+        {"strategy": "coordination", "delta": "0.05"},
+        {"strategy": "coordination-connected", "delta": True},
+        {"strategy": ["coordination"]},
+    ):
+        with pytest.raises(ValueError):
+            strategy_from_json(doc)
+
+
+def test_coordination_classes_share_one_base_and_stay_distinct():
+    complete, connected = CoordinationComplete(0.05), CoordinationConnected(0.05)
+    assert isinstance(complete, Coordination) and isinstance(connected, Coordination)
+    assert complete != connected
+    with pytest.raises(TypeError):
+        Coordination(0.05)
+    assert pickle.loads(pickle.dumps(connected)) == connected
+    assert strategy_to_json(complete) == {"strategy": "coordination", "delta": 0.05}
+    assert strategy_to_json(CoordinationConnected()) == {
+        "strategy": "coordination-connected"
+    }
