@@ -7,12 +7,7 @@ from ratebound.signal_models import (
     SignalModel,
     StateSpace,
 )
-from ratebound.ldp_numerics import (
-    ConjugateResult,
-    PairKernel,
-    binomial_tail_bound,
-    kl_bernoulli,
-)
+from ratebound.ldp_numerics import ConjugateResult, PairKernel
 from ratebound.rates import (
     RateReport,
     UNBOUNDED,
@@ -64,14 +59,12 @@ __all__ = [
     "StateSpace",
     "UNBOUNDED",
     "autarky_rate",
-    "binomial_tail_bound",
     "bounded_rate",
     "build_schedule",
     "coordination_threshold",
     "enumerate_exact",
     "exact_autarky_curve",
     "fit_rate",
-    "kl_bernoulli",
     "mistake_curve",
     "neighborhood_bounded_rate",
     "rate_report",

@@ -1,4 +1,4 @@
-"""Cumulant generating functions, convex conjugates, and binomial tail bounds."""
+"""Cumulant generating functions, convex conjugates, and a model's pair tables."""
 
 from __future__ import annotations
 
@@ -296,36 +296,3 @@ def _solve_tilt(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarr
         f"(best bracket [{lo[0]}, {hi[0]}])"
     )
 
-
-def kl_bernoulli(a: float, b: float) -> float:
-    """Bernoulli relative entropy D(a||b), with the 0*log(0) = 0 convention.
-
-    b in {0, 1} with a != b yields math.inf.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("a must lie in [0,1]")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("b must lie in [0,1]")
-    if b in (0.0, 1.0):
-        return 0.0 if a == b else math.inf
-    total = 0.0
-    if a > 0.0:
-        total += a * math.log(a / b)
-    if a < 1.0:
-        total += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
-    return total
-
-
-def binomial_tail_bound(n: int, k: int, q: float) -> float:
-    """Chernoff bound e^{-n D(k/n || q)} on P[Binomial(n, q) <= k].
-
-    Valid for the left tail only (k/n <= q).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= k <= n:
-        raise ValueError("k must lie in [0, n]")
-    frac = k / n
-    if frac > q:
-        raise ValueError("bound requires k/n <= q (left tail)")
-    return math.exp(-n * kl_bernoulli(frac, q))

@@ -26,6 +26,7 @@ class Network:
     def __post_init__(self) -> None:
         if not is_count(self.n, 1):
             raise ValueError("a network needs a positive integer number of agents")
+        object.__setattr__(self, "n", operator.index(self.n))
         if len(self.neighborhoods) != self.n:
             raise ValueError("need one neighborhood per agent")
         normalized = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,25 @@ def is_count(value, least: int) -> bool:
     one check of every count and state index a config gives."""
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     return integer and value >= least
+
+
+def is_real(value) -> bool:
+    """True iff value is a real number, not a bool, that is a finite float:
+    the one check of every real a config gives (p, sigma, delta, prior, pmf
+    and mean entries). A string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _real(value, what: str) -> float:
+    """value as a float, once is_real passes it; else ValueError on what."""
+    if not is_real(value):
+        raise ValueError(f"{what} must be a finite real number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -39,7 +59,7 @@ class StateSpace:
         if self.prior is None:
             prior = tuple(1.0 / len(labels) for _ in labels)
         else:
-            prior = tuple(float(q) for q in self.prior)
+            prior = tuple(_real(q, "a prior entry") for q in self.prior)
             if len(prior) != len(labels):
                 raise ValueError("prior length must match the number of states")
             if any(q <= 0.0 for q in prior):
@@ -64,6 +84,9 @@ class BinarySymmetric:
 
     p: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _real(self.p, "p"))
+
 
 @dataclass(frozen=True)
 class Finite:
@@ -83,7 +106,7 @@ class Finite:
         if len(set(support)) != len(support):
             raise ValueError("support values must be distinct")
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "pmf", _freeze_nested(self.pmf))
+        object.__setattr__(self, "pmf", _freeze_nested(self.pmf, "a pmf entry"))
 
 
 @dataclass(frozen=True)
@@ -99,13 +122,14 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "means", _freeze_nested(self.means))
+        object.__setattr__(self, "means", _freeze_nested(self.means, "a mean"))
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
 
 
-def _freeze_nested(values):
+def _freeze_nested(values, what: str):
     if isinstance(values, (list, tuple, np.ndarray)):
-        return tuple(_freeze_nested(v) for v in values)
-    return float(values)
+        return tuple(_freeze_nested(v, what) for v in values)
+    return _real(values, what)
 
 
 @dataclass(frozen=True)
@@ -125,9 +149,10 @@ class SignalModel:
     def __post_init__(self) -> None:
         if not is_count(self.n_agents, 1):
             raise ValueError("n_agents must be a positive integer")
+        object.__setattr__(self, "n_agents", operator.index(self.n_agents))
         n, k = self.n_agents, self.states.n_states
         if isinstance(self.family, BinarySymmetric):
-            p = float(self.family.p)
+            p = self.family.p
             pmf = np.empty((n, 2, 2))
             pmf[:, 0] = (p, 1.0 - p)
             pmf[:, 1] = (1.0 - p, p)
@@ -196,7 +221,7 @@ class SignalModel:
             raise TypeError("not a Gaussian model")
         self._check_agent(agent)
         self._check_state(state)
-        return float(self._means[agent, state]), float(self.family.sigma)
+        return float(self._means[agent, state]), self.family.sigma
 
     # -- core operations ---------------------------------------------------
 
@@ -214,7 +239,7 @@ class SignalModel:
         if isinstance(self.family, Gaussian):
             mf = self._means[agent, f]
             mg = self._means[agent, g]
-            sigma = float(self.family.sigma)
+            sigma = self.family.sigma
             return float((mf - mg) * (float(s) - (mf + mg) / 2.0) / sigma**2)
         try:
             idx = self.support.index(s)
@@ -236,7 +261,7 @@ class SignalModel:
                 violations.append("p must lie in (1/2,1)")
             return violations
         if isinstance(self.family, Gaussian):
-            if float(self.family.sigma) <= 0.0:
+            if self.family.sigma <= 0.0:
                 violations.append("sigma must be positive")
             for agent in range(self.n_agents):
                 for f in range(self.states.n_states):
@@ -366,11 +391,11 @@ def model_from_json(doc: dict) -> SignalModel:
     kind = fam["type"]
     try:
         if kind == "binary_symmetric":
-            family = BinarySymmetric(p=float(fam["p"]))
+            family = BinarySymmetric(p=fam["p"])
         elif kind == "finite":
             family = Finite(support=tuple(fam["support"]), pmf=fam["pmf"])
         elif kind == "gaussian":
-            family = Gaussian(means=fam["means"], sigma=float(fam["sigma"]))
+            family = Gaussian(means=fam["means"], sigma=fam["sigma"])
         else:
             raise ValueError(f"unknown family type {kind!r}")
     except KeyError as exc:

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from ratebound.ldp_numerics import argmin_pair, llr_table, pair_means
 from ratebound.network import (
     Network,
+    PropagationSchedule,
     build_schedule,
     is_complete,
     is_strongly_connected,
@@ -105,41 +107,34 @@ def config_violations(
         violations.append("seed: must be a nonnegative integer")
     problems = [] if model is None else model.validate()
     violations.extend(f"model: {v}" for v in problems)
-    if model is not None and network is not None and model.n_agents != network.n:
-        violations.append(
-            f"model/network: model has {model.n_agents} agents but the "
-            f"network has {network.n}"
-        )
-    if isinstance(strategy, Coordination) and model is not None and not problems:
-        try:
-            resolve_delta(model, strategy.delta)
-        except ValueError as exc:
-            violations.append(f"strategy.delta: {exc}")
-    if (
-        isinstance(strategy, ConstantFirstPeriod)
-        and model is not None
-        and strategy.state >= model.states.n_states
-    ):
-        violations.append("strategy.state: state index out of range")
-    if (
-        isinstance(strategy, OddEven)
-        and model is not None
-        and not isinstance(model.family, BinarySymmetric)
-    ):
-        violations.append(
-            "strategy/model: the odd/even strategy requires symmetric binary signals"
-        )
-    if network is not None:
-        if isinstance(strategy, CoordinationConnected) and not is_strongly_connected(
-            network
-        ):
+    if strategy is not None and not isinstance(strategy, Strategy):
+        violations.append(f"strategy: unknown strategy object {strategy!r}")
+    if model is not None:
+        if network is not None and model.n_agents != network.n:
             violations.append(
-                "strategy/network: the connected coordination strategy "
-                "requires a strongly connected network"
+                f"model/network: model has {model.n_agents} agents but the "
+                f"network has {network.n}"
             )
-        if isinstance(strategy, (CoordinationComplete, OddEven)) and not is_complete(
-            network
+        if isinstance(strategy, Coordination) and not problems:
+            try:
+                resolve_delta(model, strategy.delta)
+            except ValueError as exc:
+                violations.append(f"strategy.delta: {exc}")
+        k = model.states.n_states
+        if isinstance(strategy, ConstantFirstPeriod) and strategy.state >= k:
+            violations.append("strategy.state: state index out of range")
+        if isinstance(strategy, OddEven) and not isinstance(
+            model.family, BinarySymmetric
         ):
+            violations.append("strategy/model: the odd/even strategy requires "
+                              "symmetric binary signals")
+    if network is not None:
+        connected = isinstance(strategy, CoordinationConnected)
+        if connected and not is_strongly_connected(network):
+            violations.append("strategy/network: the connected coordination "
+                              "strategy requires a strongly connected network")
+        complete = isinstance(strategy, (CoordinationComplete, OddEven))
+        if complete and not is_complete(network):
             violations.append(
                 "strategy/network: this strategy requires a complete network"
             )
@@ -164,6 +159,8 @@ class SimConfig:
         )
         if violations:
             raise ValueError("inadmissible simulation config: " + "; ".join(violations))
+        for name in ("horizon", "replications", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
     @cached_property
     def _binding(self) -> _Binding:
@@ -256,11 +253,11 @@ class _Binding:
     tables flattened over (agent, atom) or the Gaussian diff, avg and var.
     Per-agent arrays hold the agent axis second to last, (..., agents, 1),
     so they broadcast against (agents, reps) cells.
-    Decisions: autarky's ml_plan; for coordination the dominance plan and,
-    in one array, the signed cuts (m - delta) * t of every period t. Connected
-    coordination: the propagation schedule as integer arrays, relay source
-    agent and offset per block offset, and the (own vote, harvest) source
-    agent and offset per voter.
+    Decisions: the strategy, dispatched here once, becomes either
+    decide(t, L, history), which writes period t's (agents, reps) actions
+    into history[t - 1] from the evidence L (pairs, agents, reps) and the
+    earlier periods (autarky, coordination), or fill(signals, history), which
+    writes every period at once (odd/even, constant); the other is None.
     """
 
     def __init__(self, config: SimConfig):
@@ -269,11 +266,9 @@ class _Binding:
         k = model.states.n_states
         pairs = state_pairs(k)
         self.n = n
-        self.k = k
         self.action_dtype = np.int8 if k <= 127 else np.int16
         prior = prior_log_matrix(model)
         self.prior = np.array([prior[f, g] for f, g in pairs])
-        self.first = first_action(model.states.prior)
         self.edges = self.means = None
         if model.has_finite_support:
             self.edges = [
@@ -305,27 +300,30 @@ class _Binding:
                 [(means[:, f] + means[:, g]) / 2.0 for f, g in pairs]
             )[:, :, None]
             self.var = sigma * sigma
+        # partials of module functions, unlike closures, pickle for a pool
+        # whose workers are spawned
         strat = config.strategy
+        self.decide = self.fill = None
         if isinstance(strat, AutarkyML):
-            self.ml = ml_plan(k)
-        if isinstance(strat, Coordination):
-            delta = resolve_delta(model, strat.delta)
-            slack = _per_agent(pair_means(model) - delta)
+            self.decide = partial(_autarky, ml_plan(k))
+        elif isinstance(strat, Coordination):
+            slack = _per_agent(pair_means(model) - resolve_delta(model, strat.delta))
             thresholds = slack.transpose(1, 2, 0)[..., None]
-            self.dominance = dominance_plan(k)
-            self.cuts = np.stack(
-                [signed_cuts(thresholds * t) for t in range(1, config.horizon + 1)]
-            )
-        if isinstance(strat, CoordinationConnected):
-            schedule = build_schedule(config.network)
-            self.block = schedule.M
-            self.relay_source = schedule.relay_source
-            self.relay_offset = schedule.relay_offset
-            # column 0: the agent's own vote, read at offset 0
-            self.vote_source = np.column_stack([np.arange(n), schedule.harvest[..., 0]])
-            self.vote_offset = np.column_stack(
-                [np.zeros(n, dtype=np.intp), schedule.harvest[..., 1]]
-            )
+            cuts = [signed_cuts(thresholds * t) for t in range(1, config.horizon + 1)]
+            rule = (k, first_action(model.states.prior), dominance_plan(k),
+                    np.stack(cuts))
+            if isinstance(strat, CoordinationComplete):
+                self.decide = partial(_follow_plurality, *rule)
+            else:
+                schedule = build_schedule(config.network)
+                # each voter's (source, offset) pairs, its own vote first
+                own = np.column_stack([np.arange(n), np.zeros(n, dtype=np.intp)])
+                votes = np.concatenate([own[:, None], schedule.harvest], axis=1)
+                self.decide = partial(_relay_votes, *rule, schedule, votes)
+        elif isinstance(strat, OddEven):
+            self.fill = partial(_odd_even, self.prior[0], self.table[0, 0])
+        else:
+            self.fill = partial(_constant, strat.state)
 
 
 def _absorb(binding: _Binding, signals: np.ndarray, acc: np.ndarray,
@@ -342,44 +340,49 @@ def _absorb(binding: _Binding, signals: np.ndarray, acc: np.ndarray,
         np.add(acc[p], step, out=acc[p])
 
 
-def _play_period(config: SimConfig, binding: _Binding, t: int, L: np.ndarray,
-                 history: np.ndarray) -> None:
-    """Write every agent's period-t action into history[t - 1], the (agents,
-    reps) row of the (horizon, agents, reps) history. Reads the evidence L
-    (pairs, agents, reps) and the history of periods before t only."""
-    strat = config.strategy
+def _autarky(plan: tuple, t: int, L: np.ndarray, history: np.ndarray) -> None:
+    ml_choice(L, plan, history[t - 1])
+
+
+def _follow_plurality(k: int, first: int, dominance: tuple, cuts: np.ndarray,
+                      t: int, L: np.ndarray, history: np.ndarray) -> None:
+    """Complete coordination: the prior's mode at t = 1; then the lowest
+    decisive state, else the previous period's plurality."""
     now = history[t - 1]
-    k = binding.k
-    if isinstance(strat, AutarkyML):
-        ml_choice(L, binding.ml, now)
-        return
-    # coordination plays the prior's mode at t = 1 (connected: block offset 0)
     if t == 1:
-        now.fill(binding.first)
+        now.fill(first)
         return
-    if isinstance(strat, CoordinationComplete):
-        now[...] = plurality(history[t - 2], k, axis=0)
-    else:
-        offset = (t - 1) % binding.block
-        if offset:
-            start = t - offset - 1
-            now[...] = history[
-                start + binding.relay_offset[offset - 1],
-                binding.relay_source[offset - 1],
-            ]
-            return
-        votes = history[
-            t - binding.block - 1 + binding.vote_offset, binding.vote_source
+    now[...] = plurality(history[t - 2], k, axis=0)
+    lowest_dominant(L, dominance, cuts[t - 1], now)
+
+
+def _relay_votes(k: int, first: int, dominance: tuple, cuts: np.ndarray,
+                 schedule: PropagationSchedule, votes: np.ndarray, t: int,
+                 L: np.ndarray, history: np.ndarray) -> None:
+    """Connected coordination: relay periods show what the schedule directs;
+    voting periods follow complete coordination's rule, over the previous
+    block's votes that each voter sees at its (n, 2) votes (source, offset)
+    pairs; the first vote is the prior's mode."""
+    now = history[t - 1]
+    offset = (t - 1) % schedule.M
+    if t == 1:
+        now.fill(first)
+    elif offset:
+        now[...] = history[
+            t - offset - 1 + schedule.relay_offset[offset - 1],
+            schedule.relay_source[offset - 1],
         ]
-        now[...] = plurality(votes, k, axis=1)
-    lowest_dominant(L, binding.dominance, binding.cuts[t - 1], now)
+    else:
+        seen = history[t - schedule.M - 1 + votes[..., 1], votes[..., 0]]
+        now[...] = plurality(seen, k, axis=1)
+        lowest_dominant(L, dominance, cuts[t - 1], now)
 
 
-def _odd_even(binding: _Binding, signals: np.ndarray, history: np.ndarray) -> None:
-    """OddEven on (reps, agents, horizon) signals, into the (horizon, agents,
-    reps) history, without a loop over periods: odd agents play their
-    signal; every even agent plays 1 when prior + balance * weight < 0,
-    where balance counts the 0s minus the 1s revealed in earlier periods (an
+def _odd_even(prior: float, weight: float, signals: np.ndarray,
+              history: np.ndarray) -> None:
+    """OddEven without a loop over periods: odd agents play their signal;
+    every even agent plays 1 when prior + balance * weight < 0, where
+    balance counts the 0s minus the 1s revealed in earlier periods (an
     exact integer cumsum)."""
     reps, _, horizon = signals.shape
     revealed = signals[:, 1::2]
@@ -387,8 +390,11 @@ def _odd_even(binding: _Binding, signals: np.ndarray, history: np.ndarray) -> No
     ones = revealed.sum(axis=1, dtype=np.int64).T
     balance = np.zeros((horizon, reps), dtype=np.int64)
     np.cumsum(revealed.shape[1] - 2 * ones[:-1], axis=0, out=balance[1:])
-    weight = binding.table[0, 0]
-    history[:, 0::2] = (binding.prior[0] + balance * weight < 0.0)[:, None]
+    history[:, 0::2] = (prior + balance * weight < 0.0)[:, None]
+
+
+def _constant(state: int, signals: np.ndarray, history: np.ndarray) -> None:
+    history.fill(state)
 
 
 def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.ndarray:
@@ -396,22 +402,19 @@ def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.nda
 
     signals has shape (reps, agents, horizon); the actions come back in the
     same shape, as a view of the (horizon, agents, reps) history, whose
-    period rows hold each agent's replications contiguously. Each period
-    absorbs its (agents, reps) view of the signals into the pair evidence,
-    L = prior + acc (acc itself when every prior term is 0), then plays; a
-    strategy reads its own evidence and the actions of the agents it
-    observes. The float operations are those of the scalar replay, in its
-    order, so the decisions are bit-identical to it.
+    period rows hold each agent's replications contiguously. Unless the
+    binding fills the history, each period absorbs its (agents, reps) view
+    of the signals into the pair evidence, L = prior + acc (acc itself when
+    every prior term is 0), then decides; a strategy reads its own evidence
+    and the actions of the agents it observes. The float operations are
+    those of the scalar replay, in its order, so the decisions are
+    bit-identical to it.
     """
     reps, n, horizon = signals.shape
-    strat = config.strategy
     history = np.empty((horizon, n, reps), dtype=binding.action_dtype)
     actions = history.transpose(2, 1, 0)
-    if isinstance(strat, ConstantFirstPeriod):
-        history.fill(strat.state)
-        return actions
-    if isinstance(strat, OddEven):
-        _odd_even(binding, signals, history)
+    if binding.fill is not None:
+        binding.fill(signals, history)
         return actions
     acc = np.zeros((len(binding.prior), n, reps))
     step = np.empty((n, reps))
@@ -424,7 +427,7 @@ def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.nda
         _absorb(binding, period, acc, step)
         if prior is not None:
             np.add(prior, acc, out=L)
-        _play_period(config, binding, t, L, history)
+        binding.decide(t, L, history)
     return actions
 
 
@@ -632,8 +635,6 @@ def enumerate_exact(config: SimConfig) -> MistakeCurve:
         probs=probs,
         prior=model.states.prior,
         provenance="exact-enumeration",
-        counts=None,
-        trials=0,
     )
 
 
@@ -674,8 +675,6 @@ def exact_autarky_curve(model: SignalModel, horizon: int) -> MistakeCurve:
         probs=probs,
         prior=prior,
         provenance="exact-binomial",
-        counts=None,
-        trials=0,
     )
 
 

@@ -9,13 +9,13 @@ carries both directions. Actions are state indices.
 
 from __future__ import annotations
 
-import numbers
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from ratebound.signal_models import SignalModel, is_count
+from ratebound.signal_models import SignalModel, is_count, is_real
 
 
 def first_action(prior: Iterable[float]) -> int:
@@ -174,9 +174,10 @@ class Coordination:
     def __post_init__(self) -> None:
         if type(self) is Coordination:
             raise TypeError("build CoordinationComplete or CoordinationConnected")
-        real = isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
-        if self.delta is not None and not (real and self.delta > 0.0):
-            raise ValueError("delta must be a positive number")
+        if self.delta is not None:
+            if not (is_real(self.delta) and self.delta > 0.0):
+                raise ValueError("delta must be a positive number")
+            object.__setattr__(self, "delta", float(self.delta))
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,7 @@ class ConstantFirstPeriod:
     def __post_init__(self) -> None:
         if not is_count(self.state, 0):
             raise ValueError("state must be a nonnegative integer")
+        object.__setattr__(self, "state", operator.index(self.state))
 
 
 Strategy = AutarkyML | CoordinationComplete | CoordinationConnected | OddEven | ConstantFirstPeriod

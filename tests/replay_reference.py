@@ -7,6 +7,8 @@ tests compare ratebound.sim_engine._replay with `replay`, bit for bit.
 """
 
 from collections import Counter
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,19 +34,25 @@ def most_popular(actions):
     return max(counts.items(), key=lambda item: (item[1], -item[0]))[0]
 
 
-def increment_fn(model, agent):
-    """Signal -> k x k log-likelihood-ratio increment of one agent; finite
+def increment_fns(model):
+    """Per agent, signal -> k x k log-likelihood-ratio increment; finite
     families receive a support index, Gaussian ones the raw value."""
     if model.has_finite_support:
-        table = llr_table(model)[agent]
-        return lambda signal: table[int(signal)]
+        return [lambda signal, table=table: table[int(signal)]
+                for table in llr_table(model)]
     k = model.states.n_states
-    means = np.array([model.gaussian_params(agent, f)[0] for f in range(k)])
-    sigma = model.gaussian_params(agent, 0)[1]
-    diff = means[:, None] - means[None, :]
-    avg = (means[:, None] + means[None, :]) / 2.0
-    var = sigma * sigma
-    return lambda signal: diff * (float(signal) - avg) / var
+    fns = []
+    for agent in range(model.n_agents):
+        means = np.array([model.gaussian_params(agent, f)[0] for f in range(k)])
+        sigma = model.gaussian_params(agent, 0)[1]
+        diff = means[:, None] - means[None, :]
+        avg = (means[:, None] + means[None, :]) / 2.0
+        var = sigma * sigma
+        fns.append(
+            lambda signal, diff=diff, avg=avg, var=var:
+            diff * (float(signal) - avg) / var
+        )
+    return fns
 
 
 def dominant_row(L, cut):
@@ -67,37 +75,49 @@ def ml_action(L):
     return max(range(k), key=lambda f: sums[f])
 
 
+@lru_cache(maxsize=16)
+def _constants(config):
+    """What replay reads of a config besides the signals, built once per
+    config and shared by its trajectories."""
+    model, strat = config.model, config.strategy
+    constants = SimpleNamespace(
+        prior=prior_log_matrix(model),
+        increments=increment_fns(model),
+        first=first_action(model.states.prior),
+    )
+    if isinstance(strat, Coordination):
+        constants.delta = resolve_delta(model, strat.delta)
+        constants.means = pair_means(model)
+    if isinstance(strat, CoordinationConnected):
+        constants.schedule = build_schedule(config.network)
+    if isinstance(strat, OddEven):
+        constants.weight = llr_table(model)[0, 0, 0, 1]
+    return constants
+
+
 def replay(config, signals):
     """Actions (n_agents, horizon) of one trajectory from its signals."""
-    model, net, strat = config.model, config.network, config.strategy
+    net, strat = config.network, config.strategy
     n, horizon = signals.shape
-    prior = prior_log_matrix(model)
-    increments = [increment_fn(model, i) for i in range(n)]
-    acc = [np.zeros_like(prior) for _ in range(n)]
+    c = _constants(config)
+    acc = [np.zeros_like(c.prior) for _ in range(n)]
     seen = [{j: [] for j in net.neighborhoods[i]} for i in range(n)]
-    first = first_action(model.states.prior)
-    if isinstance(strat, Coordination):
-        delta = resolve_delta(model, strat.delta)
-        means = pair_means(model)
-    if isinstance(strat, CoordinationConnected):
-        schedule = build_schedule(net)
-    if isinstance(strat, OddEven):
-        weight = llr_table(model)[0, 0, 0, 1]
 
     def coordinate(i, L, t, votes):
-        f = dominant_row(L, (means[i] - delta) * t)
+        f = dominant_row(L, (c.means[i] - c.delta) * t)
         return most_popular(votes()) if f is None else f
 
     def decide(i, t):
-        L = prior + acc[i]
+        L = c.prior + acc[i]
         history = seen[i]
         if isinstance(strat, AutarkyML):
             return ml_action(L)
         if isinstance(strat, Coordination) and t == 1:
-            return first
+            return c.first
         if isinstance(strat, CoordinationComplete):
             return coordinate(i, L, t, lambda: [history[j][t - 2] for j in range(n)])
         if isinstance(strat, CoordinationConnected):
+            schedule = c.schedule
             offset = (t - 1) % schedule.M
             start = t - offset
             if offset == 0:
@@ -112,14 +132,15 @@ def replay(config, signals):
             if i % 2 == 1:
                 return int(signals[i, t - 1])
             revealed = [a for j in range(1, n, 2) for a in history[j]]
-            score = prior[0, 1] + (revealed.count(0) - revealed.count(1)) * weight
+            balance = revealed.count(0) - revealed.count(1)
+            score = c.prior[0, 1] + balance * c.weight
             return 0 if score >= 0.0 else 1
         return strat.state
 
     actions = np.empty((n, horizon), dtype=np.int64)
     for t in range(1, horizon + 1):
         for i in range(n):
-            acc[i] += increments[i](signals[i, t - 1])
+            acc[i] += c.increments[i](signals[i, t - 1])
         acts = [decide(i, t) for i in range(n)]
         for i in range(n):
             for j in seen[i]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,13 +25,16 @@ from ratebound.network import (
     network_to_json,
     replay_knowledge,
 )
-from ratebound.sim_engine import read_curve_csv
+from ratebound.sim_engine import SimConfig, read_curve_csv
 from ratebound.signal_models import (
     BinarySymmetric,
+    Finite,
+    Gaussian,
     SignalModel,
     StateSpace,
     model_to_json,
 )
+from ratebound.strategies import ConstantFirstPeriod, CoordinationComplete
 from ratebound.verification import CheckResult, _coverage_networks
 
 GOLDEN_SWEEP = b"q,raut,rmaj\n0.750000,0.143841,0.549306\n"
@@ -78,6 +82,24 @@ def test_parse_config_fills_defaults_and_round_trips(tmp_path):
     rerun = parse_config(write_json(tmp_path, "echoed.json", echoed))
     assert rerun.sim == run.sim and rerun.out == run.out
 
+    # a config built from numpy scalars stores plain ints and floats, so its
+    # echo is written as JSON and reads back to an equal config
+    model = SignalModel(
+        StateSpace((0, 1), np.array([0.4, 0.6])),
+        Gaussian(np.array([[0.0, 1.0], [0.5, 1.0]], dtype=np.float32), np.float32(1.5)),
+        np.int64(2),
+    )
+    network = Network(np.int64(2), ((np.int64(0), 1), (0, np.int32(1))))
+    for strategy in (
+        CoordinationComplete(np.float32(0.05)), ConstantFirstPeriod(np.int64(1))
+    ):
+        sim = SimConfig(
+            model, network, strategy, np.int64(4), np.int64(10), np.uint8(3)
+        )
+        echoed = run_config_to_json(RunConfig(sim))
+        rerun = parse_config(write_json(tmp_path, "numpy.json", echoed))
+        assert rerun.sim == sim and run_config_to_json(rerun) == echoed
+
 
 def test_parse_config_reads_sections_from_side_files(tmp_path):
     model_path = write_json(tmp_path, "model.json", binary_doc(0.75, 3))
@@ -110,6 +132,25 @@ def non_integer_config():
     }
 
 
+def non_real_models():
+    """Model sections with one non-real value in each real field."""
+    binary = binary_doc(0.75)
+    gaussian = model_to_json(
+        SignalModel(StateSpace((0, 1)), Gaussian((0.0, 1.0), 1.0))
+    )
+    finite = model_to_json(SignalModel(
+        StateSpace((0, 1)), Finite((0, 1), ((0.7, 0.3), (0.3, 0.7)))
+    ))
+    return [
+        dict(binary, family={"type": "binary_symmetric", "p": "0.75"}),
+        dict(binary, prior=[0.5, True]),
+        dict(gaussian, family=dict(gaussian["family"], sigma="1")),
+        dict(gaussian, family=dict(gaussian["family"], means=[[0.0, None]])),
+        dict(gaussian, family=dict(gaussian["family"], means=[[0.0, math.inf]])),
+        dict(finite, family=dict(finite["family"], pmf=[[[0.0, True], [0.3, 0.7]]])),
+    ]
+
+
 def test_parse_config_collects_every_violation(tmp_path):
     doc = {
         "model": binary_doc(0.4),
@@ -134,6 +175,14 @@ def test_parse_config_collects_every_violation(tmp_path):
         parse_config(write_json(tmp_path, "counts.json", non_integer_config()))
     fields = [v.split(":")[0] for v in excinfo.value.violations]
     assert fields == ["model", "network", "strategy", "horizon", "replications", "seed"]
+
+    for model in non_real_models():
+        doc = {"model": model, "strategy": {"strategy": "autarky-ml"},
+               "horizon": 2, "replications": 5}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write_json(tmp_path, "reals.json", doc))
+        [violation] = excinfo.value.violations
+        assert violation.startswith("model: ") and "finite real number" in violation
 
 
 def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
@@ -340,6 +389,16 @@ def test_simulate_surfaces_every_config_violation(tmp_path, capsys):
     )
     assert code == 1
     assert err.count("error:") == 6
+    config = {"model": non_real_models()[0], "strategy": {"strategy": "autarky-ml"},
+              "horizon": 2, "replications": 5}
+    config_path = write_json(tmp_path, "reals.json", config)
+    code, _, err = run_cli(
+        ["simulate", "--config", config_path, "--out", str(tmp_path / "r.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert err.count("error:") == 1 and "p must be a finite real number" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_simulate_requires_an_output_path(tmp_path, capsys):

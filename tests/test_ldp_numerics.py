@@ -1,17 +1,11 @@
-"""Cumulant generating functions, convex conjugates, and tail-bound goldens."""
+"""Cumulant generating functions, convex conjugates, and their goldens."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ratebound.ldp_numerics import (
-    PairKernel,
-    binomial_tail_bound,
-    conjugates,
-    kl_bernoulli,
-)
+from ratebound.ldp_numerics import PairKernel, conjugates
 from ratebound.signal_models import (
     BinarySymmetric,
     Finite,
@@ -21,8 +15,9 @@ from ratebound.signal_models import (
 )
 
 LOG3 = 1.0986122886681098
-# Frozen independently: kl_bernoulli(1/2, 3/4) = log(4/3)/2 and the
-# half-log-likelihood mean (2p-1) log(p/(1-p)) / 2 coincide at p = 3/4.
+# Frozen independently: the Bernoulli relative entropy D(1/2 || 3/4) =
+# log(4/3)/2 and the half-log-likelihood mean (2p-1) log(p/(1-p)) / 2
+# coincide at p = 3/4.
 KL_HALF_THREEQ = 0.14384103622589045
 MEAN_THREEQ = 0.5493061443340549
 
@@ -43,64 +38,6 @@ def random_finite_model(rng):
         )
         if not model.validate():
             return model
-
-
-# -- scalar divergences -------------------------------------------------------------
-
-
-def test_kl_bernoulli_golden_and_edges():
-    assert kl_bernoulli(0.5, 0.75) == pytest.approx(KL_HALF_THREEQ, rel=1e-14)
-    assert kl_bernoulli(0.5, 0.75) == pytest.approx(math.log(4 / 3) / 2, rel=1e-14)
-    assert kl_bernoulli(0.3, 0.3) == 0.0
-    assert kl_bernoulli(0.0, 0.0) == 0.0
-    assert kl_bernoulli(1.0, 1.0) == 0.0
-    assert kl_bernoulli(0.5, 0.0) == math.inf
-    assert kl_bernoulli(0.5, 1.0) == math.inf
-    assert kl_bernoulli(0.0, 0.4) == pytest.approx(-math.log(0.6), rel=1e-14)
-
-
-def test_kl_bernoulli_rejects_out_of_range_arguments():
-    with pytest.raises(ValueError):
-        kl_bernoulli(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        kl_bernoulli(0.5, 1.1)
-
-
-def test_binomial_tail_bound_golden_and_identity():
-    # exp(-20 * kl(1/2, 3/4)) = exp(-10 log(4/3)) = (3/4)^10 exactly
-    assert binomial_tail_bound(20, 10, 0.75) == pytest.approx(
-        59049 / 1048576, rel=1e-13
-    )
-    for n, k, q in [(5, 2, 0.6), (40, 25, 0.7), (7, 0, 0.51)]:
-        expected = math.exp(-n * kl_bernoulli(k / n, q))
-        assert binomial_tail_bound(n, k, q) == pytest.approx(expected, rel=1e-14)
-
-
-def _exact_binomial_cdf(k, n, q):
-    """P[Binomial(n, q) <= k] in exact rational arithmetic, rounded once."""
-    p = Fraction(q)
-    return float(
-        sum(math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(k + 1))
-    )
-
-
-def test_binomial_tail_bound_dominates_the_exact_tail():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(1, 60))
-        q = float(rng.uniform(0.5, 0.99))
-        k = int(rng.integers(0, math.floor(n * q) + 1))
-        exact = _exact_binomial_cdf(k, n, q)
-        assert exact <= binomial_tail_bound(n, k, q) + 1e-14
-
-
-def test_binomial_tail_bound_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        binomial_tail_bound(0, 0, 0.5)
-    with pytest.raises(ValueError):
-        binomial_tail_bound(10, 11, 0.5)
-    with pytest.raises(ValueError):
-        binomial_tail_bound(10, 9, 0.5)
 
 
 # -- kernels: moments and the cumulant generating function ---------------------------

@@ -1,5 +1,6 @@
 """Observation graphs, distances, schedules, and the knowledge-replay oracle."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,12 @@ def test_random_networks_keep_the_draws_of_the_redraw_loop():
 def test_network_json_round_trip():
     net = Network.random_strongly_connected(5, 0.5, seed=1)
     assert network_from_json(network_to_json(net)) == net
+    # numpy integers are stored as plain ints, which JSON can write
+    numpy_net = Network(np.int64(2), ((np.int64(0), 1), (0, np.int32(1))))
+    assert type(numpy_net.n) is int
+    assert json.loads(json.dumps(network_to_json(numpy_net))) == {
+        "n": 2, "neighborhoods": [[0, 1], [0, 1]]
+    }
     with pytest.raises(ValueError):
         network_from_json({"n": 3})
 

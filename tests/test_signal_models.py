@@ -406,3 +406,25 @@ def test_model_from_json_rejects_malformed_documents():
     for n_agents in (2.0, 2.9, True, "2", 0):
         with pytest.raises(ValueError, match="n_agents"):
             model_from_json({"states": [0, 1], "family": binary, "n_agents": n_agents})
+    gaussian = {"type": "gaussian", "means": [0.0, 1.0], "sigma": 1.0}
+    for value in ("0.75", True, None, math.nan, 10**400):
+        for doc in (
+            {"states": [0, 1], "family": dict(binary, p=value)},
+            {"states": [0, 1], "family": dict(gaussian, sigma=value)},
+            {"states": [0, 1], "family": dict(gaussian, means=[0.0, value])},
+            {"states": [0, 1], "family": {
+                "type": "finite", "support": [0, 1], "pmf": [[value, 0.5], [0.5, 0.5]],
+            }},
+            {"states": [0, 1], "prior": [0.5, value], "family": binary},
+        ):
+            with pytest.raises(ValueError, match="must be a finite real number"):
+                model_from_json(doc)
+    # numbers of other types are stored as plain floats and ints
+    model = SignalModel(
+        StateSpace((0, 1), (np.float32(0.25), 0.75)),
+        Gaussian((np.float32(1), 0), np.int64(2)),
+        np.int64(2),
+    )
+    assert type(model.n_agents) is int and type(model.family.sigma) is float
+    assert all(type(v) is float for v in model.family.means + model.states.prior)
+    assert type(BinarySymmetric(np.float32(0.75)).p) is float

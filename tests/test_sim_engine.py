@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -102,6 +103,9 @@ def test_config_rejects_inconsistent_workloads():
         SimConfig(model, net, ConstantFirstPeriod(5), 5, 10, 0)
     with pytest.raises(ValueError, match="delta"):
         SimConfig(model, net, CoordinationComplete(delta=3.0), 5, 10, 0)
+    for unknown in ("telepathy", object()):
+        with pytest.raises(ValueError, match="strategy: unknown strategy object"):
+            SimConfig(model, net, unknown, 3, 10, 0)
 
 
 # -- exact oracles -----------------------------------------------------------------
@@ -532,6 +536,24 @@ def test_binding_is_compiled_once_per_config(monkeypatch):
     assert len(builds) == 2
 
 
+def test_binding_pickles_for_spawned_pool_workers():
+    # a pool that spawns its workers, rather than forking them, sends them
+    # the binding, and with it each strategy's compiled decide or fill
+    for strategy in (
+        AutarkyML(), CoordinationComplete(0.05), CoordinationConnected(0.05),
+        OddEven(), ConstantFirstPeriod(1),
+    ):
+        config = SimConfig(
+            binary_model(0.75, 3), Network.complete(3), strategy, 6, 50, 4
+        )
+        binding = _Binding(config)
+        signals = _draw_chunk(binding, 1, _chunk_generator(4, 1, 0), 50, 6)
+        copy = pickle.loads(pickle.dumps(binding))
+        assert np.array_equal(
+            _replay(config, copy, signals), _replay(config, binding, signals)
+        )
+
+
 def test_run_trajectory_validates_indices_and_reports_mistakes():
     config = autarky_config(horizon=4, replications=10)
     actions, mistakes = run_trajectory(config, 1, 3)
@@ -546,7 +568,7 @@ def test_run_trajectory_validates_indices_and_reports_mistakes():
 # -- visibility: strategies cannot benefit from unobserved actions --------------------
 
 
-def _actions_with_poisoned_rows(config, state, observer, rng, monkeypatch):
+def _actions_with_poisoned_rows(config, state, observer, rng):
     """Run the engine twice on one block: honestly, and with the observer
     deciding each period on a copy of the (horizon, agents, reps) history
     whose rows of unobserved agents hold random states. A rule that reads
@@ -560,29 +582,28 @@ def _actions_with_poisoned_rows(config, state, observer, rng, monkeypatch):
         j for j in range(config.network.n)
         if j not in config.network.neighborhoods[observer]
     ]
-    honest_period = sim_engine._play_period
+    honest = binding.decide
 
-    def poisoned_period(config, binding, t, L, history):
-        honest_period(config, binding, t, L, history)
+    def poisoned(t, L, history):
+        honest(t, L, history)
         garbage = history.copy()
         garbage[: t - 1, hidden] = rng.integers(
             0, config.model.states.n_states, garbage[: t - 1, hidden].shape
         )
-        honest_period(config, binding, t, L, garbage)
+        honest(t, L, garbage)
         history[t - 1, observer] = garbage[t - 1, observer]
 
-    monkeypatch.setattr(sim_engine, "_play_period", poisoned_period)
-    poisoned = _replay(config, binding, signals)
-    monkeypatch.undo()
+    binding.decide = poisoned
+    poisoned_actions = _replay(config, binding, signals)
     assert hidden, "the observer must have unobserved agents"
-    return clean, poisoned
+    return clean, poisoned_actions
 
 
 @pytest.mark.parametrize(
     "strategy", [AutarkyML(), CoordinationConnected(0.05)],
     ids=["autarky", "connected"],
 )
-def test_unobserved_actions_cannot_influence_decisions(strategy, monkeypatch):
+def test_unobserved_actions_cannot_influence_decisions(strategy):
     config = SimConfig(
         binary_model(0.75, 5), Network.directed_cycle(5), strategy,
         horizon=18, replications=64, seed=21,
@@ -591,7 +612,7 @@ def test_unobserved_actions_cannot_influence_decisions(strategy, monkeypatch):
     for state in (0, 1):
         for observer in range(config.network.n):
             clean, poisoned = _actions_with_poisoned_rows(
-                config, state, observer, rng, monkeypatch
+                config, state, observer, rng
             )
             assert np.array_equal(clean, poisoned), (state, observer)
 

@@ -338,6 +338,7 @@ def test_strategy_from_json_rejects_malformed_documents():
         {"strategy": "constant", "state": -1},
         {"strategy": "coordination", "delta": "0.05"},
         {"strategy": "coordination-connected", "delta": True},
+        {"strategy": "coordination", "delta": math.inf},
         {"strategy": ["coordination"]},
     ):
         with pytest.raises(ValueError):
