@@ -25,6 +25,7 @@ from ratebound.network import (
 from ratebound.rates import rate_report, sweep_figure1
 from ratebound.signal_models import SignalModel, model_from_json, model_to_json
 from ratebound.sim_engine import (
+    InadmissibleConfig,
     SimConfig,
     config_violations,
     fit_rate,
@@ -109,18 +110,21 @@ def parse_config(path: str) -> RunConfig:
         except (ValueError, TypeError) as exc:
             violations.append(f"strategy: {exc}")
 
-    horizon = doc.get("horizon")
-    replications = doc.get("replications")
-    seed = doc.get("seed", 0)
-    violations.extend(
-        config_violations(model, network, strategy, horizon, replications, seed)
-    )
+    workload = (model, network, strategy, doc.get("horizon"),
+                doc.get("replications"), doc.get("seed", 0))
+    sim = None
+    if violations:  # a section could not be read: check what was
+        violations.extend(config_violations(*workload))
+    else:
+        try:
+            sim = SimConfig(*workload)
+        except InadmissibleConfig as exc:
+            violations.extend(exc.violations)
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         violations.append("out: must be a path string")
     if violations:
         raise ConfigError(violations)
-    sim = SimConfig(model, network, strategy, horizon, replications, seed)
     return RunConfig(sim=sim, out=out)
 
 

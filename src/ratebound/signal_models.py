@@ -403,20 +403,28 @@ def model_from_json(doc: dict) -> SignalModel:
     return SignalModel(states, family, doc.get("n_agents", 1))
 
 
+def _listed(values):
+    """A family's frozen nested tuples as nested lists."""
+    if isinstance(values, tuple):
+        return [_listed(v) for v in values]
+    return values
+
+
 def model_to_json(model: SignalModel) -> dict:
-    """Inverse of model_from_json."""
+    """Inverse of model_from_json. The family is written as given, a pmf or
+    means given once per state included, so the model reads back equal."""
     if isinstance(model.family, BinarySymmetric):
         fam = {"type": "binary_symmetric", "p": model.family.p}
     elif isinstance(model.family, Finite):
         fam = {
             "type": "finite",
             "support": list(model.family.support),
-            "pmf": model._pmf.tolist(),
+            "pmf": _listed(model.family.pmf),
         }
     else:
         fam = {
             "type": "gaussian",
-            "means": model._means.tolist(),
+            "means": _listed(model.family.means),
             "sigma": model.family.sigma,
         }
     return {

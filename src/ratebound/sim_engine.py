@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -141,9 +140,19 @@ def config_violations(
     return violations
 
 
+class InadmissibleConfig(ValueError):
+    """SimConfig's refusal, carrying every violation config_violations
+    found, each with its field prefix."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("inadmissible simulation config: " + "; ".join(violations))
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete, immutable description of one simulation workload."""
+    """Complete, immutable description of one simulation workload; a
+    workload that cannot run raises InadmissibleConfig."""
 
     model: SignalModel
     network: Network
@@ -158,7 +167,7 @@ class SimConfig:
             self.replications, self.seed,
         )
         if violations:
-            raise ValueError("inadmissible simulation config: " + "; ".join(violations))
+            raise InadmissibleConfig(violations)
         for name in ("horizon", "replications", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
 
@@ -257,7 +266,9 @@ class _Binding:
     decide(t, L, history), which writes period t's (agents, reps) actions
     into history[t - 1] from the evidence L (pairs, agents, reps) and the
     earlier periods (autarky, coordination), or fill(signals, history), which
-    writes every period at once (odd/even, constant); the other is None.
+    writes every period at once (odd/even, constant, and complete
+    coordination on two states and two atoms whenever _count_rule proves
+    its integer cuts exact); the other is None.
     """
 
     def __init__(self, config: SimConfig):
@@ -275,8 +286,8 @@ class _Binding:
                 word_edges(_per_agent(rows)[:, None, :])
                 for rows in model.pmf.transpose(1, 0, 2)
             ]
-            tables = llr_table(model)
-            tables = _per_agent(np.stack([tables[:, :, f, g] for f, g in pairs], 1))
+            llrs = llr_table(model)
+            tables = _per_agent(np.stack([llrs[:, :, f, g] for f, g in pairs], 1))
             # table[p] is indexed by agent * n_atoms + atom
             self.table = np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(
                 len(pairs), -1
@@ -309,11 +320,18 @@ class _Binding:
         elif isinstance(strat, Coordination):
             slack = _per_agent(pair_means(model) - resolve_delta(model, strat.delta))
             thresholds = slack.transpose(1, 2, 0)[..., None]
-            cuts = [signed_cuts(thresholds * t) for t in range(1, config.horizon + 1)]
-            rule = (k, first_action(model.states.prior), dominance_plan(k),
-                    np.stack(cuts))
+            bounds = np.stack([signed_cuts(thresholds * t)
+                               for t in range(1, config.horizon + 1)])
+            first = first_action(model.states.prior)
+            rule = (k, first, dominance_plan(k), bounds)
             if isinstance(strat, CoordinationComplete):
-                self.decide = partial(_follow_plurality, *rule)
+                counted = None
+                if k == 2 and self.table is not None and tables.shape[2] == 2:
+                    counted = _count_rule(self.prior[0], tables[:, 0], bounds)
+                if counted is None:
+                    self.decide = partial(_follow_plurality, *rule)
+                else:
+                    self.fill = partial(_count_plurality, first, *counted)
             else:
                 schedule = build_schedule(config.network)
                 # each voter's (source, offset) pairs, its own vote first
@@ -354,6 +372,100 @@ def _follow_plurality(k: int, first: int, dominance: tuple, cuts: np.ndarray,
         return
     now[...] = plurality(history[t - 2], k, axis=0)
     lowest_dominant(L, dominance, cuts[t - 1], now)
+
+
+def reachable_sums(keep: np.ndarray, bump: np.ndarray, horizon: int):
+    """Bounds of the float sums that the engine's evidence loop can reach.
+
+    Yields (lo, hi) for t = 1..horizon, each of shape (t + 1,) + keep's shape
+    (a lane per agent): lo[c] and hi[c] are the least and the greatest value
+    of acc after t periods, c of which added bump and t - c keep, each added
+    in turn to acc = 0.0, over every order of the increments.
+
+    Rounding to nearest is monotone (x <= y gives fl(x + w) <= fl(y + w)), so
+    a cell's least sum is the lesser of its two predecessors' least sums,
+    each plus its increment, and likewise for the greatest: the bounds are
+    sums that some order reaches, and every other sum of the cell lies
+    between them. A test that both bounds pass holds for every sum."""
+    keep, bump = np.broadcast_arrays(np.asarray(keep, dtype=np.float64),
+                                     np.asarray(bump, dtype=np.float64))
+    lo = hi = np.zeros((1,) + keep.shape)
+    for _ in range(horizon):
+        lo = _add_period(lo, keep, bump, np.minimum)
+        hi = _add_period(hi, keep, bump, np.maximum)
+        yield lo, hi
+
+
+def _add_period(bound: np.ndarray, keep: np.ndarray, bump: np.ndarray,
+                pick) -> np.ndarray:
+    """One period of reachable_sums: count c is reached from c by keep and
+    from c - 1 by bump; pick chooses between the two where both exist."""
+    out = np.concatenate([bound + keep, bound[-1:] + bump])
+    pick(out[1:-1], bound[:-1] + bump, out=out[1:-1])
+    return out
+
+
+def _count_rule(prior: float, table: np.ndarray, bounds: np.ndarray):
+    """Complete coordination on two states and two atoms as integer cuts on
+    signal counts, or None when no such cuts reproduce the float rule.
+
+    table holds each agent's llr L[0, 1] per atom, (agents, 2); bounds are
+    the rule's signed cuts, (horizon, 2, 2, agents, 1). An agent counts its
+    signals of the atom that favors state 1 (atom 1 unless flip marks it).
+    After t periods its evidence is prior + acc, where acc is one of the
+    float sums that reachable_sums bounds for its count c. State 0 is
+    decisive when L >= bounds[t-1, 0, 1], state 1 when L <= bounds[t-1, 1, 0].
+    Each test must give one answer for every sum of a cell, and the decisive
+    counts must be two disjoint intervals, c <= a for state 0 and c >= b for
+    state 1. Then the agent plays 1 exactly when c > cuts[t-1, p], where p
+    is the previous plurality: cut a when p = 1, b - 1 when p = 0. Past a
+    horizon of 127 periods counts overflow int8, and the answer is None.
+
+    Returns (flip, cuts): flip (agents, 1) int8, or None when every agent
+    counts atom 1; cuts (horizon, 2, agents, 1) int8."""
+    horizon = bounds.shape[0]
+    if horizon > 127:
+        return None
+    cuts = []
+    sums = reachable_sums(table.max(axis=1), table.min(axis=1), horizon)
+    for t, (lo, hi) in enumerate(sums, start=1):
+        if prior:  # the engine adds the prior term only when it is not 0
+            lo, hi = prior + lo, prior + hi
+        zero, one = bounds[t - 1, 0, 1, :, 0], bounds[t - 1, 1, 0, :, 0]
+        to_zero, to_one = lo >= zero, hi <= one
+        if (to_zero != (hi >= zero)).any() or (to_one != (lo <= one)).any():
+            return None  # some cell's sums straddle a cut
+        a = to_zero.sum(axis=0) - 1
+        b = t + 1 - to_one.sum(axis=0)
+        c = np.arange(t + 1)[:, None]
+        if ((to_zero != (c <= a)).any() or (to_one != (c >= b)).any()
+                or (a >= b).any()):
+            return None
+        cuts.append((b - 1, a))
+    flip = table[:, 1] > table[:, 0]
+    flip = flip.astype(np.int8)[:, None] if flip.any() else None
+    return flip, np.array(cuts, dtype=np.int8)[..., None]
+
+
+def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
+                     signals: np.ndarray, history: np.ndarray) -> None:
+    """Complete coordination on integer counts (see _count_rule): the
+    prior's mode at t = 1; then each agent plays 1 exactly when its count of
+    state-1 signals exceeds its cut for the previous period's plurality.
+    Per period: one int8 add, one plurality sum over agents, one compare."""
+    reps, n, horizon = signals.shape
+    counts = np.empty((horizon, n, reps), dtype=np.int8)
+    if flip is None:
+        np.copyto(counts, signals.transpose(2, 1, 0), casting="unsafe")
+    else:
+        np.bitwise_xor(signals.transpose(2, 1, 0), flip, out=counts,
+                       casting="unsafe")
+    history[0] = first
+    for t in range(1, horizon):
+        np.add(counts[t - 1], counts[t], out=counts[t])
+        ones = history[t - 1].sum(axis=0, dtype=np.int32)
+        cut = np.where(ones > n // 2, cuts[t, 1], cuts[t, 0])
+        np.greater(counts[t], cut, out=history[t])
 
 
 def _relay_votes(k: int, first: int, dominance: tuple, cuts: np.ndarray,
@@ -545,6 +657,9 @@ def mistake_curve(config: SimConfig) -> MistakeCurve:
     if workers > 1 and len(units) > 1:
         # numpy loads numpy.random on first use; loading it here, before the
         # pool forks, spares every new worker that import on its first unit.
+        # The pool itself is loaded only by a curve that uses one.
+        from concurrent.futures import ProcessPoolExecutor
+
         import numpy.random  # noqa: F401
 
         with ProcessPoolExecutor(

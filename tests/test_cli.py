@@ -1,6 +1,7 @@
 """Config parsing diagnostics, CSV goldens, exit codes, and the CLI surface."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from ratebound import cli as cli_module
+from ratebound import sim_engine
 from ratebound.cli import (
     ConfigError,
     RunConfig,
@@ -83,22 +85,26 @@ def test_parse_config_fills_defaults_and_round_trips(tmp_path):
     assert rerun.sim == run.sim and rerun.out == run.out
 
     # a config built from numpy scalars stores plain ints and floats, so its
-    # echo is written as JSON and reads back to an equal config
-    model = SignalModel(
-        StateSpace((0, 1), np.array([0.4, 0.6])),
+    # echo is written as JSON and reads back to an equal config; a pmf or
+    # means given once per state is echoed as given, not per agent
+    states = StateSpace((0, 1), np.array([0.4, 0.6]))
+    families = (
         Gaussian(np.array([[0.0, 1.0], [0.5, 1.0]], dtype=np.float32), np.float32(1.5)),
-        np.int64(2),
+        Gaussian(np.array([0.0, 1.0], dtype=np.float32), np.float32(1.5)),
+        Finite((0, 1), np.array([[0.7, 0.3], [0.3, 0.7]])),
     )
     network = Network(np.int64(2), ((np.int64(0), 1), (0, np.int32(1))))
-    for strategy in (
+    for family, strategy in itertools.product(families, (
         CoordinationComplete(np.float32(0.05)), ConstantFirstPeriod(np.int64(1))
-    ):
+    )):
         sim = SimConfig(
-            model, network, strategy, np.int64(4), np.int64(10), np.uint8(3)
+            SignalModel(states, family, np.int64(2)), network, strategy,
+            np.int64(4), np.int64(10), np.uint8(3),
         )
         echoed = run_config_to_json(RunConfig(sim))
         rerun = parse_config(write_json(tmp_path, "numpy.json", echoed))
         assert rerun.sim == sim and run_config_to_json(rerun) == echoed
+        assert hash(rerun.sim) == hash(sim)
 
 
 def test_parse_config_reads_sections_from_side_files(tmp_path):
@@ -151,7 +157,7 @@ def non_real_models():
     ]
 
 
-def test_parse_config_collects_every_violation(tmp_path):
+def test_parse_config_collects_every_violation(tmp_path, monkeypatch):
     doc = {
         "model": binary_doc(0.4),
         "strategy": {"strategy": "telepathy"},
@@ -175,6 +181,31 @@ def test_parse_config_collects_every_violation(tmp_path):
         parse_config(write_json(tmp_path, "counts.json", non_integer_config()))
     fields = [v.split(":")[0] for v in excinfo.value.violations]
     assert fields == ["model", "network", "strategy", "horizon", "replications", "seed"]
+
+    # every path through parse_config checks the workload once
+    calls = []
+    checked = sim_engine.config_violations
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(sim_engine, "config_violations", counted)
+    monkeypatch.setattr(cli_module, "config_violations", counted)
+    good = {"model": binary_doc(0.75, n_agents=3),
+            "strategy": {"strategy": "coordination"}, "horizon": 4, "replications": 10}
+    for config, lines in (
+        (doc, 6), (good, 0), (dict(good, horizon=0), 1),
+        (dict(good, network=network_to_json(Network.directed_cycle(3))), 1),
+    ):
+        calls.clear()
+        try:
+            parse_config(write_json(tmp_path, "once.json", config))
+            found = []
+        except ConfigError as exc:
+            found = exc.violations
+        assert len(calls) == 1 and len(found) == lines, (config, found)
+    assert found == ["strategy/network: this strategy requires a complete network"]
 
     for model in non_real_models():
         doc = {"model": model, "strategy": {"strategy": "autarky-ml"},
@@ -528,3 +559,29 @@ def test_module_invocation_round_trip(tmp_path):
         )
         assert result.returncode == 0, result.stderr
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_the_process_pool_loads_only_for_a_pooled_curve():
+    # importing concurrent.futures.process costs 20-30 ms of a cold start;
+    # the CLI and in-process curves never use it
+    code = """if True:
+        import sys
+        import ratebound.cli
+        from ratebound import SimConfig, mistake_curve
+        from ratebound.network import Network
+        from ratebound.signal_models import BinarySymmetric, SignalModel, StateSpace
+        from ratebound.strategies import CoordinationComplete
+        loaded = lambda: "concurrent.futures.process" in sys.modules
+        print(loaded())
+        model = SignalModel(StateSpace((0, 1)), BinarySymmetric(0.75), 3)
+        config = SimConfig(model, Network.complete(3), CoordinationComplete(),
+                           5, 100, 0)
+        mistake_curve(config)
+        print(loaded())
+    """
+    env = {k: v for k, v in os.environ.items() if k != "RATEBOUND_THREADS"}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]

@@ -1,5 +1,6 @@
 """State spaces, signal families, signal drawing, and JSON round-trips."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -379,15 +380,30 @@ def test_validate_flags_degenerate_gaussians():
             n_agents=2,
         ),
         SignalModel(StateSpace(("lo", "hi")), Gaussian((0.0, 1.5), 0.7)),
+        SignalModel(StateSpace((0, 1)), Gaussian((0.0, 1.0), 1.5), n_agents=2),
+        SignalModel(
+            StateSpace((0, 1)), Gaussian(((0.0, 1.0), (0.5, 1.0)), 1.5), n_agents=2
+        ),
+        SignalModel(
+            StateSpace((0, 1)),
+            Finite(("a", "b"), (((0.7, 0.3), (0.3, 0.7)), ((0.6, 0.4), (0.4, 0.6)))),
+            n_agents=2,
+        ),
     ],
-    ids=["binary", "finite", "gaussian"],
+    ids=["binary", "finite", "gaussian", "gaussian-per-state", "gaussian-per-agent",
+         "finite-per-agent"],
 )
 def test_model_json_round_trip_is_stable(model):
+    # the family is written as given, so a pmf or means given once per state
+    # reads back equal, not expanded per agent
     doc = model_to_json(model)
-    rebuilt = model_from_json(doc)
+    rebuilt = model_from_json(json.loads(json.dumps(doc)))
     assert model_to_json(rebuilt) == doc
-    assert rebuilt.states == model.states
-    assert rebuilt.n_agents == model.n_agents
+    assert rebuilt == model and hash(rebuilt) == hash(model)
+    assert np.array_equal(
+        rebuilt.pmf if model.has_finite_support else rebuilt._means,
+        model.pmf if model.has_finite_support else model._means,
+    )
 
 
 def test_model_from_json_rejects_malformed_documents():

@@ -1,5 +1,6 @@
 """Simulation engine: exactness oracles, visibility, determinism, rate fits."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -8,11 +9,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import replay_reference
 from ratebound import sim_engine
+from ratebound.ldp_numerics import pair_means
 from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -344,6 +346,145 @@ def test_engine_matches_the_scalar_reference_on_random_models(configs, data):
             ), (config.strategy, r)
 
 
+# -- complete coordination on integer counts ------------------------------------------
+
+
+def test_reachable_sums_bound_every_order_of_increments():
+    # every order of t <= 12 increments, summed left to right from 0.0 as the
+    # engine sums them: the bounds are the least and greatest sum of each
+    # (t, count) cell, and p = 0.6 makes cells hold several sums
+    keep = np.array([0.4054651081081644, 0.3, -0.1])
+    bump = np.array([-0.4054651081081644, -0.7, 0.1])
+    horizon = 12
+    bounds = list(sim_engine.reachable_sums(keep, bump, horizon))
+    assert len(bounds) == horizon
+    several = 0
+    for t, (lo, hi) in enumerate(bounds, start=1):
+        assert lo.shape == hi.shape == (t + 1, 3)
+        for lane in range(3):
+            sums = {}
+            for order in itertools.product((False, True), repeat=t):
+                x = 0.0
+                for counted in order:
+                    x = x + float(bump[lane] if counted else keep[lane])
+                sums.setdefault(sum(order), set()).add(x)
+            assert sorted(sums) == list(range(t + 1))
+            for c, reached in sums.items():
+                assert (lo[c, lane], hi[c, lane]) == (min(reached), max(reached))
+                several += len(reached) > 1
+    assert several > 0
+
+
+def _bound_path(config):
+    binding = _Binding(config)
+    assert (binding.fill is None) != (binding.decide is None)
+    return "count" if binding.fill is not None else "float"
+
+
+def test_complete_coordination_binds_the_count_fill_only_when_it_is_exact():
+    # criterion 5's config, which is also the benchmark's herd
+    herd = SimConfig(
+        binary_model(0.75, 50), Network.complete(50), CoordinationComplete(0.05),
+        30, 1_000_000, 0,
+    )
+    assert _bound_path(herd) == "count"
+    small = SimConfig(
+        binary_model(0.75, 2), Network.complete(2), CoordinationComplete(0.05),
+        3, 100_000, 0,
+    )
+    assert _bound_path(small) == "count"
+    # p = 0.7, default delta: at t = 25 and count 8 the engine can reach
+    # 7.625680743484829 and 7.625680743484831, on either side of the cut
+    straddles = SimConfig(
+        binary_model(0.7, 3), Network.complete(3), CoordinationComplete(), 30, 40, 9
+    )
+    assert _bound_path(straddles) == "float"
+    binding = _Binding(straddles)
+    *_, (lo, hi) = sim_engine.reachable_sums(*binding.table[0], 25)
+    slack = pair_means(straddles.model)[0, 0, 1] - resolve_delta(straddles.model, None)
+    cut = slack * 25
+    assert lo[8] == 7.625680743484829 and hi[8] == 7.625680743484831
+    assert lo[8] < cut <= hi[8]
+    assert _bound_path(dataclasses.replace(straddles, horizon=24)) == "count"
+    # counts past int8, more than two states or atoms, other strategies
+    long = dataclasses.replace(herd, horizon=128)
+    assert _bound_path(long) == "float"
+    three_atoms = SignalModel(
+        StateSpace((0, 1)), Finite((0, 1, 2), ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))), 2
+    )
+    three_states = SignalModel(
+        StateSpace((0, 1, 2)), Finite((0, 1), ((0.8, 0.2), (0.5, 0.5), (0.2, 0.8))), 2
+    )
+    for model in (three_atoms, three_states):
+        config = SimConfig(
+            model, Network.complete(2), CoordinationComplete(0.01), 5, 10, 0
+        )
+        assert _bound_path(config) == "float"
+    connected = SimConfig(
+        binary_model(0.75, 3), Network.complete(3), CoordinationConnected(0.05),
+        5, 10, 0,
+    )
+    assert _bound_path(connected) == "float"
+    # the float path still matches the scalar reference where cells straddle
+    for state in (0, 1):
+        signals = _draw_chunk(binding, state, _chunk_generator(9, state, 0), 40, 30)
+        actions = _replay(straddles, binding, signals)
+        for r in range(40):
+            assert np.array_equal(
+                actions[r], replay_reference.replay(straddles, signals[r])
+            ), (state, r)
+
+
+@st.composite
+def _two_atom_coordination(draw):
+    """Complete coordination on a random two-state, two-atom model: per-agent
+    pmfs, either atom may favor state 1, a random prior."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pmf = rng.uniform(0.05, 0.95, size=(n, 2, 1))
+    pmf = np.concatenate([pmf, 1.0 - pmf], axis=2)
+    q = draw(st.floats(0.1, 0.9))
+    model = SignalModel(StateSpace((0, 1), (q, 1.0 - q)), Finite((0, 1), pmf), n)
+    delta = draw(st.sampled_from([None, 0.01, 0.05]))
+    horizon = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 1000))
+    if config_violations(model, Network.complete(n), CoordinationComplete(delta),
+                         horizon, 8, seed):
+        # an explicit delta at or past the smallest pair mean
+        delta = None
+    return SimConfig(model, Network.complete(n), CoordinationComplete(delta),
+                     horizon, 8, seed)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_two_atom_coordination(), st.integers(0, 1))
+def test_count_fill_matches_the_scalar_reference_on_random_models(config, state):
+    binding = _Binding(config)
+    event(_bound_path(config))
+    signals = _draw_chunk(
+        binding, state, _chunk_generator(config.seed, state, 0),
+        config.replications, config.horizon,
+    )
+    actions = _replay(config, binding, signals)
+    for r in range(config.replications):
+        assert np.array_equal(
+            actions[r], replay_reference.replay(config, signals[r])
+        ), (_bound_path(config), r)
+
+
+def test_pooled_and_serial_count_curves_agree(monkeypatch):
+    config = SimConfig(
+        binary_model(0.75, 5, (0.4, 0.6)), Network.complete(5),
+        CoordinationComplete(0.05), 12, 3 * CHUNK + 11, 17,
+    )
+    assert _bound_path(config) == "count"
+    monkeypatch.setenv("RATEBOUND_THREADS", "1")
+    serial = mistake_curve(config).counts
+    monkeypatch.setenv("RATEBOUND_THREADS", "2")
+    assert np.array_equal(mistake_curve(config).counts, serial)
+
+
 @pytest.mark.parametrize(
     "prior, digest",
     [
@@ -469,7 +610,7 @@ def test_small_curves_stay_in_process_unless_threads_are_set(monkeypatch):
     # 2 states x 3 blocks x 1 agent x 5 periods, in two units, one per state
     config = autarky_config(horizon=5, replications=3 * CHUNK)
     cells = 2 * config.replications * config.horizon
-    monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.delenv("RATEBOUND_THREADS", raising=False)
     assert cells < sim_engine._POOL_CELLS
@@ -538,20 +679,25 @@ def test_binding_is_compiled_once_per_config(monkeypatch):
 
 def test_binding_pickles_for_spawned_pool_workers():
     # a pool that spawns its workers, rather than forking them, sends them
-    # the binding, and with it each strategy's compiled decide or fill
-    for strategy in (
-        AutarkyML(), CoordinationComplete(0.05), CoordinationConnected(0.05),
-        OddEven(), ConstantFirstPeriod(1),
+    # the binding, and with it each strategy's compiled decide or fill;
+    # complete coordination binds both of its forms
+    paths = []
+    for strategy, p in (
+        (AutarkyML(), 0.75), (CoordinationComplete(0.05), 0.75),
+        (CoordinationComplete(), 0.7), (CoordinationConnected(0.05), 0.75),
+        (OddEven(), 0.75), (ConstantFirstPeriod(1), 0.75),
     ):
         config = SimConfig(
-            binary_model(0.75, 3), Network.complete(3), strategy, 6, 50, 4
+            binary_model(p, 3), Network.complete(3), strategy, 30, 50, 4
         )
         binding = _Binding(config)
-        signals = _draw_chunk(binding, 1, _chunk_generator(4, 1, 0), 50, 6)
+        paths.append(_bound_path(config))
+        signals = _draw_chunk(binding, 1, _chunk_generator(4, 1, 0), 50, config.horizon)
         copy = pickle.loads(pickle.dumps(binding))
         assert np.array_equal(
             _replay(config, copy, signals), _replay(config, binding, signals)
         )
+    assert paths[1:3] == ["count", "float"]
 
 
 def test_run_trajectory_validates_indices_and_reports_mistakes():
