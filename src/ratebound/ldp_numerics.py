@@ -11,11 +11,14 @@ import numpy as np
 from ratebound.signal_models import Gaussian, SignalModel
 
 LEGENDRE_TOL = 1e-9
-LEGENDRE_MAX_ITER = 400
-# Newton steps can alternate around the root, each inside the bracket, and
-# barely shrink it; past this iteration every step bisects. A lane that
-# Newton solves in fewer iterations (up to 186 seen) takes the same steps.
-_STALL_AFTER = 200
+# ITP's constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021): the step is
+# truncated by _KAPPA1 * width**_KAPPA2 toward the midpoint, a lane may take
+# _N0 iterations more than bisection would, and its bracket need not shrink
+# below 2 * _EPS.
+_KAPPA1 = 0.1
+_KAPPA2 = 2
+_N0 = 1
+_EPS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,10 @@ class PairKernel:
             self._gaussian = False
             log_pf = np.log(pmf_f[mask])
             llrs = log_pf - np.log(pmf_g[mask])
-            # The kernel's lane row: log p_f, llr and llr^2 over its atoms.
-            self._rows = np.array([log_pf, llrs, llrs**2])
+            # The kernel's lane row: log p_f and llr over its atoms.
+            self._rows = np.array([log_pf, llrs])
             self.mean = float(np.sum(pmf_f[mask] * llrs))
-            self.variance = float(
-                np.sum(pmf_f[mask] * self._rows[2]) - self.mean**2
-            )
+            self.variance = float(np.sum(pmf_f[mask] * llrs**2) - self.mean**2)
             self.domain = (float(llrs.min()), float(llrs.max()))
 
     # -- cumulant generating function -------------------------------------
@@ -98,22 +99,15 @@ class PairKernel:
             return self.mean + self.variance * z
         return float(_tilted_mean(self._rows, np.asarray(z, dtype=float)))
 
-    def cgf_second(self, z: float) -> float:
-        """d2/dz2 cgf(z): the variance under the z-tilted law (positive)."""
-        if self._gaussian:
-            return self.variance
-        w = _tilted_law(self._rows, np.asarray(z, dtype=float))
-        m1, m2 = np.add.reduce(w * self._rows[1:], axis=-1).tolist()
-        return m2 - m1**2
-
     # -- Fenchel-Legendre transform ----------------------------------------
 
     def legendre(self, eta: float) -> ConjugateResult:
         """sup_z (eta*z - cgf(z)), solved via the strictly increasing cgf_prime.
 
         The one-lane case of `conjugates`: interior etas (inside the open llr
-        range) are solved by a bracketed, safeguarded Newton iteration on
-        cgf_prime(z) = eta to |residual| <= 1e-9. Etas at or beyond a finite
+        range) are solved by bracketed ITP on cgf_prime(z) = eta, to
+        |residual| <= 1e-9 or a bracket of width <= 2e-13, within its
+        bracket's bisection count plus one. Etas at or beyond a finite
         endpoint return the limiting value -log P_f[llr = endpoint] with
         argmax_z = +-inf.
         """
@@ -171,7 +165,7 @@ def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lane equals its kernel's `legendre(eta).value`, `.argmax_z` and
     `.iterations`. Gaussian lanes take the closed form and etas at or beyond
     a finite endpoint the limiting value, lane by lane. The interior finite
-    lanes are solved by one lockstep Newton iteration per atom count.
+    lanes are solved by one lockstep ITP iteration per atom count.
     """
     eta = np.asarray(etas, dtype=float)
     flat = eta.ravel()
@@ -207,7 +201,7 @@ def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-# Kernel rows are stacked as (..., 3, atoms): log p_f, llr, llr^2. Each lane
+# Kernel rows are stacked as (..., 2, atoms): log p_f, llr. Each lane
 # reduces its own contiguous row, so a lane's sums add its atoms in the same
 # order, and give the same bits, as a one-kernel solve.
 
@@ -220,24 +214,21 @@ def _cgf(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     return top + np.log(np.add.reduce(np.exp(terms), axis=-1))
 
 
-def _tilted_law(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The z-tilted law of each row: weights prop. to p_f * e^{z llr}."""
+def _tilted_mean(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """cgf_prime at z: the llr's mean under weights prop. to p_f * e^{z llr}."""
     w = z[..., None] * rows[..., 1, :]
     w += rows[..., 0, :]
     w -= np.maximum.reduce(w, axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
-    return w
+    return np.add.reduce(w * rows[..., 1, :], axis=-1)
 
 
-def _tilted_mean(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.add.reduce(_tilted_law(rows, z) * rows[..., 1, :], axis=-1)
-
-
-def _bracket(rows: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """(lo, hi) per lane with cgf_prime(lo) < eta < cgf_prime(hi): from -1
-    and 1, an end whose slope is not yet past eta doubles. The scalar rule's
-    steps 1, 2, 4, ... land exactly on these powers of two."""
+def _bracket(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per lane with cgf_prime(lo) < eta < cgf_prime(hi), and the
+    slopes cgf_prime at both ends: from -1 and 1, an end whose slope is not
+    yet past eta doubles. The scalar rule's steps 1, 2, 4, ... land exactly
+    on these powers of two."""
     ends = np.empty((2, eta.size))
     ends[0], ends[1] = -1.0, 1.0
     while True:
@@ -245,54 +236,48 @@ def _bracket(rows: np.ndarray, eta: np.ndarray) -> np.ndarray:
         short = slope >= eta
         np.less_equal(slope[1], eta, out=short[1])
         if not short.any():
-            return ends
+            return ends, slope
         ends[short] *= 2.0
 
 
 def _solve_tilt(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cgf_prime(z) = eta for every lane of (lanes, 3, atoms) rows, in
-    lockstep: each lane keeps its own bracket, takes the Newton step when it
-    lands inside the bracket, up to _STALL_AFTER iterations, and bisects
-    otherwise, and leaves the loop once its residual is within LEGENDRE_TOL.
-    Returns (z, iterations)."""
+    """cgf_prime(z) = eta for every lane of (lanes, 2, atoms) rows, by ITP
+    (interpolate, truncate, project) in lockstep. Each lane keeps its own
+    bracket and its own budget: bisection's ceil(log2(width / (2 * _EPS)))
+    iterations, plus _N0, within which ITP shrinks the bracket to 2 * _EPS.
+    A lane leaves the loop once its residual is within LEGENDRE_TOL, at the
+    point it tried, or once its bracket is within 2 * _EPS or its budget is
+    spent, at the bracket's midpoint. Returns (z, iterations)."""
     z_out = np.empty(eta.size)
     iters_out = np.empty(eta.size, dtype=np.int64)
-    lo, hi = _bracket(rows, eta)
-    z = (lo + hi) / 2.0
+    (lo, hi), slopes = _bracket(rows, eta)
+    y_lo, y_hi = slopes - eta
+    # frexp reads ceil(log2) off the exponent exactly, so a lane's budget
+    # does not depend on the lanes it is solved with.
+    mantissa, exponent = np.frexp((hi - lo) / (2.0 * _EPS))
+    budget = exponent - (mantissa == 0.5) + _N0
     lanes = np.arange(eta.size)
-    # No positive tilted variance, or an overflowing step, means an
-    # infinite step, which bisects.
-    with np.errstate(divide="ignore", over="ignore"):
-        for iteration in range(1, LEGENDRE_MAX_ITER + 1):
-            w = _tilted_law(rows, z)
-            slope, second = np.add.reduce(w[:, None, :] * rows[:, 1:, :], axis=-1).T
-            residual = slope - eta
-            done = np.abs(residual) <= LEGENDRE_TOL
-            finished = np.count_nonzero(done)
-            if finished:
-                z_out[lanes[done]] = z[done]
-                iters_out[lanes[done]] = iteration
-                if finished == lanes.size:
-                    return z_out, iters_out
-                keep = ~done
-                lanes, rows, eta, z = lanes[keep], rows[keep], eta[keep], z[keep]
-                lo, hi, residual = lo[keep], hi[keep], residual[keep]
-                slope, second = slope[keep], second[keep]
-            # Python's m**2 (libm pow) and numpy's m*m differ in the last bit
-            # on about 0.1% of floats, enough to move argmax_z by one ulp.
-            curvature = second - np.array([m**2 for m in slope.tolist()])
-            step = np.where(curvature > 0.0, residual / curvature, np.inf)
-            if iteration > _STALL_AFTER:
-                step[:] = np.inf
-            above = residual > 0.0
-            hi = np.where(above, z, hi)
-            lo = np.where(above, lo, z)
-            candidate = z - step
-            z = np.where(
-                (lo < candidate) & (candidate < hi), candidate, (lo + hi) / 2.0
-            )
-    raise RuntimeError(
-        f"legendre solve did not converge for eta={eta[0]} "
-        f"(best bracket [{lo[0]}, {hi[0]}])"
-    )
-
+    for iteration in range(1, int(budget.max()) + 1):
+        width = hi - lo
+        mid = (lo + hi) / 2.0
+        falsi = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
+        toward = np.sign(mid - falsi)
+        cut = _KAPPA1 * width**_KAPPA2
+        z = np.where(cut <= np.abs(mid - falsi), falsi + toward * cut, mid)
+        # The step stays within radius of the midpoint, which keeps the
+        # lane's bracket inside the budget's bisection schedule.
+        radius = np.ldexp(_EPS, budget - iteration + 1) - width / 2.0
+        z = np.where(np.abs(z - mid) <= radius, z, mid - toward * radius)
+        residual = _tilted_mean(rows, z) - eta
+        above = residual > 0.0
+        hi, y_hi = np.where(above, z, hi), np.where(above, residual, y_hi)
+        lo, y_lo = np.where(above, lo, z), np.where(above, y_lo, residual)
+        solved = np.abs(residual) <= LEGENDRE_TOL
+        done = solved | (hi - lo <= 2.0 * _EPS) | (budget == iteration)
+        if done.any():
+            z_out[lanes[done]] = np.where(solved, z, (lo + hi) / 2.0)[done]
+            iters_out[lanes[done]] = iteration
+            keep = ~done
+            lanes, rows, eta, budget = lanes[keep], rows[keep], eta[keep], budget[keep]
+            lo, hi, y_lo, y_hi = lo[keep], hi[keep], y_lo[keep], y_hi[keep]
+    return z_out, iters_out

@@ -113,20 +113,11 @@ def _random_finite_model(rng: np.random.Generator) -> SignalModel:
             return model
 
 
-def _solved(kern: PairKernel, grid: np.ndarray, *points: float):
-    """Conjugate values of one kernel at a grid and a few more etas, from one
-    lockstep solve: the grid's values as an array, then one float per point."""
-    values = conjugates([kern] * (grid.size + len(points)), [*grid, *points])[0]
-    return values[: grid.size], *values[grid.size :].tolist()
-
-
 def _check_conjugate_identities() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED)
-    swap_dev = 0.0
-    zero_dev = 0.0
-    anchor_dev = 0.0
     deriv_dev = 0.0
     gap_ok = True
+    pairs, kernels, etas = [], [], []
     for _ in range(20):
         model = _random_finite_model(rng)
         k = model.states.n_states
@@ -136,19 +127,13 @@ def _check_conjugate_identities() -> tuple[bool, str]:
         swapped = PairKernel(model, agent, g, f)
         lo, hi = kern.domain
         margin = 1e-3 * (hi - lo)
-        etas = np.linspace(lo + margin, hi - margin, 50)
-        # One solve per kernel: the grid (negated for the swapped pair), then
-        # the kernel's own mean and 0, then the anchor at -(swapped mean).
-        direct, at_mean, at_zero, anchor = _solved(
-            kern, etas, kern.mean, 0.0, -swapped.mean
-        )
-        via_swap, swapped_at_mean, swapped_at_zero = _solved(
-            swapped, -etas, swapped.mean, 0.0
-        )
-        swap_dev = max(swap_dev, float(np.abs(direct - (via_swap - etas)).max()))
-        zero_dev = max(zero_dev, abs(at_mean), abs(swapped_at_mean))
-        gap_ok = gap_ok and at_zero < kern.mean and swapped_at_zero < swapped.mean
-        anchor_dev = max(anchor_dev, abs(anchor - swapped.mean))
+        grid = np.linspace(lo + margin, hi - margin, 50)
+        # 105 lanes per model: the kernel at the grid, its own mean and 0,
+        # and the anchor at -(swapped mean); then the swapped pair at the
+        # negated grid, its own mean and 0.
+        kernels += [kern] * 53 + [swapped] * 52
+        etas += [*grid, kern.mean, 0.0, -swapped.mean, *-grid, swapped.mean, 0.0]
+        pairs.append((kern, swapped, grid))
         h = 1e-4
         zs = np.sort(rng.uniform(-2.0, 1.0, 5))
         primes = [kern.cgf_prime(float(z)) for z in zs]
@@ -156,6 +141,15 @@ def _check_conjugate_identities() -> tuple[bool, str]:
         for z, prime in zip(zs, primes):
             central = (kern.cgf(z + h) - kern.cgf(z - h)) / (2.0 * h)
             deriv_dev = max(deriv_dev, abs(prime - central))
+    values = conjugates(kernels, etas)[0].reshape(len(pairs), 105)
+    swap_dev = zero_dev = anchor_dev = 0.0
+    for (kern, swapped, grid), row in zip(pairs, values):
+        at_mean, at_zero, anchor = row[50:53].tolist()
+        swapped_at_mean, swapped_at_zero = row[103:].tolist()
+        swap_dev = max(swap_dev, float(np.abs(row[:50] - (row[53:103] - grid)).max()))
+        zero_dev = max(zero_dev, abs(at_mean), abs(swapped_at_mean))
+        gap_ok = gap_ok and at_zero < kern.mean and swapped_at_zero < swapped.mean
+        anchor_dev = max(anchor_dev, abs(anchor - swapped.mean))
     ok = (
         swap_dev <= 1e-8
         and zero_dev <= 1e-10

@@ -326,6 +326,17 @@ def test_sweep_command_prints_golden_row(capsys):
     assert out.encode() == GOLDEN_SWEEP
 
 
+def test_sweep_command_prints_the_default_grid_golden(capsys):
+    # The 200-point default sweep, recorded when the conjugates were solved
+    # by safeguarded Newton; its six decimals must not move with the solver.
+    golden = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
+    with open(golden, "rb") as fh:
+        expected = fh.read()
+    code, out, _ = run_cli(["sweep"], capsys)
+    assert code == 0
+    assert out.encode() == expected
+
+
 def test_sweep_command_writes_files_and_validates_bounds(tmp_path, capsys):
     target = tmp_path / "rates.csv"
     code, out, _ = run_cli(

@@ -75,10 +75,6 @@ def test_cgf_prime_matches_central_differences_and_is_increasing():
         for z, prime in zip(zs, primes):
             central = (kern.cgf(z + h) - kern.cgf(z - h)) / (2 * h)
             assert prime == pytest.approx(central, abs=1e-7)
-            curvature = kern.cgf_second(float(z))
-            assert curvature > 0.0
-            central2 = (kern.cgf(z + h) - 2 * kern.cgf(z) + kern.cgf(z - h)) / h**2
-            assert curvature == pytest.approx(central2, abs=1e-4)
 
 
 def test_cgf_accepts_vector_arguments():
@@ -116,26 +112,20 @@ def test_legendre_is_the_supremum_of_the_linear_gap():
                 assert value >= eta * z - kern.cgf(float(z)) - 1e-8
 
 
-def _newton_reference(model, f, g, eta):
-    """The safeguarded Newton solve with the derivatives written out: each
-    iteration builds the tilted law once for cgf_prime and once more for
-    cgf_second. Returns (value, argmax_z, iterations)."""
+def _itp_reference(model, f, g, eta):
+    """ITP on cgf_prime(z) - eta written out scalar by scalar, with its own
+    constants: truncation 0.1 * width**2, one iteration over bisection's
+    count, eps = 1e-13. Returns (value, argmax_z, iterations, budget, width),
+    the last two being the iteration budget and the final bracket's width."""
+    eps = 1e-13
     log_pf = np.log(model.pmf_row(0, f))
     llrs = log_pf - np.log(model.pmf_row(0, g))
 
-    def tilted(z):
+    def prime(z):
         logw = log_pf + z * llrs
         logw -= logw.max()
         w = np.exp(logw)
-        return w / w.sum()
-
-    def prime(z):
-        return float(np.sum(tilted(z) * llrs))
-
-    def second(z):
-        w = tilted(z)
-        m1 = float(np.sum(w * llrs))
-        return float(np.sum(w * llrs**2)) - m1**2
+        return float(np.sum(w / w.sum() * llrs))
 
     def cgf(z):
         terms = log_pf + z * llrs
@@ -150,23 +140,35 @@ def _newton_reference(model, f, g, eta):
     while prime(hi) <= eta:
         hi += step
         step *= 2.0
-    z = (lo + hi) / 2.0
-    for iteration in range(1, 201):
+    y_lo, y_hi = prime(lo) - eta, prime(hi) - eta
+    mantissa, exponent = math.frexp((hi - lo) / (2 * eps))
+    budget = exponent - (mantissa == 0.5) + 1
+    for j in range(budget):
+        width = hi - lo
+        mid = (lo + hi) / 2.0
+        falsi = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
+        sigma = 0.0 if mid == falsi else math.copysign(1.0, mid - falsi)
+        cut = 0.1 * (width * width)
+        z = falsi + sigma * cut if cut <= abs(mid - falsi) else mid
+        radius = math.ldexp(eps, budget - j) - width / 2.0
+        if abs(z - mid) > radius:
+            z = mid - sigma * radius
         residual = prime(z) - eta
-        if abs(residual) <= 1e-9:
-            return eta * z - cgf(z), z, iteration
         if residual > 0.0:
-            hi = z
+            hi, y_hi = z, residual
         else:
-            lo = z
-        curvature = second(z)
-        candidate = z - (residual / curvature if curvature > 0.0 else math.inf)
-        z = candidate if lo < candidate < hi else (lo + hi) / 2.0
-    raise AssertionError("reference solve did not converge")
+            lo, y_lo = z, residual
+        if abs(residual) > 1e-9:
+            if hi - lo > 2 * eps and j + 1 < budget:
+                continue
+            z = (lo + hi) / 2.0
+        return eta * z - cgf(z), z, j + 1, budget, hi - lo
+    raise AssertionError("unreachable: the last iteration returns")
 
 
-def test_legendre_matches_the_two_call_newton_reference():
+def test_legendre_matches_the_scalar_itp_reference():
     rng = np.random.default_rng(44)
+    cases = []
     for _ in range(12):
         model = random_finite_model(rng)
         k = model.states.n_states
@@ -174,11 +176,17 @@ def test_legendre_matches_the_two_call_newton_reference():
         kern = PairKernel(model, 0, f, g)
         lo, hi = kern.domain
         etas = [kern.mean, 0.0, *rng.uniform(lo + 1e-6, hi - 1e-6, 6)]
-        for eta in (float(e) for e in etas if lo < e < hi):
-            res = kern.legendre(eta)
-            assert (res.value, res.argmax_z, res.iterations) == _newton_reference(
-                model, f, g, eta
-            ), (f, g, eta)
+        cases += [(model, f, g, float(e)) for e in etas if lo < e < hi]
+    # A kernel whose tilted mean squares differently under libm's m**2 and
+    # numpy's m*m; both solves square only bracket widths, as width * width.
+    skewed = SignalModel(
+        StateSpace((0, 1)), Finite((0, 1), [[0.598, 0.402], [0.159, 0.841]])
+    )
+    cases.append((skewed, 0, 1, 1.303))
+    for model, f, g, eta in cases:
+        res = PairKernel(model, 0, f, g).legendre(eta)
+        expected = _itp_reference(model, f, g, eta)[:3]
+        assert (res.value, res.argmax_z, res.iterations) == expected, (f, g, eta)
 
 
 def _random_kernel(rng, atoms):
@@ -215,7 +223,7 @@ def test_lanes_equal_one_lane_solves_and_the_reference():
             one = kern.legendre(eta)
             assert lane == (one.value, one.argmax_z, one.iterations), (atoms, eta)
             if lo < eta < hi:
-                assert lane == _newton_reference(model, 0, 1, eta), (atoms, eta)
+                assert lane == _itp_reference(model, 0, 1, eta)[:3], (atoms, eta)
             else:
                 assert lane[1] == (math.inf if eta >= hi else -math.inf)
                 assert lane[2] == 0
@@ -272,45 +280,60 @@ def test_lanes_of_no_etas_and_mismatched_inputs():
     assert mixed[1][0] == math.inf
 
 
+# Newton steps on this lane alternate around the root, each inside the
+# bracket, and shrink it by little: a safeguarded Newton solve took 234
+# iterations here.
+_ALTERNATING_PMF = (
+    (1.5691298565860281e-07, 0.03628572229903652, 3.88761908284786e-05,
+     0.006116415669266428, 1.1696855281674205e-06, 0.04199073623658461,
+     0.5992992999949722, 0.20972005818771472, 0.044420018204407594,
+     5.4654330650825204e-05, 0.00014842026167448462,
+     3.2172798401785446e-12, 0.061924472023133),
+    (0.12492614981738434, 9.999999999979999e-13, 1.6975019798148156e-05,
+     0.6132067915172061, 0.00010233220485282303, 1.7701027488227186e-07,
+     0.0045674847470939155, 0.11844054048804833, 0.08960850544849053,
+     0.033553501315233165, 0.015557520379405313, 9.999999999979999e-13,
+     2.0022050212252686e-05),
+)
+_ALTERNATING_ETA = -8.253719483291245
+
+
 def test_legendre_bisects_out_of_an_alternating_newton_stall():
-    # Newton steps here alternate around the root, each inside the bracket,
-    # and shrink it by little: 200 iterations end in [-1.4739, -0.6632],
-    # and bisection takes over.
-    pmf = (
-        (1.5691298565860281e-07, 0.03628572229903652, 3.88761908284786e-05,
-         0.006116415669266428, 1.1696855281674205e-06, 0.04199073623658461,
-         0.5992992999949722, 0.20972005818771472, 0.044420018204407594,
-         5.4654330650825204e-05, 0.00014842026167448462,
-         3.2172798401785446e-12, 0.061924472023133),
-        (0.12492614981738434, 9.999999999979999e-13, 1.6975019798148156e-05,
-         0.6132067915172061, 0.00010233220485282303, 1.7701027488227186e-07,
-         0.0045674847470939155, 0.11844054048804833, 0.08960850544849053,
-         0.033553501315233165, 0.015557520379405313, 9.999999999979999e-13,
-         2.0022050212252686e-05),
-    )
-    model = SignalModel(StateSpace((0, 1)), Finite(tuple(range(13)), pmf))
+    model = SignalModel(StateSpace((0, 1)), Finite(tuple(range(13)), _ALTERNATING_PMF))
     assert not model.validate()
     kern = PairKernel(model, 0, 0, 1)
-    eta = -8.253719483291245
+    eta = _ALTERNATING_ETA
     res = kern.legendre(eta)
     assert abs(kern.cgf_prime(res.argmax_z) - eta) <= 1e-9
     grid = np.linspace(-3.0, 1.0, 4001)
     assert res.value >= np.max(eta * grid - kern.cgf(grid)) - 1e-12
-    assert res.iterations == 234
+    _, _, iterations, budget, _ = _itp_reference(model, 0, 1, eta)
+    assert res.iterations == iterations <= budget
 
 
-def test_tilted_variance_keeps_pythons_power():
-    # Squaring the tilted mean with numpy's m*m instead of Python's m**2
-    # (libm pow) moves this solve's argmax_z and value in the last bit.
-    pmf = np.array([[0.598, 0.402], [0.159, 0.841]])
-    model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf))
-    kern = PairKernel(model, 0, 0, 1)
-    expected = (0.4599937629212296, 2.010558476078127, 6)
-    res = kern.legendre(1.303)
-    assert (res.value, res.argmax_z, res.iterations) == expected
-    assert _newton_reference(model, 0, 1, 1.303) == expected
-    lanes = _as_tuples(conjugates([kern] * 3, [0.0, 1.303, kern.mean]))
-    assert lanes[1] == expected
+def test_lanes_end_within_their_itp_budget():
+    # Extreme 9-13-atom kernels: Dirichlet pmfs with concentration below 1,
+    # floored at 1e-12, at etas across each llr range; then the alternating
+    # Newton lane. Each lane ends solved or with a bracket of width <= 2e-13
+    # within bisection's count plus one.
+    rng = np.random.default_rng(1)
+    cases = []
+    for _ in range(16):
+        atoms = int(rng.integers(9, 14))
+        pmf = rng.dirichlet(np.full(atoms, rng.uniform(0.1, 1.0)), size=2)
+        pmf = np.maximum(pmf, 1e-12)
+        pmf /= pmf.sum(axis=1, keepdims=True)
+        model = SignalModel(StateSpace((0, 1)), Finite(tuple(range(atoms)), pmf))
+        kern = PairKernel(model, 0, 0, 1)
+        cases += [(model, kern, float(e)) for e in rng.uniform(*kern.domain, 40)]
+    model = SignalModel(StateSpace((0, 1)), Finite(tuple(range(13)), _ALTERNATING_PMF))
+    cases.append((model, PairKernel(model, 0, 0, 1), _ALTERNATING_ETA))
+    _, kernels, etas = zip(*cases)
+    for (model, kern, eta), lane in zip(cases, _as_tuples(conjugates(kernels, etas))):
+        value, z, iterations, budget, width = _itp_reference(model, 0, 1, eta)
+        assert lane == (value, z, iterations), eta
+        assert iterations <= budget, eta
+        assert abs(kern.cgf_prime(z) - eta) <= 1e-9 or width <= 2e-13, eta
 
 
 def test_legendre_zero_at_the_mean_and_positive_elsewhere():
@@ -377,7 +400,6 @@ def test_gaussian_kernel_closed_forms():
         assert res.argmax_z == pytest.approx(eta - 0.5, rel=1e-13)
     assert kern.cgf(2.0) == pytest.approx(0.5 * 2.0 + 0.5 * 4.0, rel=1e-14)
     assert kern.cgf_prime(2.0) == pytest.approx(2.5, rel=1e-14)
-    assert kern.cgf_second(2.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_kernel_rejects_identical_states_and_singular_pairs():
