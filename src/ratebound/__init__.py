@@ -14,7 +14,6 @@ from ratebound.rates import (
     autarky_rate,
     bounded_rate,
     coordination_threshold,
-    neighborhood_bounded_rate,
     rate_report,
     sweep_figure1,
     weak_bounded_rate,
@@ -66,7 +65,6 @@ __all__ = [
     "exact_autarky_curve",
     "fit_rate",
     "mistake_curve",
-    "neighborhood_bounded_rate",
     "rate_report",
     "replay_knowledge",
     "run_trajectory",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -19,11 +18,10 @@ from ratebound.network import (
     Network,
     build_schedule,
     network_from_json,
-    network_to_json,
     replay_knowledge,
 )
 from ratebound.rates import rate_report, sweep_figure1
-from ratebound.signal_models import SignalModel, model_from_json, model_to_json
+from ratebound.signal_models import SignalModel, model_from_json
 from ratebound.sim_engine import (
     InadmissibleConfig,
     SimConfig,
@@ -33,23 +31,7 @@ from ratebound.sim_engine import (
     read_curve_csv,
     write_curve_csv,
 )
-from ratebound.strategies import strategy_from_json, strategy_to_json
-
-
-class ConfigError(Exception):
-    """Config rejected; carries every violation found, not just the first."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed simulation request: the engine config plus output path."""
-
-    sim: SimConfig
-    out: str | None = None
+from ratebound.strategies import strategy_from_json
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -57,9 +39,11 @@ def _load_json(path: str, what: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError([f"{what}: cannot read {path}: {exc}"]) from None
+        raise InadmissibleConfig([f"{what}: cannot read {path}: {exc}"]) from None
     except json.JSONDecodeError as exc:
-        raise ConfigError([f"{what}: malformed JSON in {path}: {exc}"]) from None
+        raise InadmissibleConfig(
+            [f"{what}: malformed JSON in {path}: {exc}"]
+        ) from None
 
 
 def _read_section(doc: dict, key: str, reader, violations: list[str]):
@@ -73,22 +57,33 @@ def _read_section(doc: dict, key: str, reader, violations: list[str]):
         elif not isinstance(value, dict):
             raise ValueError("must be an object or a file path")
         return reader(value)
-    except ConfigError as exc:
+    except InadmissibleConfig as exc:
         violations.extend(exc.violations)
     except (ValueError, TypeError) as exc:
         violations.append(f"{key}: {exc}")
     return None
 
 
-def parse_config(path: str) -> RunConfig:
-    """Parse and fully validate a simulation config file.
+def _read_file(path: str, key: str, reader):
+    """reader applied to the JSON file at path, read as parse_config reads
+    a `key` section given as a path."""
+    violations: list[str] = []
+    value = _read_section({key: path}, key, reader, violations)
+    if violations:
+        raise InadmissibleConfig(violations)
+    return value
 
-    Raises ConfigError carrying the complete list of violations, each
+
+def parse_config(path: str) -> tuple[SimConfig, str | None]:
+    """Parse and fully validate a simulation config file into the engine
+    config and the config's own output path.
+
+    Raises InadmissibleConfig carrying the complete list of violations, each
     prefixed with the config field it concerns.
     """
     doc = _load_json(path, "config")
     if not isinstance(doc, dict):
-        raise ConfigError(["config: top level must be a JSON object"])
+        raise InadmissibleConfig(["config: top level must be a JSON object"])
     violations: list[str] = []
 
     model: SignalModel | None = None
@@ -124,38 +119,8 @@ def parse_config(path: str) -> RunConfig:
     if out is not None and not isinstance(out, str):
         violations.append("out: must be a path string")
     if violations:
-        raise ConfigError(violations)
-    return RunConfig(sim=sim, out=out)
-
-
-def run_config_to_json(run: RunConfig) -> dict:
-    """Inverse of parse_config, for config round-trips."""
-    doc = {
-        "model": model_to_json(run.sim.model),
-        "network": network_to_json(run.sim.network),
-        "strategy": strategy_to_json(run.sim.strategy),
-        "horizon": run.sim.horizon,
-        "replications": run.sim.replications,
-        "seed": run.sim.seed,
-    }
-    if run.out is not None:
-        doc["out"] = run.out
-    return doc
-
-
-def emit_sweep_csv(rows, path) -> None:
-    """Byte-stable sweep CSV: `q,raut,rmaj` header, 6 decimals, LF endings."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(_sweep_text(rows))
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from None
-
-
-def _sweep_text(rows) -> str:
-    return "q,raut,rmaj\n" + "".join(
-        f"{q:.6f},{raut:.6f},{rmaj:.6f}\n" for q, raut, rmaj in rows
-    )
+        raise InadmissibleConfig(violations)
+    return sim, out
 
 
 def _fit_dict(fit) -> dict:
@@ -221,27 +186,26 @@ def rates_group() -> None:
 @click.option("--model", "model_path", required=True, help="Model JSON file.")
 def rates_show(model_path: str) -> None:
     """Print the full rate report of a model as JSON."""
-    model = model_from_json(_load_json(model_path, "model"))
+    model = _read_file(model_path, "model", model_from_json)
     violations = model.validate()
     if violations:
-        raise ConfigError([f"model: {v}" for v in violations])
+        raise InadmissibleConfig([f"model: {v}" for v in violations])
     report = rate_report(model)
     click.echo(json.dumps(report.as_dict(), indent=2, sort_keys=True))
 
 
-def _sweep_options(fn):
-    fn = click.option("--from", "from_q", type=float, default=0.51,
-                      show_default=True, help="Lowest signal precision.")(fn)
-    fn = click.option("--to", "to_q", type=float, default=0.99,
-                      show_default=True, help="Highest signal precision.")(fn)
-    fn = click.option("--points", type=int, default=200, show_default=True,
-                      help="Number of grid points.")(fn)
-    fn = click.option("--out", type=str, default=None,
-                      help="CSV file (stdout when omitted).")(fn)
-    return fn
-
-
-def _run_sweep(from_q: float, to_q: float, points: int, out: str | None) -> None:
+@cli.command(name="sweep")
+# declared in the order --help lists them
+@click.option("--out", type=str, default=None,
+              help="CSV file (stdout when omitted).")
+@click.option("--points", type=int, default=200, show_default=True,
+              help="Number of grid points.")
+@click.option("--to", "to_q", type=float, default=0.99, show_default=True,
+              help="Highest signal precision.")
+@click.option("--from", "from_q", type=float, default=0.51, show_default=True,
+              help="Lowest signal precision.")
+def sweep(out: str | None, points: int, to_q: float, from_q: float) -> None:
+    """Sweep autarky and bounded rates across signal precisions."""
     if not (0.5 < from_q < 1.0 and 0.5 < to_q < 1.0):
         raise ValueError("sweep bounds must lie in (1/2, 1)")
     if to_q < from_q:
@@ -249,26 +213,10 @@ def _run_sweep(from_q: float, to_q: float, points: int, out: str | None) -> None
     if points < 1:
         raise ValueError("--points must be a positive integer")
     grid = [from_q] if points == 1 else np.linspace(from_q, to_q, points)
-    rows = sweep_figure1(grid)
-    if out is None:
-        click.echo(_sweep_text(rows), nl=False)
-    else:
-        emit_sweep_csv(rows, out)
-        click.echo(f"wrote {out}")
-
-
-@rates_group.command(name="sweep")
-@_sweep_options
-def rates_sweep(from_q, to_q, points, out) -> None:
-    """Sweep autarky and bounded rates across signal precisions."""
-    _run_sweep(from_q, to_q, points, out)
-
-
-@cli.command(name="sweep")
-@_sweep_options
-def sweep(from_q, to_q, points, out) -> None:
-    """Sweep autarky and bounded rates across signal precisions."""
-    _run_sweep(from_q, to_q, points, out)
+    # byte-stable CSV: `q,raut,rmaj` header, 6 decimals, LF endings
+    _echo_or_write("q,raut,rmaj\n" + "".join(
+        f"{q:.6f},{raut:.6f},{rmaj:.6f}\n" for q, raut, rmaj in sweep_figure1(grid)
+    ), out)
 
 
 @cli.command(name="simulate")
@@ -278,11 +226,11 @@ def sweep(from_q, to_q, points, out) -> None:
               help="Curve CSV file (overrides the config's own).")
 def simulate(config_path: str, out: str | None) -> None:
     """Estimate a mistake curve by Monte Carlo and write it as CSV."""
-    run = parse_config(config_path)
-    target = out or run.out
+    sim, config_out = parse_config(config_path)
+    target = out or config_out
     if target is None:
         raise ValueError('an output path is required (--out or "out" in the config)')
-    curve = mistake_curve(run.sim)
+    curve = mistake_curve(sim)
     write_curve_csv(curve, target)
     click.echo(f"wrote {target}")
 
@@ -340,7 +288,7 @@ def schedule(network_path, complete_n, cycle_n, random_n, edge_prob, seed, out):
             "choose exactly one of --network, --complete, --cycle, --random"
         )
     if network_path is not None:
-        net = network_from_json(_load_json(network_path, "network"))
+        net = _read_file(network_path, "network", network_from_json)
     elif complete_n is not None:
         net = Network.complete(complete_n)
     elif cycle_n is not None:
@@ -382,7 +330,7 @@ def main(argv=None) -> None:
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except ConfigError as exc:
+    except InadmissibleConfig as exc:
         for violation in exc.violations:
             click.echo(f"error: {violation}", err=True)
         sys.exit(1)

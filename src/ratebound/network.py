@@ -44,11 +44,6 @@ class Network:
             normalized.append(tuple(members))
         object.__setattr__(self, "neighborhoods", tuple(normalized))
 
-    @property
-    def max_degree(self) -> int:
-        """Largest neighborhood size (self included)."""
-        return max(len(hood) for hood in self.neighborhoods)
-
     @staticmethod
     def complete(n: int) -> "Network":
         everyone = tuple(range(n))

@@ -15,7 +15,6 @@ from ratebound.ldp_numerics import (
     llr_table,
     pair_means,
 )
-from ratebound.network import Network
 from ratebound.signal_models import BinarySymmetric, SignalModel, StateSpace
 
 UNBOUNDED = math.inf
@@ -105,26 +104,6 @@ def rate_report(model: SignalModel) -> RateReport:
         argmin_pair=pair,
         argmax_agent=agent,
     )
-
-
-def neighborhood_bounded_rate(
-    model: SignalModel, network: Network
-) -> tuple[float, float]:
-    """Network-local rate cap and its degree relaxation.
-
-    Returns (exact, degree_bound): exact is the min over ordered state pairs
-    of the max over agents of the summed mean log-likelihood ratios inside
-    the agent's neighborhood; degree_bound = max_degree * bounded_rate is
-    never smaller.
-    """
-    if model.n_agents != network.n:
-        raise ValueError("model and network disagree on the number of agents")
-    means = pair_means(model)
-    # Each agent's neighborhood sums in its listed order, as scalars would.
-    best = np.max(
-        [sum(means[j] for j in hood) for hood in network.neighborhoods], axis=0
-    )
-    return float(best[argmin_pair(best)]), network.max_degree * bounded_rate(model)
 
 
 def coordination_threshold(model: SignalModel, delta: float) -> int:

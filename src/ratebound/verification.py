@@ -364,7 +364,7 @@ def _with_workers(value: str, fn):
 
 
 def _check_determinism() -> tuple[bool, str]:
-    vector_config = SimConfig(
+    count_config = SimConfig(
         _binary_model(0.75, n_agents=5),
         Network.complete(5),
         CoordinationComplete(delta=0.05),
@@ -372,7 +372,7 @@ def _check_determinism() -> tuple[bool, str]:
         replications=20_000,
         seed=77,
     )
-    generic_config = SimConfig(
+    relay_config = SimConfig(
         _binary_model(0.8, n_agents=3),
         Network.directed_cycle(3),
         CoordinationConnected(delta=0.05),
@@ -381,7 +381,8 @@ def _check_determinism() -> tuple[bool, str]:
         seed=11,
     )
     problems = []
-    for label, config in (("vectorized", vector_config), ("generic", generic_config)):
+    for label, config in (("count fill", count_config),
+                          ("connected relay", relay_config)):
         serial = _with_workers("1", lambda: mistake_curve(config))
         pooled = _with_workers("3", lambda: mistake_curve(config))
         if not np.array_equal(serial.counts, pooled.counts):

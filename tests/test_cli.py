@@ -13,21 +13,14 @@ import pytest
 
 from ratebound import cli as cli_module
 from ratebound import sim_engine
-from ratebound.cli import (
-    ConfigError,
-    RunConfig,
-    emit_sweep_csv,
-    main,
-    parse_config,
-    run_config_to_json,
-)
+from ratebound.cli import main, parse_config
 from ratebound.network import (
     Network,
     build_schedule,
     network_to_json,
     replay_knowledge,
 )
-from ratebound.sim_engine import SimConfig, read_curve_csv
+from ratebound.sim_engine import InadmissibleConfig, SimConfig, read_curve_csv
 from ratebound.signal_models import (
     BinarySymmetric,
     Finite,
@@ -36,9 +29,14 @@ from ratebound.signal_models import (
     StateSpace,
     model_to_json,
 )
-from ratebound.strategies import ConstantFirstPeriod, CoordinationComplete
+from ratebound.strategies import (
+    ConstantFirstPeriod,
+    CoordinationComplete,
+    strategy_to_json,
+)
 from ratebound.verification import CheckResult, _coverage_networks
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SWEEP = b"q,raut,rmaj\n0.750000,0.143841,0.549306\n"
 # sha256 of the schedule documents of the schedule-coverage networks, then
 # cycle(5), complete(1), complete(2) and complete(6), as `ratebound schedule`
@@ -56,6 +54,21 @@ def write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def config_doc(sim, out=None):
+    """The config document that parse_config reads back as (sim, out)."""
+    doc = {
+        "model": model_to_json(sim.model),
+        "network": network_to_json(sim.network),
+        "strategy": strategy_to_json(sim.strategy),
+        "horizon": sim.horizon,
+        "replications": sim.replications,
+        "seed": sim.seed,
+    }
+    if out is not None:
+        doc["out"] = out
+    return doc
 
 
 def run_cli(args, capsys):
@@ -76,13 +89,12 @@ def test_parse_config_fills_defaults_and_round_trips(tmp_path):
         "replications": 10,
         "out": "curve.csv",
     }
-    run = parse_config(write_json(tmp_path, "config.json", doc))
-    assert run.sim.network == Network.complete(2)
-    assert run.sim.seed == 0
-    assert run.out == "curve.csv"
-    echoed = run_config_to_json(run)
-    rerun = parse_config(write_json(tmp_path, "echoed.json", echoed))
-    assert rerun.sim == run.sim and rerun.out == run.out
+    sim, out = parse_config(write_json(tmp_path, "config.json", doc))
+    assert sim.network == Network.complete(2)
+    assert sim.seed == 0
+    assert out == "curve.csv"
+    echoed = config_doc(sim, out)
+    assert parse_config(write_json(tmp_path, "echoed.json", echoed)) == (sim, out)
 
     # a config built from numpy scalars stores plain ints and floats, so its
     # echo is written as JSON and reads back to an equal config; a pmf or
@@ -101,10 +113,10 @@ def test_parse_config_fills_defaults_and_round_trips(tmp_path):
             SignalModel(states, family, np.int64(2)), network, strategy,
             np.int64(4), np.int64(10), np.uint8(3),
         )
-        echoed = run_config_to_json(RunConfig(sim))
-        rerun = parse_config(write_json(tmp_path, "numpy.json", echoed))
-        assert rerun.sim == sim and run_config_to_json(rerun) == echoed
-        assert hash(rerun.sim) == hash(sim)
+        echoed = config_doc(sim)
+        rerun, out = parse_config(write_json(tmp_path, "numpy.json", echoed))
+        assert rerun == sim and out is None and config_doc(rerun) == echoed
+        assert hash(rerun) == hash(sim)
 
 
 def test_parse_config_reads_sections_from_side_files(tmp_path):
@@ -120,10 +132,10 @@ def test_parse_config_reads_sections_from_side_files(tmp_path):
         "replications": 5,
         "seed": 9,
     }
-    run = parse_config(write_json(tmp_path, "config.json", doc))
-    assert run.sim.network == Network.directed_cycle(3)
-    assert run.sim.seed == 9
-    assert run.out is None
+    sim, out = parse_config(write_json(tmp_path, "config.json", doc))
+    assert sim.network == Network.directed_cycle(3)
+    assert sim.seed == 9
+    assert out is None
 
 
 def non_integer_config():
@@ -166,7 +178,7 @@ def test_parse_config_collects_every_violation(tmp_path, monkeypatch):
         "seed": "tomorrow",
         "out": 7,
     }
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(InadmissibleConfig) as excinfo:
         parse_config(write_json(tmp_path, "config.json", doc))
     violations = excinfo.value.violations
     assert len(violations) == 6
@@ -177,7 +189,7 @@ def test_parse_config_collects_every_violation(tmp_path, monkeypatch):
     assert any(v.startswith("seed:") for v in violations)
     assert any(v.startswith("out:") for v in violations)
 
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(InadmissibleConfig) as excinfo:
         parse_config(write_json(tmp_path, "counts.json", non_integer_config()))
     fields = [v.split(":")[0] for v in excinfo.value.violations]
     assert fields == ["model", "network", "strategy", "horizon", "replications", "seed"]
@@ -202,7 +214,7 @@ def test_parse_config_collects_every_violation(tmp_path, monkeypatch):
         try:
             parse_config(write_json(tmp_path, "once.json", config))
             found = []
-        except ConfigError as exc:
+        except InadmissibleConfig as exc:
             found = exc.violations
         assert len(calls) == 1 and len(found) == lines, (config, found)
     assert found == ["strategy/network: this strategy requires a complete network"]
@@ -210,7 +222,7 @@ def test_parse_config_collects_every_violation(tmp_path, monkeypatch):
     for model in non_real_models():
         doc = {"model": model, "strategy": {"strategy": "autarky-ml"},
                "horizon": 2, "replications": 5}
-        with pytest.raises(ConfigError) as excinfo:
+        with pytest.raises(InadmissibleConfig) as excinfo:
             parse_config(write_json(tmp_path, "reals.json", doc))
         [violation] = excinfo.value.violations
         assert violation.startswith("model: ") and "finite real number" in violation
@@ -224,7 +236,7 @@ def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
         network=network_to_json(Network.complete(3)),
         strategy={"strategy": "autarky-ml"},
     )
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(InadmissibleConfig) as excinfo:
         parse_config(write_json(tmp_path, "a.json", mismatch))
     assert any(v.startswith("model/network:") for v in excinfo.value.violations)
 
@@ -234,7 +246,7 @@ def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
         network=network_to_json(Network.directed_cycle(3)),
         strategy={"strategy": "coordination"},
     )
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(InadmissibleConfig) as excinfo:
         parse_config(write_json(tmp_path, "b.json", incomplete))
     assert any(
         v.startswith("strategy/network:") and "complete" in v
@@ -247,7 +259,7 @@ def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
         network={"n": 3, "neighborhoods": [[0], [0, 1], [1, 2]]},
         strategy={"strategy": "coordination-connected"},
     )
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(InadmissibleConfig) as excinfo:
         parse_config(write_json(tmp_path, "c.json", disconnected))
     assert any(
         v.startswith("strategy/network:") and "strongly connected" in v
@@ -267,7 +279,7 @@ def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
         },
         strategy={"strategy": "odd-even"},
     )
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(InadmissibleConfig) as excinfo:
         parse_config(write_json(tmp_path, "d.json", wrong_family))
     assert any(
         v.startswith("strategy/model:") for v in excinfo.value.violations
@@ -278,7 +290,7 @@ def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
         model=binary_doc(0.75, 2),
         strategy={"strategy": "coordination", "delta": 5.0},
     )
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(InadmissibleConfig) as excinfo:
         parse_config(write_json(tmp_path, "e.json", bad_delta))
     assert any(
         v.startswith("strategy.delta:") for v in excinfo.value.violations
@@ -286,15 +298,15 @@ def test_parse_config_names_both_sides_of_cross_field_conflicts(tmp_path):
 
 
 def test_parse_config_reports_unreadable_and_malformed_files(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(InadmissibleConfig, match="cannot read"):
         parse_config(str(tmp_path / "missing.json"))
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    with pytest.raises(ConfigError, match="malformed"):
+    with pytest.raises(InadmissibleConfig, match="malformed"):
         parse_config(str(broken))
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
-    with pytest.raises(ConfigError, match="top level"):
+    with pytest.raises(InadmissibleConfig, match="top level"):
         parse_config(str(array))
     bad_section = {
         "model": 42,
@@ -302,17 +314,8 @@ def test_parse_config_reports_unreadable_and_malformed_files(tmp_path):
         "horizon": 2,
         "replications": 2,
     }
-    with pytest.raises(ConfigError, match="object or a file path"):
+    with pytest.raises(InadmissibleConfig, match="object or a file path"):
         parse_config(write_json(tmp_path, "bad.json", bad_section))
-
-
-# -- sweep CSV ----------------------------------------------------------------------
-
-
-def test_emit_sweep_csv_golden_bytes(tmp_path):
-    path = tmp_path / "sweep.csv"
-    emit_sweep_csv([(0.75, 0.14384103622589045, 0.5493061443340549)], path)
-    assert path.read_bytes() == GOLDEN_SWEEP
 
 
 # -- command surface and exit codes ---------------------------------------------------
@@ -329,8 +332,7 @@ def test_sweep_command_prints_golden_row(capsys):
 def test_sweep_command_prints_the_default_grid_golden(capsys):
     # The 200-point default sweep, recorded when the conjugates were solved
     # by safeguarded Newton; its six decimals must not move with the solver.
-    golden = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
-    with open(golden, "rb") as fh:
+    with open(os.path.join(DATA, "sweep_default.csv"), "rb") as fh:
         expected = fh.read()
     code, out, _ = run_cli(["sweep"], capsys)
     assert code == 0
@@ -344,7 +346,7 @@ def test_sweep_command_writes_files_and_validates_bounds(tmp_path, capsys):
          "--out", str(target)],
         capsys,
     )
-    assert code == 0 and "wrote" in out
+    assert code == 0 and out == f"wrote {target}\n"
     assert target.read_bytes() == GOLDEN_SWEEP
     for bad in (
         ["sweep", "--from", "0.4"],
@@ -355,11 +357,6 @@ def test_sweep_command_writes_files_and_validates_bounds(tmp_path, capsys):
         code, _, err = run_cli(bad, capsys)
         assert code == 1
         assert "error:" in err
-    code, out, _ = run_cli(
-        ["rates", "sweep", "--from", "0.75", "--to", "0.75", "--points", "1"],
-        capsys,
-    )
-    assert code == 0 and out.encode() == GOLDEN_SWEEP
 
 
 def test_rates_show_reports_and_validates(tmp_path, capsys):
@@ -373,6 +370,32 @@ def test_rates_show_reports_and_validates(tmp_path, capsys):
     code, _, err = run_cli(["rates", "show", "--model", bad_path], capsys)
     assert code == 1
     assert "p must lie in (1/2,1)" in err
+
+
+def test_file_sections_name_their_field_in_errors(tmp_path, capsys):
+    # rates show and schedule read their files as parse_config reads a
+    # section given as a path, so an error carries the section's prefix
+    model = dict(binary_doc(0.75), family={"type": "binary_symmetric", "p": "0.75"})
+    model_path = write_json(tmp_path, "model.json", model)
+    code, _, err = run_cli(["rates", "show", "--model", model_path], capsys)
+    assert code == 1
+    assert err == "error: model: p must be a finite real number, not '0.75'\n"
+    net_path = write_json(tmp_path, "net.json", {"n": 3})
+    code, _, err = run_cli(["schedule", "--network", net_path], capsys)
+    assert code == 1
+    assert err == 'error: network: network document needs "n" and "neighborhoods"\n'
+
+
+def test_simulate_writes_the_small_config_golden_curve(tmp_path, capsys):
+    target = tmp_path / "curve.csv"
+    code, out, _ = run_cli(
+        ["simulate", "--config", os.path.join(DATA, "config_small.json"),
+         "--out", str(target)],
+        capsys,
+    )
+    assert code == 0 and out == f"wrote {target}\n"
+    with open(os.path.join(DATA, "curve_small.csv"), "rb") as fh:
+        assert target.read_bytes() == fh.read()
 
 
 def test_simulate_fit_pipeline(tmp_path, capsys):

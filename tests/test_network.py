@@ -25,7 +25,6 @@ from ratebound.network import (
 def test_network_normalizes_neighborhoods():
     net = Network(3, ((2, 0, 0), (1, 0), (2,)))
     assert net.neighborhoods == ((0, 2), (0, 1), (2,))
-    assert net.max_degree == 2
 
 
 def test_network_requires_self_observation_and_valid_indices():
@@ -50,10 +49,8 @@ def test_network_requires_self_observation_and_valid_indices():
 def test_complete_and_cycle_generators():
     net = Network.complete(4)
     assert all(h == (0, 1, 2, 3) for h in net.neighborhoods)
-    assert net.max_degree == 4
     cycle = Network.directed_cycle(4)
     assert cycle.neighborhoods == ((0, 3), (0, 1), (1, 2), (2, 3))
-    assert cycle.max_degree == 2
 
 
 def test_random_networks_are_seeded_connected_and_self_looped():

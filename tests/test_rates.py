@@ -1,17 +1,15 @@
-"""Rate constants: autarky, bounded, weak bounds, network caps, thresholds."""
+"""Rate constants: autarky, bounded, weak bounds, thresholds."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ratebound.network import Network
 from ratebound.rates import (
     UNBOUNDED,
     autarky_rate,
     bounded_rate,
     coordination_threshold,
-    neighborhood_bounded_rate,
     rate_report,
     sweep_figure1,
     weak_bounded_rate,
@@ -118,33 +116,6 @@ def test_autarky_rate_uses_the_worst_pair():
     ]
     assert rate == pytest.approx(min(per_pair), rel=1e-12)
     assert rate < 0.01
-
-
-def test_neighborhood_bound_on_complete_and_sparse_networks():
-    model = binary_model(0.75, n_agents=4)
-    m = BOUNDED_THREEQ
-    exact, degree_bound = neighborhood_bounded_rate(model, Network.complete(4))
-    assert exact == pytest.approx(4 * m, rel=1e-12)
-    assert degree_bound == pytest.approx(4 * m, rel=1e-12)
-    exact, degree_bound = neighborhood_bounded_rate(
-        model, Network.directed_cycle(4)
-    )
-    assert exact == pytest.approx(2 * m, rel=1e-12)
-    assert degree_bound == pytest.approx(2 * m, rel=1e-12)
-
-
-def test_neighborhood_bound_degree_relaxation_never_undercuts():
-    pmf = (
-        ((0.6, 0.4), (0.4, 0.6)),
-        ((0.9, 0.1), (0.1, 0.9)),
-        ((0.7, 0.3), (0.3, 0.7)),
-    )
-    model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf), n_agents=3)
-    net = Network(3, ((0, 1), (1,), (0, 2)))
-    exact, degree_bound = neighborhood_bounded_rate(model, net)
-    assert exact <= degree_bound + 1e-12
-    with pytest.raises(ValueError):
-        neighborhood_bounded_rate(model, Network.complete(2))
 
 
 def test_coordination_threshold_shrinks_with_slack():
