@@ -196,15 +196,15 @@ def rates_show(model_path: str) -> None:
 
 @cli.command(name="sweep")
 # declared in the order --help lists them
-@click.option("--out", type=str, default=None,
-              help="CSV file (stdout when omitted).")
-@click.option("--points", type=int, default=200, show_default=True,
-              help="Number of grid points.")
-@click.option("--to", "to_q", type=float, default=0.99, show_default=True,
-              help="Highest signal precision.")
 @click.option("--from", "from_q", type=float, default=0.51, show_default=True,
               help="Lowest signal precision.")
-def sweep(out: str | None, points: int, to_q: float, from_q: float) -> None:
+@click.option("--to", "to_q", type=float, default=0.99, show_default=True,
+              help="Highest signal precision.")
+@click.option("--points", type=int, default=200, show_default=True,
+              help="Number of grid points.")
+@click.option("--out", type=str, default=None,
+              help="CSV file (stdout when omitted).")
+def sweep(from_q: float, to_q: float, points: int, out: str | None) -> None:
     """Sweep autarky and bounded rates across signal precisions."""
     if not (0.5 < from_q < 1.0 and 0.5 < to_q < 1.0):
         raise ValueError("sweep bounds must lie in (1/2, 1)")

@@ -206,6 +206,25 @@ def build_schedule(net: Network) -> PropagationSchedule:
     return PropagationSchedule(n, M, relay_source, relay_offset, harvest)
 
 
+def _display(source: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """display[o, u], the agent whose vote u shows at block offset o, for
+    directives that each read an earlier offset: by pointer doubling.
+
+    Cell (o, u) points at the cell (offset, source) of its directive, and
+    row 0 at itself. Since every directive reads an earlier offset, each
+    chain of pointers ends in row 0; jumping every pointer to its target's
+    target halves the chains until none moves, and each cell then points at
+    the row-0 cell of the agent whose vote it shows.
+    """
+    n = source.shape[1]
+    pointer = np.concatenate([np.arange(n), (offset * n + source).ravel()])
+    while True:
+        jumped = pointer[pointer]
+        if np.array_equal(jumped, pointer):
+            return (pointer % n).reshape(-1, n)
+        pointer = jumped
+
+
 def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[int]]:
     """Symbolically replay one block; return whose votes each agent ends up knowing.
 
@@ -237,10 +256,7 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[in
     future = np.argwhere(offset >= np.arange(1, schedule.M)[:, None])
     if len(future):
         raise RuntimeError(f"directive at offset {future[0, 0] + 1} reads a future offset")
-    display = np.empty((schedule.M, n), dtype=np.intp)
-    display[0] = agents
-    for o in range(1, schedule.M):
-        display[o] = display[offset[o - 1], source[o - 1]]
+    display = _display(source, offset)
     owners = np.broadcast_to(agents, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     source, offset = schedule.harvest[..., 0], schedule.harvest[..., 1]
     unobserved = np.argwhere(~observes[agents[:, None], source])

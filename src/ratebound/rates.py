@@ -136,11 +136,20 @@ def sweep_figure1(p_values) -> list[tuple[float, float, float]]:
     """Autarky and bounded rates for symmetric binary models across signal
     precisions. Returns (q, r_aut, r_bdd) rows in input order.
 
-    Every point's conjugates at zero are solved in one lockstep call."""
+    One kernel per ordered state pair of each point gives both rates: r_aut
+    is the smaller of the two conjugates at zero, all solved in one
+    lockstep call, and r_bdd the smaller of the two means, which is what
+    bounded_rate reads off pair_means for one agent."""
     models = []
     for q in map(float, p_values):
         if not 0.5 < q < 1.0:
             raise ValueError(f"signal precision {q} outside (1/2, 1)")
         models.append(SignalModel(StateSpace((0, 1)), BinarySymmetric(q)))
-    rates = _autarky_rates([(model, 0) for model in models], 2)
-    return [(m.family.p, r_aut, bounded_rate(m)) for m, r_aut in zip(models, rates)]
+    kernels = [PairKernel(model, 0, f, g) for model in models
+               for f, g in _ordered_pairs(2)]
+    values = conjugates(kernels, np.zeros(len(kernels)))[0].tolist()
+    return [
+        (model.family.p, min(values[2 * i : 2 * i + 2]),
+         min(kern.mean for kern in kernels[2 * i : 2 * i + 2]))
+        for i, model in enumerate(models)
+    ]

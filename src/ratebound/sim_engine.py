@@ -817,6 +817,9 @@ def fit_rate(
     the fit unusable.
     """
     lo, hi = int(window[0]), int(window[1])
+    if lo > hi:
+        raise ValueError(f"window {window} is reversed: its first period "
+                         f"{lo} comes after its last {hi}")
     if not 1 <= lo <= hi <= curve.horizon:
         raise ValueError(f"window {window} outside the curve's 1..{curve.horizon}")
     mixed = curve.mixed()

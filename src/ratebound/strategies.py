@@ -117,10 +117,14 @@ def lowest_dominant(L: np.ndarray, plan: tuple, bounds: np.ndarray,
 
 def ml_choice(L: np.ndarray, plan: tuple, actions: np.ndarray) -> None:
     """Maximum-likelihood action (plan = ml_plan(k)): the lowest state whose
-    row dominates, L[f, g] >= 0 for every g. Accumulated rounding can starve
-    every row when k > 2; such cells take the largest row sum, summed left to
-    right over g != f (ties to the lowest state)."""
+    row dominates, L[f, g] >= 0 for every g. On two states that is one
+    compare: state 0 exactly when L[0, 1] >= 0 (-0.0 included). Accumulated
+    rounding can starve every row when k > 2; such cells take the largest
+    row sum, summed left to right over g != f (ties to the lowest state)."""
     rows, dominance, zeros = plan
+    if len(rows) == 2:
+        np.less(L[0], 0.0, out=actions)
+        return
     top = len(rows) - 1
     actions.fill(0)
     best = None

@@ -359,6 +359,14 @@ def test_sweep_command_writes_files_and_validates_bounds(tmp_path, capsys):
         assert "error:" in err
 
 
+def test_sweep_help_lists_the_options_in_grid_order(capsys):
+    code, out, _ = run_cli(["sweep", "--help"], capsys)
+    assert code == 0
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.lstrip().startswith("--")]
+    assert listed == ["--from", "--to", "--points", "--out", "--help"]
+
+
 def test_rates_show_reports_and_validates(tmp_path, capsys):
     model_path = write_json(tmp_path, "model.json", binary_doc(0.8, 2))
     code, out, _ = run_cli(["rates", "show", "--model", model_path], capsys)
@@ -434,6 +442,22 @@ def test_simulate_fit_pipeline(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+
+
+def test_fit_names_a_reversed_window(capsys):
+    curve = os.path.join(DATA, "curve_small.csv")
+    code, out, err = run_cli(["fit", "--curve", curve, "--window", "6:2"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: window (6, 2) is reversed: its first period 6 comes after "
+        "its last 2"
+    ]
+    for window in ("0:4", "1:7"):
+        code, _, err = run_cli(["fit", "--curve", curve, "--window", window],
+                               capsys)
+        lo, hi = window.split(":")
+        assert code == 1
+        assert err == f"error: window ({lo}, {hi}) outside the curve's 1..6\n"
 
 
 def test_simulate_surfaces_every_config_violation(tmp_path, capsys):

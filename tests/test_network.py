@@ -9,6 +9,7 @@ import pytest
 from ratebound import verification
 from ratebound.network import (
     Network,
+    _display,
     build_schedule,
     distances,
     is_strongly_connected,
@@ -230,6 +231,22 @@ def test_schedule_carriers_match_a_brute_force_search():
         for m, j in enumerate(j for j in range(n) if j != i):
             u = carrier(i, j)
             assert tuple(schedule.harvest[i, m]) == (u, shown(u, j))
+
+
+def test_pointer_doubled_display_equals_an_offset_by_offset_replay():
+    # The check's 103 networks, then complete networks and directed cycles:
+    # a cycle of n agents relays along chains n - 1 directives long.
+    nets = [*verification._coverage_networks(),
+            *(Network.complete(n) for n in range(2, 13)),
+            *(Network.directed_cycle(n) for n in range(3, 13))]
+    for net in nets:
+        schedule = build_schedule(net)
+        source, offset = schedule.relay_source, schedule.relay_offset
+        expected = np.empty((schedule.M, net.n), dtype=np.intp)
+        expected[0] = np.arange(net.n)
+        for o in range(1, schedule.M):
+            expected[o] = expected[offset[o - 1], source[o - 1]]
+        np.testing.assert_array_equal(_display(source, offset), expected)
 
 
 def test_schedule_arrays_are_read_only():

@@ -21,6 +21,7 @@ from ratebound.signal_models import (
     SignalModel,
     StateSpace,
 )
+from ratebound.verification import _conjugate_zero_oracle
 
 LOG3 = 1.0986122886681098
 AUTARKY_THREEQ = 0.14384103622589045
@@ -147,6 +148,22 @@ def test_sweep_rows_equal_each_points_own_rates():
     for q, raut, rbdd in sweep_figure1(grid):
         model = binary_model(q)
         assert (raut, rbdd) == (autarky_rate(model), bounded_rate(model)), q
+
+
+def test_windowed_grid_oracle_equals_the_full_scan():
+    # The oracle scans the grid only around each coarse minimum; it must
+    # return the full 11,001-point scan's value bit for bit, near 1/2 and 1
+    # as well as on the rate-sweep check's own 201 precisions.
+    def full_scan(q):
+        z = np.linspace(-1.05, 0.05, 11001)
+        w = math.log(q) - math.log(1.0 - q)
+        cgf = np.logaddexp(math.log(q) + z * w, math.log(1.0 - q) - z * w)
+        return -float(cgf.min())
+
+    grid = [*np.linspace(0.501, 0.999, 997), *np.linspace(0.51, 0.99, 200),
+            0.75, 0.5001, 0.9999]
+    expected = [full_scan(q) for q in grid]
+    assert _conjugate_zero_oracle(grid).tolist() == expected
 
 
 def test_sweep_rejects_precisions_outside_the_open_interval():

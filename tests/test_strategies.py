@@ -38,7 +38,7 @@ from ratebound.strategies import (
     strategy_from_json,
     strategy_to_json,
 )
-from replay_reference import most_popular
+from replay_reference import ml_action, most_popular
 
 LOG3 = 1.0986122886681098
 
@@ -91,6 +91,22 @@ def test_ml_action_picks_the_dominating_row():
     # are 1, -2 and 1, and the tie again goes to the lowest state.
     assert ml([-1.0, 2.0, -3.0], 3) == 0
     assert ml([-1.0, 2.0, 1.0], 3) == 1
+
+
+def test_two_state_ml_is_one_compare_that_equals_the_reference():
+    # ml_choice decides two states by the sign of L[0, 1]; every cell must
+    # equal the scalar reference's dominance rule, signed zeros, the
+    # smallest subnormals and ties included, for either action width.
+    rng = np.random.default_rng(17)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf]
+    pair = np.concatenate([rng.normal(scale=3.0, size=(4, 250)).ravel(),
+                           np.repeat(special, 25)])
+    L = pair.reshape(1, 50, -1)
+    for dtype in (np.int8, np.int16):
+        actions = np.full(L.shape[1:], 7, dtype=dtype)
+        ml_choice(L, ml_plan(2), actions)
+        expected = [ml_action(np.array([[0.0, v], [-v, 0.0]])) for v in pair]
+        assert actions.ravel().tolist() == expected
 
 
 def test_decisive_state_thresholds():
