@@ -54,10 +54,6 @@ class PairKernel:
     def __init__(self, model: SignalModel, agent: int, f: int, g: int):
         if f == g:
             raise ValueError("a pair kernel requires two distinct states")
-        self.model = model
-        self.agent = agent
-        self.f = f
-        self.g = g
         if isinstance(model.family, Gaussian):
             mean_f, sigma = model.gaussian_params(agent, f)
             mean_g, _ = model.gaussian_params(agent, g)

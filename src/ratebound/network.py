@@ -163,7 +163,6 @@ class PropagationSchedule:
     shapes (M-1, n), (M-1, n) and (n, n-1, 2), are read-only.
     """
 
-    n: int
     M: int
     relay_source: np.ndarray
     relay_offset: np.ndarray
@@ -203,7 +202,7 @@ def build_schedule(net: Network) -> PropagationSchedule:
     harvest = np.stack([carrier, relay_at], axis=-1)[others].reshape(n, n - 1, 2)
     for array in (relay_source, relay_offset, harvest):
         array.flags.writeable = False
-    return PropagationSchedule(n, M, relay_source, relay_offset, harvest)
+    return PropagationSchedule(M, relay_source, relay_offset, harvest)
 
 
 def _display(source: np.ndarray, offset: np.ndarray) -> np.ndarray:

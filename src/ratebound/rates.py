@@ -115,20 +115,17 @@ def coordination_threshold(model: SignalModel, delta: float) -> int:
     log-likelihood ratio.
     """
     pairs = _ordered_pairs(model.states.n_states)
-    kernels = {pair: PairKernel(model, 0, *pair) for pair in pairs}
-    min_mean = min(k.mean for k in kernels.values())
+    kernels = [PairKernel(model, 0, f, g) for f, g in pairs]
+    mean = {pair: kern.mean for pair, kern in zip(pairs, kernels)}
+    min_mean = min(mean.values())
     if not 0.0 < delta < min_mean:
         raise ValueError(
             f"delta must lie in (0, {min_mean:.6g}), the smallest pair mean"
         )
-    numerator = min(
-        kernels[(f, g)].legendre(-kernels[(g, f)].mean + delta).value
-        for f, g in pairs
-    )
-    denominator = min(
-        kernels[(f, g)].legendre(kernels[(f, g)].mean - delta).value
-        for f, g in pairs
-    )
+    # the numerator's etas, then the denominator's, in one lockstep call
+    etas = [[delta - mean[g, f] for f, g in pairs],
+            [mean[pair] - delta for pair in pairs]]
+    numerator, denominator = conjugates(kernels * 2, etas)[0].min(axis=1).tolist()
     return math.ceil(2.0 * numerator / denominator)
 
 

@@ -230,17 +230,21 @@ def _draw_chunk(
     binding: _Binding, state: int, gen: np.random.Generator, count: int, horizon: int
 ) -> np.ndarray:
     """The next count replications of a block's stream: (count, n_agents,
-    horizon) support indices (finite families) or reals (Gaussian).
+    horizon) support indices (finite families) or reals (Gaussian)."""
+    return binding.draw(state, gen, (count, binding.n, horizon))
 
-    Finite families threshold one raw Philox word per signal against every
-    agent's word edges in a single broadcast call; the indices (int8 up to
-    128 atoms) come out in the words' layout."""
-    shape = (count, binding.n, horizon)
-    if binding.edges is not None:
-        return indices_from_words(
-            binding.edges[state], gen.bit_generator.random_raw(shape)
-        )
-    return gen.normal(binding.means[state], binding.sigma, shape)
+
+def _draw_indices(edges: list, state: int, gen: np.random.Generator,
+                  shape: tuple) -> np.ndarray:
+    """Finite families: one raw Philox word per signal, thresholded against
+    every agent's word edges of the state in a single broadcast call; the
+    indices (int8 up to 128 atoms) come out in the words' layout."""
+    return indices_from_words(edges[state], gen.bit_generator.random_raw(shape))
+
+
+def _draw_normal(means: np.ndarray, sigma: float, state: int,
+                 gen: np.random.Generator, shape: tuple) -> np.ndarray:
+    return gen.normal(means[state], sigma, shape)
 
 
 # -- the batched engine ------------------------------------------------------------
@@ -256,10 +260,12 @@ def _per_agent(rows: np.ndarray) -> np.ndarray:
 class _Binding:
     """Per-config constants of the engine, compiled once per run.
 
-    Signals: the word edges of every state's pmf rows, or the Gaussian means
-    per state and agent and the shared sigma.
-    Evidence: the log-prior term per state pair, and either per-pair llr
-    tables flattened over (agent, atom) or the Gaussian diff, avg and var.
+    Signals: draw(state, gen, shape), compiled here once for the signal
+    family: support indices from the state's word edges, or Gaussian reals
+    from its means and the shared sigma.
+    Evidence: the log-prior term per state pair, and absorb(signals, acc,
+    step), which adds a period's llr increments from per-pair llr tables
+    flattened over (agent, atom) (table), or the Gaussian diff, avg and var.
     Per-agent arrays hold the agent axis second to last, (..., agents, 1),
     so they broadcast against (agents, reps) cells.
     Decisions: the strategy, dispatched here once, becomes either
@@ -280,39 +286,33 @@ class _Binding:
         self.action_dtype = np.int8 if k <= 127 else np.int16
         prior = prior_log_matrix(model)
         self.prior = np.array([prior[f, g] for f, g in pairs])
-        self.edges = self.means = None
+        # partials of module functions, unlike closures, pickle for a pool
+        # whose workers are spawned
         if model.has_finite_support:
-            self.edges = [
-                word_edges(_per_agent(rows)[:, None, :])
-                for rows in model.pmf.transpose(1, 0, 2)
-            ]
+            edges = [word_edges(_per_agent(rows)[:, None, :])
+                     for rows in model.pmf.transpose(1, 0, 2)]
             llrs = llr_table(model)
             tables = _per_agent(np.stack([llrs[:, :, f, g] for f, g in pairs], 1))
             # table[p] is indexed by agent * n_atoms + atom
             self.table = np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(
                 len(pairs), -1
             )
-            self.atom_offsets = None
-            if tables.shape[0] > 1:
-                self.atom_offsets = np.arange(n)[:, None] * tables.shape[2]
+            per_agent = len(tables) > 1
+            offsets = np.arange(n)[:, None] * tables.shape[2] if per_agent else None
+            self.draw = partial(_draw_indices, edges)
+            self.absorb = partial(_absorb_indices, self.table, offsets)
         else:
-            self.table = self.atom_offsets = None
+            self.table = None
             means = _per_agent(
                 np.array([[model.gaussian_params(a, f)[0] for f in range(k)]
                           for a in range(n)])
             )
             sigma = model.gaussian_params(0, 0)[1]
-            self.means = means.T[:, None, :, None]
-            self.sigma = sigma
-            self.diff = np.stack(
-                [means[:, f] - means[:, g] for f, g in pairs]
-            )[:, :, None]
-            self.avg = np.stack(
-                [(means[:, f] + means[:, g]) / 2.0 for f, g in pairs]
-            )[:, :, None]
-            self.var = sigma * sigma
-        # partials of module functions, unlike closures, pickle for a pool
-        # whose workers are spawned
+            diff = np.stack([means[:, f] - means[:, g] for f, g in pairs])
+            avg = np.stack([(means[:, f] + means[:, g]) / 2.0 for f, g in pairs])
+            self.draw = partial(_draw_normal, means.T[:, None, :, None], sigma)
+            self.absorb = partial(_absorb_normal, diff[..., None], avg[..., None],
+                                  sigma * sigma)
         strat = config.strategy
         self.decide = self.fill = None
         if isinstance(strat, AutarkyML):
@@ -326,7 +326,7 @@ class _Binding:
             rule = (k, first, dominance_plan(k), bounds)
             if isinstance(strat, CoordinationComplete):
                 counted = None
-                if k == 2 and self.table is not None and tables.shape[2] == 2:
+                if k == 2 and model.has_finite_support and tables.shape[2] == 2:
                     counted = _count_rule(self.prior[0], tables[:, 0], bounds)
                 if counted is None:
                     self.decide = partial(_follow_plurality, *rule)
@@ -344,17 +344,25 @@ class _Binding:
             self.fill = partial(_constant, strat.state)
 
 
-def _absorb(binding: _Binding, signals: np.ndarray, acc: np.ndarray,
-            step: np.ndarray) -> None:
-    """acc[p] += the period's llr increment of pair p, for (agents, reps)
-    signals: a table lookup, or diff * (x - avg) / var for Gaussians."""
+def _absorb_indices(table: np.ndarray, offsets: np.ndarray | None,
+                    signals: np.ndarray, acc: np.ndarray, step: np.ndarray) -> None:
+    """acc[p] += the period's llr increment of pair p for (agents, reps)
+    support indices, looked up in the table past each agent's atom offset."""
+    if offsets is not None:
+        signals = signals + offsets
     for p in range(acc.shape[0]):
-        if binding.table is not None:
-            binding.table[p].take(signals, out=step, mode="clip")
-        else:
-            np.subtract(signals, binding.avg[p], out=step)
-            np.multiply(binding.diff[p], step, out=step)
-            np.divide(step, binding.var, out=step)
+        table[p].take(signals, out=step, mode="clip")
+        np.add(acc[p], step, out=acc[p])
+
+
+def _absorb_normal(diff: np.ndarray, avg: np.ndarray, var: float,
+                   signals: np.ndarray, acc: np.ndarray, step: np.ndarray) -> None:
+    """acc[p] += diff * (x - avg) / var, the llr increment of pair p for
+    (agents, reps) Gaussian signals x."""
+    for p in range(acc.shape[0]):
+        np.subtract(signals, avg[p], out=step)
+        np.multiply(diff[p], step, out=step)
+        np.divide(step, var, out=step)
         np.add(acc[p], step, out=acc[p])
 
 
@@ -533,10 +541,7 @@ def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.nda
     prior = binding.prior[:, None, None] if binding.prior.any() else None
     L = acc if prior is None else np.empty_like(acc)
     for t in range(1, horizon + 1):
-        period = signals[:, :, t - 1].T
-        if binding.atom_offsets is not None:
-            period = period + binding.atom_offsets
-        _absorb(binding, period, acc, step)
+        binding.absorb(signals[:, :, t - 1].T, acc, step)
         if prior is not None:
             np.add(prior, acc, out=L)
         binding.decide(t, L, history)

@@ -58,24 +58,25 @@ def _binary_model(p: float, n_agents: int = 1) -> SignalModel:
 # -- 1: closed forms and the conjugate grid oracle --------------------------------
 
 
-def _conjugate_zero_oracle(qs) -> np.ndarray:
-    """Grid-search values of the conjugate at 0 for symmetric binary pairs,
-    one per precision in qs.
+def _conjugate_zero_oracle(pf, pg) -> np.ndarray:
+    """Grid-search values of the conjugate at 0 for two-atom pairs, one per
+    lane: row i of pf and of pg holds lane i's pmf under f and under g.
 
-    Independent of the solver: evaluates the cumulant generating function in
-    closed form on a fine tilt grid. The cgf vanishes at 0 and -1, so by
+    Independent of the solver: evaluates the cgf log(pf0 (pf0/pg0)^z +
+    pf1 (pf1/pg1)^z) on a fine tilt grid. It vanishes at 0 and -1, so by
     convexity the minimizer lies inside [-1, 0]. Every 100th grid point
     locates each minimum to within one such step; convexity then puts the
     full grid's minimum among the points within a step of it, and only
-    those are scanned. Each point is the same expression as in a full scan.
+    those are scanned, each by the full scan's expression.
     """
     z = np.linspace(-1.05, 0.05, 11001)
-    log_q = np.array([math.log(q) for q in qs])[:, None]
-    log_r = np.array([math.log(1.0 - q) for q in qs])[:, None]
-    w = log_q - log_r
+    # math.log, whose bits do not depend on numpy's vectorized loops
+    log = np.vectorize(math.log, otypes=[float])
+    log_f, log_g = log(pf), log(pg)
+    w = log_f - log_g
 
     def cgf(zs: np.ndarray) -> np.ndarray:
-        return np.logaddexp(log_q + zs * w, log_r - zs * w)
+        return np.logaddexp(log_f[:, :1] + zs * w[:, :1], log_f[:, 1:] + zs * w[:, 1:])
 
     step = 100
     coarse = cgf(z[::step]).argmin(axis=1) * step
@@ -90,8 +91,9 @@ def _check_rate_sweep() -> tuple[bool, str]:
     for q, raut, rmaj in rows:
         closed = (2.0 * q - 1.0) * (math.log(q) - math.log(1.0 - q))
         closed_dev = max(closed_dev, abs(rmaj - closed))
-    qs, rauts, _ = zip(*rows)
-    oracle_dev = float(np.abs(np.array(rauts) - _conjugate_zero_oracle(qs)).max())
+    qs, rauts, _ = (np.array(column) for column in zip(*rows))
+    pf = np.column_stack([qs, 1.0 - qs])
+    oracle_dev = float(np.abs(rauts - _conjugate_zero_oracle(pf, pf[:, ::-1])).max())
     q75, raut75, rmaj75 = rows[-1]
     ok = (
         closed_dev <= 1e-9

@@ -546,6 +546,52 @@ def test_schedule_command_certifies_networks(tmp_path, capsys):
     assert code == 0 and json.loads(out)["full_knowledge"] is True
 
 
+def test_config_refusals_name_the_missing_or_unreadable_section(tmp_path, capsys):
+    # each refusal through main(): exactly one error line and exit 1
+    whole = {
+        "model": binary_doc(0.75),
+        "strategy": {"strategy": "autarky-ml"},
+        "horizon": 2,
+        "replications": 5,
+    }
+    missing = tmp_path / "no-such-model.json"
+    for config, line in (
+        ({k: v for k, v in whole.items() if k != "model"}, "error: model: required"),
+        ({k: v for k, v in whole.items() if k != "strategy"},
+         "error: strategy: required"),
+        ({**whole, "model": str(missing)}, f"error: model: cannot read {missing}: "),
+    ):
+        config_path = write_json(tmp_path, "config.json", config)
+        code, out, err = run_cli(
+            ["simulate", "--config", config_path, "--out", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(line), err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_schedule_command_refuses_a_network_that_is_not_strongly_connected(
+    tmp_path, capsys
+):
+    net_path = write_json(
+        tmp_path, "net.json", {"n": 3, "neighborhoods": [[0], [0, 1], [1, 2]]}
+    )
+    code, out, err = run_cli(["schedule", "--network", net_path], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: a propagation schedule requires a strongly connected network"
+    ]
+
+
+def test_schedule_command_builds_a_complete_network(capsys):
+    code, out, err = run_cli(["schedule", "--complete", "4"], capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["block_length"] == 9  # 1 + n(n - 2)
+    assert doc["full_knowledge"] is True
+
+
 def test_schedule_documents_match_their_golden_bytes():
     nets = _coverage_networks() + [
         Network.directed_cycle(5), Network.complete(1), Network.complete(2),

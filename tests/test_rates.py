@@ -131,6 +131,36 @@ def test_coordination_threshold_shrinks_with_slack():
         coordination_threshold(model, BOUNDED_THREEQ)
 
 
+def test_coordination_threshold_pins_the_group_sizes_at_three_quarters():
+    model = binary_model(0.75)
+    sizes = [coordination_threshold(model, delta)
+             for delta in (0.4, 0.3, 0.2, 0.1, 0.05, 0.01)]
+    assert sizes == [6, 14, 36, 171, 740, 19_608]
+
+
+def test_coordination_threshold_equals_its_pair_by_pair_solve():
+    from ratebound.ldp_numerics import PairKernel
+
+    states = StateSpace((0, 1, 2))
+    models = [
+        SignalModel(states, Finite((0, 1, 2, 3), ((0.4, 0.3, 0.2, 0.1),
+                                                  (0.1, 0.4, 0.3, 0.2),
+                                                  (0.25, 0.25, 0.25, 0.25)))),
+        SignalModel(states, Gaussian((0.0, 0.6, 1.2), 1.0)),
+    ]
+    pairs = [(f, g) for f in range(3) for g in range(3) if f != g]
+    for model in models:
+        kern = {pair: PairKernel(model, 0, *pair) for pair in pairs}
+        least = min(k.mean for k in kern.values())
+        for delta in (0.9 * least, 0.5 * least, 0.2 * least):
+            numerator = min(kern[f, g].legendre(delta - kern[g, f].mean).value
+                            for f, g in pairs)
+            denominator = min(kern[pair].legendre(kern[pair].mean - delta).value
+                              for pair in pairs)
+            expected = math.ceil(2.0 * numerator / denominator)
+            assert coordination_threshold(model, delta) == expected
+
+
 def test_sweep_rows_follow_the_input_grid():
     grid = [0.6, 0.75, 0.9]
     rows = sweep_figure1(grid)
@@ -153,17 +183,30 @@ def test_sweep_rows_equal_each_points_own_rates():
 def test_windowed_grid_oracle_equals_the_full_scan():
     # The oracle scans the grid only around each coarse minimum; it must
     # return the full 11,001-point scan's value bit for bit, near 1/2 and 1
-    # as well as on the rate-sweep check's own 201 precisions.
-    def full_scan(q):
-        z = np.linspace(-1.05, 0.05, 11001)
+    # as well as on the rate-sweep check's own 201 precisions. A symmetric
+    # binary cgf is symmetric about z = -1/2, a coarse grid point, so the
+    # asymmetric two-atom lanes are the ones whose minimum the window finds.
+    z = np.linspace(-1.05, 0.05, 11001)
+
+    def symmetric_scan(q):
         w = math.log(q) - math.log(1.0 - q)
         cgf = np.logaddexp(math.log(q) + z * w, math.log(1.0 - q) - z * w)
         return -float(cgf.min())
 
-    grid = [*np.linspace(0.501, 0.999, 997), *np.linspace(0.51, 0.99, 200),
-            0.75, 0.5001, 0.9999]
-    expected = [full_scan(q) for q in grid]
-    assert _conjugate_zero_oracle(grid).tolist() == expected
+    def full_scan(a, b):
+        terms = [math.log(f) + z * (math.log(f) - math.log(g))
+                 for f, g in ((a, b), (1.0 - a, 1.0 - b))]
+        return -float(np.logaddexp(*terms).min())
+
+    qs = np.array([*np.linspace(0.501, 0.999, 997), *np.linspace(0.51, 0.99, 200),
+                   0.75, 0.5001, 0.9999])
+    pf = np.column_stack([qs, 1.0 - qs])
+    got = _conjugate_zero_oracle(pf, pf[:, ::-1]).tolist()
+    assert got == [symmetric_scan(q) for q in qs]
+    a, b = np.random.default_rng(20).uniform(0.01, 0.99, size=(2, 1000))
+    lanes = [np.column_stack([p, 1.0 - p]) for p in (a, b)]
+    expected = [full_scan(*pair) for pair in zip(a.tolist(), b.tolist())]
+    assert _conjugate_zero_oracle(*lanes).tolist() == expected
 
 
 def test_sweep_rejects_precisions_outside_the_open_interval():

@@ -277,10 +277,12 @@ def test_engine_keeps_agents_and_replications_apart():
     for model, strategy in itertools.product(models, strategies):
         config = SimConfig(model, Network.complete(n), strategy, 20, n, 31)
         binding = _Binding(config)
+        # the compiled absorb carries per-agent atom offsets (finite) or a
+        # per-agent diff (Gaussian)
         if model.has_finite_support:
-            assert binding.atom_offsets is not None
+            assert binding.absorb.args[1] is not None
         else:
-            assert binding.diff.shape == (3, n, 1)
+            assert binding.absorb.args[0].shape == (3, n, 1)
         for state in range(3):
             gen = _chunk_generator(config.seed, state, 0)
             signals = _draw_chunk(binding, state, gen, n, config.horizon)

@@ -227,13 +227,13 @@ def test_compiled_increments_match_llr_for_both_families():
         StateSpace((0, 1, 2)), Gaussian(((1.0, 0.0, -0.5), (2.0, 0.0, 1.0)), 2.0), 2
     )
     config = SimConfig(gaussian, Network.complete(2), AutarkyML(), 1, 1, 0)
-    binding = _Binding(config)
+    xs = (-0.7, 0.3, 2.2)
+    acc = np.zeros((3, 2, len(xs)))  # (pairs, agents, reps)
+    _Binding(config).absorb(np.array([xs, xs]), acc, np.empty((2, len(xs))))
     for p, (f, g) in enumerate(((0, 1), (0, 2), (1, 2))):
         for agent in (0, 1):
-            for x in (-0.7, 0.3, 2.2):
-                diff, avg = binding.diff[p, agent, 0], binding.avg[p, agent, 0]
-                inc = diff * (x - avg) / binding.var
-                assert inc == pytest.approx(
+            for r, x in enumerate(xs):
+                assert acc[p, agent, r] == pytest.approx(
                     gaussian.llr(agent, f, g, x), rel=1e-14
                 )
 
