@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,62 +40,50 @@ class ConjugateResult:
         return math.isinf(self.argmax_z)
 
 
+class Lane(NamedTuple):
+    """One agent's llr law under one ordered state pair (f, g): rows [log
+    p_f, llr] over the agent's support atoms, shape (2, atoms), or None if
+    Gaussian; E_f[llr], Var_f[llr] and the llr range (low, high)."""
+
+    rows: np.ndarray | None
+    mean: float
+    variance: float
+    low: float
+    high: float
+
+    def cgf(self, z):
+        """log E_f[exp(z * llr)]; exact log-sum-exp, finite for every real z."""
+        if self.rows is None:
+            return self.mean * z + self.variance * np.square(z) / 2.0
+        vals = _cgf(self.rows, np.asarray(z, dtype=float))
+        return float(vals) if vals.ndim == 0 else vals
+
+    def cgf_prime(self, z: float) -> float:
+        """d/dz cgf(z) = E[llr e^{z llr}] / E[e^{z llr}], strictly increasing."""
+        if self.rows is None:
+            return self.mean + self.variance * z
+        return float(_tilted_mean(self.rows, np.asarray(z, dtype=float)))
+
+
 class PairKernel:
     """Log-likelihood ratio law of one agent under one ordered state pair (f, g).
 
-    Caches the llr atoms under f (finite families) or the closed-form moments
-    (Gaussian), and exposes the cumulant generating function, its derivatives,
-    and the Fenchel-Legendre transform. Immutable after construction; all
-    methods are pure, so kernels are safe to share across threads.
+    A view of one lane of the model's pair table: its cumulant generating
+    function (cgf, cgf_prime, as the Lane's), and the Fenchel-Legendre
+    transform. Immutable; all methods are pure, so kernels are safe to share
+    across threads.
 
     mean is E_f[llr] (nats per period); domain is (inf llr, sup llr).
     """
 
     def __init__(self, model: SignalModel, agent: int, f: int, g: int):
-        if f == g:
-            raise ValueError("a pair kernel requires two distinct states")
-        if isinstance(model.family, Gaussian):
-            mean_f, sigma = model.gaussian_params(agent, f)
-            mean_g, _ = model.gaussian_params(agent, g)
-            diff = mean_f - mean_g
-            self._gaussian = True
-            self.variance = diff**2 / sigma**2
-            self.mean = self.variance / 2.0
-            self.domain = (-math.inf, math.inf)
-            self._rows = None
-        else:
-            pmf_f = model.pmf_row(agent, f)
-            pmf_g = model.pmf_row(agent, g)
-            mask = pmf_f > 0.0
-            if np.any(pmf_g[mask] <= 0.0):
-                raise ValueError(
-                    "kernel requires mutually absolutely continuous states"
-                )
-            self._gaussian = False
-            log_pf = np.log(pmf_f[mask])
-            llrs = log_pf - np.log(pmf_g[mask])
-            # The kernel's lane row: log p_f and llr over its atoms.
-            self._rows = np.array([log_pf, llrs])
-            self.mean = float(np.sum(pmf_f[mask] * llrs))
-            self.variance = float(np.sum(pmf_f[mask] * llrs**2) - self.mean**2)
-            self.domain = (float(llrs.min()), float(llrs.max()))
+        self.lane = pair_table(model).lanes([(agent, f, g)])[0]
 
-    # -- cumulant generating function -------------------------------------
-
-    def cgf(self, z):
-        """log E_f[exp(z * llr)]; exact log-sum-exp, finite for every real z."""
-        if self._gaussian:
-            return self.mean * z + self.variance * np.square(z) / 2.0
-        vals = _cgf(self._rows, np.asarray(z, dtype=float))
-        return float(vals) if vals.ndim == 0 else vals
-
-    def cgf_prime(self, z: float) -> float:
-        """d/dz cgf(z) = E[llr e^{z llr}] / E[e^{z llr}], strictly increasing."""
-        if self._gaussian:
-            return self.mean + self.variance * z
-        return float(_tilted_mean(self._rows, np.asarray(z, dtype=float)))
-
-    # -- Fenchel-Legendre transform ----------------------------------------
+    mean = property(lambda self: self.lane.mean)
+    variance = property(lambda self: self.lane.variance)
+    domain = property(lambda self: (self.lane.low, self.lane.high))
+    cgf = property(lambda self: self.lane.cgf)
+    cgf_prime = property(lambda self: self.lane.cgf_prime)
 
     def legendre(self, eta: float) -> ConjugateResult:
         """sup_z (eta*z - cgf(z)), solved via the strictly increasing cgf_prime.
@@ -108,40 +96,117 @@ class PairKernel:
         argmax_z = +-inf.
         """
         eta = float(eta)
-        value, z, iterations = conjugates((self,), (eta,))
+        value, z, iterations = conjugates((self.lane,), (eta,))
         return ConjugateResult(eta, float(value[0]), float(z[0]), int(iterations[0]))
 
-    def _endpoint_value(self, endpoint: float) -> float:
-        scale = max(1.0, abs(endpoint))
-        log_pf, llrs = self._rows[0], self._rows[1]
-        mass = np.exp(log_pf[np.abs(llrs - endpoint) <= 1e-12 * scale]).sum()
-        return -math.log(mass)
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Every agent's llr law under every ordered state pair (f, g): mean is
+    the (agents, k, k) array of pair means, zero on the diagonal. A finite
+    table holds the pmf and its logs, from one np.log, with 0 at atoms never
+    drawn, and cuts a lane's rows and variance from them when asked; a
+    Gaussian table holds the closed-form variances.
+    """
+
+    mean: np.ndarray
+    variance: np.ndarray | None
+    pmf: np.ndarray | None
+    logs: np.ndarray | None
+
+    def lanes(self, index) -> list[Lane]:
+        """The lanes at index, a sequence of (agent, f, g) with f != g."""
+        index = np.array(index, dtype=np.intp).reshape(-1, 3)
+        n, k = self.mean.shape[:2]
+        if not (((0 <= index) & (index < (n, k, k))).all()
+                and (index[:, 1] != index[:, 2]).all()):
+            raise ValueError(f"a lane needs an agent below {n} and two "
+                             f"distinct states below {k}")
+        a, f, g = index.T
+        mean = self.mean[a, f, g].tolist()
+        if self.logs is None:
+            return [Lane(None, m, v, -math.inf, math.inf)
+                    for m, v in zip(mean, self.variance[a, f, g].tolist())]
+        lanes = [None] * len(mean)
+        for members, pmf_f, log_pf, llrs in _gathers(self.pmf, self.logs, index):
+            second = np.add.reduce(pmf_f * llrs**2, axis=-1)
+            stats = zip(np.stack([log_pf, llrs], axis=1), second.tolist(),
+                        llrs.min(axis=-1).tolist(), llrs.max(axis=-1).tolist())
+            for i, (rows, sq, low, high) in zip(members.tolist(), stats):
+                lanes[i] = Lane(rows, mean[i], sq - mean[i] ** 2, low, high)
+        return lanes
 
 
-def llr_table(model: SignalModel) -> np.ndarray:
-    """Every agent's llr increment per atom, shape (agents, atoms, k, k):
-    table[a, s, f, g] = log p_f(s) - log p_g(s) for agent a. An atom with
-    zero mass in every state of its agent is never drawn; its increments are
-    0. Raises ValueError unless each agent's states share one support."""
-    pmf = model.pmf
+def _gathers(pmf: np.ndarray, logs: np.ndarray, index: np.ndarray):
+    """The lanes at index, (lanes, 3) rows of (agent, f, g), grouped by
+    their agent's support: for each support pattern, (members, p_f, log
+    p_f, llr) over its atoms. Each gather is a fresh C-contiguous (members,
+    atoms) array, so each reduce over it runs over one lane's row, as np.sum
+    does a lone lane's: atoms outside the support would regroup numpy's
+    pairwise sum and move the last bit."""
+    support = pmf[index[:, 0], 0] > 0.0
+    order = np.lexsort(support.T)
+    ends = np.flatnonzero((support[order[1:]] != support[order[:-1]]).any(axis=1))
+    for members in np.split(order, ends + 1) if order.size else []:
+        a, f, g = index[members].T[:, :, None]
+        atoms = np.flatnonzero(support[members[0]])
+        log_pf = logs[a, f, atoms]
+        yield members, pmf[a, f, atoms], log_pf, log_pf - logs[a, g, atoms]
+
+
+def pair_table(model: SignalModel) -> PairTable:
+    """The model's PairTable, built on first use and kept, read-only, with
+    the model, which is immutable. Raises ValueError unless each agent's
+    states share one support."""
+    table = vars(model).get("_pair_table")
+    if table is None:
+        if isinstance(model.family, Gaussian):
+            diff = model.means[:, :, None] - model.means[:, None, :]
+            # float ** 2 is the C library's pow; numpy's x * x can differ
+            # from it in the last bit of a lane's moments.
+            squares = np.reshape([d**2 for d in diff.ravel().tolist()], diff.shape)
+            variance = squares / model.family.sigma**2
+            table = PairTable(variance / 2.0, variance, None, None)
+        else:
+            table = pmf_table(model.pmf)
+        for array in vars(table).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        object.__setattr__(model, "_pair_table", table)
+    return table
+
+
+def pmf_table(pmf: np.ndarray) -> PairTable:
+    """The PairTable of an (agents, k, atoms) pmf array. Raises ValueError
+    unless each agent's states share one support."""
+    n, k, _ = pmf.shape
     support = pmf > 0.0
     if np.any(support[:, :, None, :] > support[:, None, :, :]):
         raise ValueError("kernel requires mutually absolutely continuous states")
     with np.errstate(divide="ignore"):
-        logs = np.log(pmf).transpose(0, 2, 1)
-    logs[~support.any(axis=1)] = 0.0
+        logs = np.log(pmf)
+    logs[~support] = 0.0
+    index = np.argwhere(np.broadcast_to(~np.eye(k, dtype=bool), (n, k, k)))
+    mean = np.zeros((n, k, k))
+    for members, pmf_f, _, llrs in _gathers(pmf, logs, index):
+        mean[tuple(index[members].T)] = np.add.reduce(pmf_f * llrs, axis=-1)
+    return PairTable(mean, None, pmf, logs)
+
+
+def llr_table(model: SignalModel) -> np.ndarray:
+    """Every agent's llr increment per atom, shape (agents, atoms, k, k):
+    table[a, s, f, g] = log p_f(s) - log p_g(s) for agent a, off the pair
+    table's logs. An atom with zero mass in every state of its agent is never
+    drawn; its increments are 0. Raises ValueError unless each agent's
+    states share one support."""
+    logs = pair_table(model).logs.transpose(0, 2, 1)
     return logs[..., :, None] - logs[..., None, :]
 
 
 def pair_means(model: SignalModel) -> np.ndarray:
     """E_f[llr] of every agent and ordered state pair, shape (agents, k, k),
-    zero on the diagonal: means[a, f, g] = PairKernel(model, a, f, g).mean."""
-    k = model.states.n_states
-    means = np.zeros((model.n_agents, k, k))
-    for a, f, g in product(range(model.n_agents), range(k), range(k)):
-        if f != g:
-            means[a, f, g] = PairKernel(model, a, f, g).mean
-    return means
+    zero on the diagonal: the pair table's read-only means."""
+    return pair_table(model).mean
 
 
 def argmin_pair(matrix: np.ndarray) -> tuple[int, int]:
@@ -152,44 +217,58 @@ def argmin_pair(matrix: np.ndarray) -> tuple[int, int]:
     return divmod(int(off.argmin()), len(off))
 
 
-def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conjugates of many (kernel, eta) lanes: lane i is the i-th kernel at
-    the i-th eta of `etas` in C order. `kernels` is any iterable with one
-    kernel per eta, read once.
+def checked_delta(table: PairTable, delta: float | None) -> float:
+    """Coordination's delta, None for a tenth of the smallest pair mean over
+    every agent; ValueError unless 0 < delta < that mean, which keeps every
+    decisiveness threshold positive."""
+    least = table.mean.min(axis=0)
+    min_mean = float(least[argmin_pair(least)])
+    resolved = 0.1 * min_mean if delta is None else float(delta)
+    if not 0.0 < resolved < min_mean:
+        raise ValueError(
+            f"delta must lie in (0, {min_mean:.6g}), the smallest pair mean"
+        )
+    return resolved
+
+
+def conjugates(lanes, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugates of many (lane, eta) pairs: lane i of `lanes`, a PairTable
+    Lane, at the i-th eta of `etas` in C order. `lanes` is any iterable with
+    one lane per eta, read once.
 
     Returns (value, argmax_z, iterations) arrays shaped like `etas`; each
-    lane equals its kernel's `legendre(eta).value`, `.argmax_z` and
-    `.iterations`. Gaussian lanes take the closed form and etas at or beyond
-    a finite endpoint the limiting value, lane by lane. The interior finite
-    lanes are solved by one lockstep ITP iteration per atom count.
+    entry equals its lane's PairKernel `legendre(eta)`. Gaussian lanes take
+    the closed form and etas at or beyond a finite endpoint the limiting
+    value, lane by lane. The interior finite lanes are solved by one
+    lockstep ITP iteration per atom count.
     """
     eta = np.asarray(etas, dtype=float)
     flat = eta.ravel()
     value = np.empty(flat.size)
     argmax = np.empty(flat.size)
     iterations = np.zeros(flat.size, dtype=np.int64)
-    groups = {}  # atom count: (interior lanes, their kernel rows)
-    for lane, (kern, e) in enumerate(zip(kernels, flat.tolist(), strict=True)):
-        if kern._gaussian:
-            argmax[lane] = (e - kern.mean) / kern.variance
-            value[lane] = (e - kern.mean) ** 2 / (2.0 * kern.variance)
-        elif e >= kern.domain[1]:
-            value[lane] = kern._endpoint_value(kern.domain[1])
-            argmax[lane] = math.inf
-        elif e <= kern.domain[0]:
-            value[lane] = kern._endpoint_value(kern.domain[0])
-            argmax[lane] = -math.inf
+    groups = {}  # atom count: (interior lanes, their rows)
+    for i, (lane, e) in enumerate(zip(lanes, flat.tolist(), strict=True)):
+        if lane.rows is None:
+            argmax[i] = (e - lane.mean) / lane.variance
+            value[i] = (e - lane.mean) ** 2 / (2.0 * lane.variance)
+        elif e >= lane.high:
+            value[i] = _endpoint_value(lane.rows, lane.high)
+            argmax[i] = math.inf
+        elif e <= lane.low:
+            value[i] = _endpoint_value(lane.rows, lane.low)
+            argmax[i] = -math.inf
         else:
-            lanes, rows = groups.setdefault(kern._rows.shape[1], ([], []))
-            lanes.append(lane)
-            rows.append(kern._rows)
-    for lanes, rows in groups.values():
+            members, rows = groups.setdefault(lane.rows.shape[1], ([], []))
+            members.append(i)
+            rows.append(lane.rows)
+    for members, rows in groups.values():
         rows = np.array(rows)
-        lanes = np.array(lanes, dtype=np.intp)
-        lane_eta = flat[lanes]
-        z, iterations[lanes] = _solve_tilt(rows, lane_eta)
-        argmax[lanes] = z
-        value[lanes] = lane_eta * z - _cgf(rows, z)
+        members = np.array(members, dtype=np.intp)
+        lane_eta = flat[members]
+        z, iterations[members] = _solve_tilt(rows, lane_eta)
+        argmax[members] = z
+        value[members] = lane_eta * z - _cgf(rows, z)
     return (
         value.reshape(eta.shape),
         argmax.reshape(eta.shape),
@@ -197,9 +276,17 @@ def conjugates(kernels, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-# Kernel rows are stacked as (..., 2, atoms): log p_f, llr. Each lane
+def _endpoint_value(rows: np.ndarray, endpoint: float) -> float:
+    """-log P_f[llr = endpoint] of one lane's rows."""
+    scale = max(1.0, abs(endpoint))
+    log_pf, llrs = rows[0], rows[1]
+    mass = np.exp(log_pf[np.abs(llrs - endpoint) <= 1e-12 * scale]).sum()
+    return -math.log(mass)
+
+
+# Lane rows are stacked as (..., 2, atoms): log p_f, llr. Each lane
 # reduces its own contiguous row, so a lane's sums add its atoms in the same
-# order, and give the same bits, as a one-kernel solve.
+# order, and give the same bits, as a one-lane solve.
 
 
 def _cgf(rows: np.ndarray, z: np.ndarray) -> np.ndarray:

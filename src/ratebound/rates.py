@@ -9,13 +9,16 @@ from itertools import permutations
 import numpy as np
 
 from ratebound.ldp_numerics import (
-    PairKernel,
+    PairTable,
     argmin_pair,
+    checked_delta,
     conjugates,
     llr_table,
     pair_means,
+    pair_table,
+    pmf_table,
 )
-from ratebound.signal_models import BinarySymmetric, SignalModel, StateSpace
+from ratebound.signal_models import SignalModel
 
 UNBOUNDED = math.inf
 
@@ -53,21 +56,20 @@ def _ordered_pairs(k: int) -> list[tuple[int, int]]:
     return list(permutations(range(k), 2))
 
 
-def _autarky_rates(cases: list, k: int) -> list[float]:
-    """autarky_rate of each (model, agent) case, all of k states. Their
-    conjugates at zero are solved in one lockstep call; each equals its
-    kernel's own legendre(0) solve."""
-    pairs = _ordered_pairs(k)
-    # A generator, so each kernel is released once the solve has its row.
-    kernels = (PairKernel(model, a, f, g) for model, a in cases for f, g in pairs)
-    values = conjugates(kernels, np.zeros(len(cases) * len(pairs)))[0].tolist()
+def _autarky_rates(table: PairTable, agents) -> list[float]:
+    """autarky_rate of each of the table's agents. Their lanes' conjugates
+    at zero are solved in one lockstep call; each equals its lane's own
+    solve."""
+    pairs = _ordered_pairs(table.mean.shape[1])
+    lanes = table.lanes([(a, f, g) for a in agents for f, g in pairs])
+    values = conjugates(lanes, np.zeros(len(lanes)))[0].tolist()
     return [min(values[i : i + len(pairs)]) for i in range(0, len(values), len(pairs))]
 
 
 def autarky_rate(model: SignalModel, agent: int = 0) -> float:
     """Exponential rate of an agent learning alone: min over ordered state
     pairs of the conjugate at zero."""
-    return _autarky_rates([(model, agent)], model.states.n_states)[0]
+    return _autarky_rates(pair_table(model), [agent])[0]
 
 
 def _bounded_detail(model: SignalModel) -> tuple[float, tuple[int, int], int]:
@@ -96,9 +98,8 @@ def weak_bounded_rate(model: SignalModel) -> float:
 def rate_report(model: SignalModel) -> RateReport:
     """All rate constants of a model in one report."""
     r_bdd, pair, agent = _bounded_detail(model)
-    cases = [(model, i) for i in range(model.n_agents)]
     return RateReport(
-        r_aut=tuple(_autarky_rates(cases, model.states.n_states)),
+        r_aut=tuple(_autarky_rates(pair_table(model), range(model.n_agents))),
         r_bdd=r_bdd,
         r_tilde_bdd=weak_bounded_rate(model),
         argmin_pair=pair,
@@ -111,21 +112,17 @@ def coordination_threshold(model: SignalModel, delta: float) -> int:
     mass is summable on complete networks of identical agents.
 
     Uses agent 0's signal law (the argument assumes identically distributed
-    agents). Requires 0 < delta < min over ordered pairs of the mean
-    log-likelihood ratio.
+    agents). Requires 0 < delta < min over every agent and ordered pair of
+    the mean log-likelihood ratio, the engine's rule (checked_delta).
     """
+    table = pair_table(model)
+    delta = checked_delta(table, delta)
     pairs = _ordered_pairs(model.states.n_states)
-    kernels = [PairKernel(model, 0, f, g) for f, g in pairs]
-    mean = {pair: kern.mean for pair, kern in zip(pairs, kernels)}
-    min_mean = min(mean.values())
-    if not 0.0 < delta < min_mean:
-        raise ValueError(
-            f"delta must lie in (0, {min_mean:.6g}), the smallest pair mean"
-        )
+    lanes = table.lanes([(0, f, g) for f, g in pairs])
     # the numerator's etas, then the denominator's, in one lockstep call
-    etas = [[delta - mean[g, f] for f, g in pairs],
-            [mean[pair] - delta for pair in pairs]]
-    numerator, denominator = conjugates(kernels * 2, etas)[0].min(axis=1).tolist()
+    etas = [[delta - table.mean[0, g, f] for f, g in pairs],
+            [lane.mean - delta for lane in lanes]]
+    numerator, denominator = conjugates(lanes * 2, etas)[0].min(axis=1).tolist()
     return math.ceil(2.0 * numerator / denominator)
 
 
@@ -133,20 +130,15 @@ def sweep_figure1(p_values) -> list[tuple[float, float, float]]:
     """Autarky and bounded rates for symmetric binary models across signal
     precisions. Returns (q, r_aut, r_bdd) rows in input order.
 
-    One kernel per ordered state pair of each point gives both rates: r_aut
-    is the smaller of the two conjugates at zero, all solved in one
-    lockstep call, and r_bdd the smaller of the two means, which is what
-    bounded_rate reads off pair_means for one agent."""
-    models = []
-    for q in map(float, p_values):
+    The precisions are the agents of one pair table, so it gives both
+    rates: r_aut is each agent's autarky rate, all solved in one lockstep
+    call, and r_bdd the smaller of its two pair means, which is what
+    bounded_rate reads for a model of that one agent."""
+    qs = [float(q) for q in p_values]
+    for q in qs:
         if not 0.5 < q < 1.0:
             raise ValueError(f"signal precision {q} outside (1/2, 1)")
-        models.append(SignalModel(StateSpace((0, 1)), BinarySymmetric(q)))
-    kernels = [PairKernel(model, 0, f, g) for model in models
-               for f, g in _ordered_pairs(2)]
-    values = conjugates(kernels, np.zeros(len(kernels)))[0].tolist()
-    return [
-        (model.family.p, min(values[2 * i : 2 * i + 2]),
-         min(kern.mean for kern in kernels[2 * i : 2 * i + 2]))
-        for i, model in enumerate(models)
-    ]
+    pmf = np.array([[(q, 1.0 - q), (1.0 - q, q)] for q in qs]).reshape(-1, 2, 2)
+    table = pmf_table(pmf)
+    r_bdd = table.mean[:, [0, 1], [1, 0]].min(axis=1).tolist()
+    return list(zip(qs, _autarky_rates(table, range(len(qs))), r_bdd))

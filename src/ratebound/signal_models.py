@@ -209,6 +209,11 @@ class SignalModel:
         support)."""
         return self._pmf
 
+    @property
+    def means(self) -> np.ndarray:
+        """Signal means of a Gaussian family, shape (agents, states)."""
+        return self._means
+
     def pmf_row(self, agent: int, state: int) -> np.ndarray:
         """Probability vector over the support, for one agent and state."""
         self._check_agent(agent)

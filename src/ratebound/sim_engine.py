@@ -10,7 +10,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ratebound.ldp_numerics import argmin_pair, llr_table, pair_means
+from ratebound.ldp_numerics import checked_delta, llr_table, pair_means, pair_table
 from ratebound.network import (
     Network,
     PropagationSchedule,
@@ -72,15 +72,8 @@ _MIN_FIT_MISTAKES = 20
 
 def resolve_delta(model: SignalModel, delta: float | None) -> float:
     """Default delta is a tenth of the smallest pair mean; any explicit value
-    must leave the decisiveness thresholds positive."""
-    least = pair_means(model).min(axis=0)
-    min_mean = float(least[argmin_pair(least)])
-    resolved = 0.1 * min_mean if delta is None else float(delta)
-    if not 0.0 < resolved < min_mean:
-        raise ValueError(
-            f"delta must lie in (0, {min_mean:.6g}), the smallest pair mean"
-        )
-    return resolved
+    must leave the decisiveness thresholds positive (checked_delta)."""
+    return checked_delta(pair_table(model), delta)
 
 
 def config_violations(
@@ -303,11 +296,8 @@ class _Binding:
             self.absorb = partial(_absorb_indices, self.table, offsets)
         else:
             self.table = None
-            means = _per_agent(
-                np.array([[model.gaussian_params(a, f)[0] for f in range(k)]
-                          for a in range(n)])
-            )
-            sigma = model.gaussian_params(0, 0)[1]
+            means = _per_agent(model.means)
+            sigma = model.family.sigma
             diff = np.stack([means[:, f] - means[:, g] for f, g in pairs])
             avg = np.stack([(means[:, f] + means[:, g]) / 2.0 for f, g in pairs])
             self.draw = partial(_draw_normal, means.T[:, None, :, None], sigma)

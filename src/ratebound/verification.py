@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ratebound.ldp_numerics import PairKernel, conjugates
+from ratebound.ldp_numerics import conjugates, pair_table
 from ratebound.network import Network, build_schedule, replay_knowledge, voting_periods
 from ratebound.rates import autarky_rate, bounded_rate, sweep_figure1
 from ratebound.signal_models import (
@@ -131,38 +131,36 @@ def _check_conjugate_identities() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED)
     deriv_dev = 0.0
     gap_ok = True
-    pairs, kernels, etas = [], [], []
+    pairs, lanes, etas = [], [], []
     for _ in range(20):
         model = _random_finite_model(rng)
         k = model.states.n_states
         agent = int(rng.integers(model.n_agents))
         f, g = (int(s) for s in rng.choice(k, size=2, replace=False))
-        kern = PairKernel(model, agent, f, g)
-        swapped = PairKernel(model, agent, g, f)
-        lo, hi = kern.domain
-        margin = 1e-3 * (hi - lo)
-        grid = np.linspace(lo + margin, hi - margin, 50)
-        # 105 lanes per model: the kernel at the grid, its own mean and 0,
+        lane, swapped = pair_table(model).lanes([(agent, f, g), (agent, g, f)])
+        margin = 1e-3 * (lane.high - lane.low)
+        grid = np.linspace(lane.low + margin, lane.high - margin, 50)
+        # 105 lanes per model: the lane at the grid, its own mean and 0,
         # and the anchor at -(swapped mean); then the swapped pair at the
         # negated grid, its own mean and 0.
-        kernels += [kern] * 53 + [swapped] * 52
-        etas += [*grid, kern.mean, 0.0, -swapped.mean, *-grid, swapped.mean, 0.0]
-        pairs.append((kern, swapped, grid))
+        lanes += [lane] * 53 + [swapped] * 52
+        etas += [*grid, lane.mean, 0.0, -swapped.mean, *-grid, swapped.mean, 0.0]
+        pairs.append((lane, swapped, grid))
         h = 1e-4
         zs = np.sort(rng.uniform(-2.0, 1.0, 5))
-        primes = [kern.cgf_prime(float(z)) for z in zs]
+        primes = [lane.cgf_prime(float(z)) for z in zs]
         gap_ok = gap_ok and all(a < b for a, b in zip(primes, primes[1:]))
         for z, prime in zip(zs, primes):
-            central = (kern.cgf(z + h) - kern.cgf(z - h)) / (2.0 * h)
+            central = (lane.cgf(z + h) - lane.cgf(z - h)) / (2.0 * h)
             deriv_dev = max(deriv_dev, abs(prime - central))
-    values = conjugates(kernels, etas)[0].reshape(len(pairs), 105)
+    values = conjugates(lanes, etas)[0].reshape(len(pairs), 105)
     swap_dev = zero_dev = anchor_dev = 0.0
-    for (kern, swapped, grid), row in zip(pairs, values):
+    for (lane, swapped, grid), row in zip(pairs, values):
         at_mean, at_zero, anchor = row[50:53].tolist()
         swapped_at_mean, swapped_at_zero = row[103:].tolist()
         swap_dev = max(swap_dev, float(np.abs(row[:50] - (row[53:103] - grid)).max()))
         zero_dev = max(zero_dev, abs(at_mean), abs(swapped_at_mean))
-        gap_ok = gap_ok and at_zero < kern.mean and swapped_at_zero < swapped.mean
+        gap_ok = gap_ok and at_zero < lane.mean and swapped_at_zero < swapped.mean
         anchor_dev = max(anchor_dev, abs(anchor - swapped.mean))
     ok = (
         swap_dev <= 1e-8

@@ -380,6 +380,17 @@ def test_rates_show_reports_and_validates(tmp_path, capsys):
     assert "p must lie in (1/2,1)" in err
 
 
+def test_rates_show_pins_the_mixed_model_report(capsys):
+    # Three states under a non-uniform prior, two agents with their own
+    # 9-atom pmfs, and an atom agent 1 never draws: every rate constant,
+    # byte for byte, as recorded when each lane took its own logs.
+    model_path = os.path.join(DATA, "model_mixed.json")
+    code, out, _ = run_cli(["rates", "show", "--model", model_path], capsys)
+    assert code == 0
+    with open(os.path.join(DATA, "rates_mixed.json")) as fh:
+        assert out == fh.read()
+
+
 def test_file_sections_name_their_field_in_errors(tmp_path, capsys):
     # rates show and schedule read their files as parse_config reads a
     # section given as a path, so an error carries the section's prefix

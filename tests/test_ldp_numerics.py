@@ -1,18 +1,29 @@
 """Cumulant generating functions, convex conjugates, and their goldens."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ratebound.ldp_numerics import PairKernel, conjugates
+from ratebound.ldp_numerics import (
+    PairKernel,
+    _cgf,
+    _solve_tilt,
+    conjugates,
+    pair_table,
+)
 from ratebound.signal_models import (
     BinarySymmetric,
     Finite,
     Gaussian,
     SignalModel,
     StateSpace,
+    model_from_json,
 )
+
+from lane_reference import reference_lane
 
 LOG3 = 1.0986122886681098
 # Frozen independently: the Bernoulli relative entropy D(1/2 || 3/4) =
@@ -218,7 +229,7 @@ def test_lanes_equal_one_lane_solves_and_the_reference():
              *rng.uniform(lo, hi, 12)]
         )
         rng.shuffle(etas)
-        lanes = _as_tuples(conjugates([kern] * etas.size, etas))
+        lanes = _as_tuples(conjugates([kern.lane] * etas.size, etas))
         for eta, lane in zip(etas.tolist(), lanes):
             one = kern.legendre(eta)
             assert lane == (one.value, one.argmax_z, one.iterations), (atoms, eta)
@@ -235,7 +246,7 @@ def test_lanes_of_many_kernels_equal_their_own_solves():
     for atoms in (2, 6):
         kernels = [_random_kernel(rng, atoms)[1] for _ in range(30)]
         etas = [float(rng.uniform(*k.domain)) for k in kernels]
-        lanes = _as_tuples(conjugates(kernels, etas))
+        lanes = _as_tuples(conjugates([kern.lane for kern in kernels], etas))
         for kern, eta, lane in zip(kernels, etas, lanes):
             one = kern.legendre(eta)
             assert lane == (one.value, one.argmax_z, one.iterations)
@@ -249,7 +260,7 @@ def test_lanes_keep_the_shape_and_order_of_the_etas():
     )
     kernels = [finite[0], gaussian, finite[1], finite[2], gaussian, finite[0]]
     etas = np.array([[0.3, -2.0, 0.0], [-0.4, 4.0, 50.0]])
-    value, argmax, iterations = conjugates(kernels, etas)
+    value, argmax, iterations = conjugates([kern.lane for kern in kernels], etas)
     assert value.shape == argmax.shape == iterations.shape == (2, 3)
     assert iterations.dtype.kind == "i"
     for kern, eta, v, z, it in zip(
@@ -267,16 +278,16 @@ def test_lanes_of_no_etas_and_mismatched_inputs():
     rng = np.random.default_rng(69)
     two, three = _random_kernel(rng, 2)[1], _random_kernel(rng, 3)[1]
     with pytest.raises(ValueError):
-        conjugates([two], [0.0, 0.1])
+        conjugates([two.lane], [0.0, 0.1])
     # Interior lanes of different atom counts are solved group by group,
     # each lane as its one-lane solve.
     kernels, etas = [two, three, two, three], [0.0, 0.0, 0.1, -0.2]
     solves = [kern.legendre(eta) for kern, eta in zip(kernels, etas)]
-    assert _as_tuples(conjugates(kernels, etas)) == [
+    assert _as_tuples(conjugates([kern.lane for kern in kernels], etas)) == [
         (res.value, res.argmax_z, res.iterations) for res in solves
     ]
     # Lanes at or beyond an endpoint are not solved, so their atoms may differ.
-    mixed = conjugates([two, three], [two.domain[1], 0.0])
+    mixed = conjugates([two.lane, three.lane], [two.domain[1], 0.0])
     assert mixed[1][0] == math.inf
 
 
@@ -328,8 +339,9 @@ def test_lanes_end_within_their_itp_budget():
         cases += [(model, kern, float(e)) for e in rng.uniform(*kern.domain, 40)]
     model = SignalModel(StateSpace((0, 1)), Finite(tuple(range(13)), _ALTERNATING_PMF))
     cases.append((model, PairKernel(model, 0, 0, 1), _ALTERNATING_ETA))
-    _, kernels, etas = zip(*cases)
-    for (model, kern, eta), lane in zip(cases, _as_tuples(conjugates(kernels, etas))):
+    lanes = [kern.lane for _, kern, _ in cases]
+    etas = [eta for _, _, eta in cases]
+    for (model, kern, eta), lane in zip(cases, _as_tuples(conjugates(lanes, etas))):
         value, z, iterations, budget, width = _itp_reference(model, 0, 1, eta)
         assert lane == (value, z, iterations), eta
         assert iterations <= budget, eta
@@ -411,3 +423,99 @@ def test_kernel_rejects_identical_states_and_singular_pairs():
     )
     with pytest.raises(ValueError):
         PairKernel(disjoint, 0, 0, 1)
+
+
+def test_kernels_need_every_agent_to_share_one_support_across_states():
+    # A kernel is a lane of the whole model's pair table, which needs each
+    # agent's states to share one support, as pair_means and llr_table do.
+    # So a nested pair, supp(p_0) inside supp(p_1), raises both ways round,
+    # and so does an admissible agent of a model with such another agent.
+    nested = ((0.5, 0.5, 0.0), (0.25, 0.25, 0.5))
+    model = SignalModel(StateSpace((0, 1)), Finite((0, 1, 2), nested))
+    for f, g in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="absolutely continuous"):
+            PairKernel(model, 0, f, g)
+    fine = ((0.75, 0.25, 0.0), (0.25, 0.75, 0.0))
+    model = SignalModel(StateSpace((0, 1)), Finite((0, 1, 2), (fine, nested)), 2)
+    with pytest.raises(ValueError, match="absolutely continuous"):
+        PairKernel(model, 0, 0, 1)
+
+
+# -- the pair table: one set of logs for every lane ---------------------------------
+
+
+def _pair_table_models(rng):
+    """Random Finite models (k 2-4, 2-13 atoms, 1-3 agents with their own
+    pmfs, some atoms of mass zero under an agent), Gaussian models with
+    per-agent means, and two fixed models."""
+    models = []
+    while len(models) < 60:
+        k, atoms, agents = (int(rng.integers(2, 5)), int(rng.integers(2, 14)),
+                            int(rng.integers(1, 4)))
+        pmf = rng.dirichlet(np.full(atoms, float(rng.choice([0.3, 1.0, 5.0]))),
+                            size=(agents, k))
+        pmf = (pmf + 1e-3) / (1.0 + 1e-3 * atoms)
+        for a in range(agents):
+            if atoms > 2 and rng.random() < 0.5:
+                pmf[a][:, rng.choice(atoms, size=int(rng.integers(1, atoms - 1)),
+                                     replace=False)] = 0.0
+                pmf[a] /= pmf[a].sum(axis=1, keepdims=True)
+        model = SignalModel(StateSpace(tuple(range(k))),
+                            Finite(tuple(range(atoms)), pmf), agents)
+        if not model.validate():
+            models.append(model)
+    while len(models) < 75:
+        k, agents = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        model = SignalModel(StateSpace(tuple(range(k))),
+                            Gaussian(rng.normal(size=(agents, k)), rng.uniform(0.5, 2.0)),
+                            agents)
+        if not model.validate():
+            models.append(model)
+    # A mean gap whose square under float ** 2 (the C library's pow) is
+    # 3.5535416870559997, where numpy's x * x gives 3.553541687056.
+    models.append(SignalModel(StateSpace((0, 1)), Gaussian((1.885084, 0.0), 1.0)))
+    with open(os.path.join(os.path.dirname(__file__), "data", "model_mixed.json")) as fh:
+        models.append(model_from_json(json.load(fh)))
+    return models
+
+
+def test_pair_table_lanes_equal_the_per_lane_reference():
+    # Every lane, bit for bit: the rows, moments and range, and the
+    # conjugates solved on table lanes against the solver run on the
+    # reference rows. Agents whose support leaves out an atom reduce over
+    # their own atoms only; a sum padded with 0 * 0 terms regroups numpy's
+    # pairwise sum from 8 atoms on, so such models must be among these.
+    rng = np.random.default_rng(72)
+    models = _pair_table_models(rng)
+    masked_wide = [m for m in models if m.has_finite_support
+                   and m.pmf.shape[2] >= 8 and not (m.pmf > 0.0).all()]
+    assert len(masked_wide) >= 3
+    for model in models:
+        n, k = model.n_agents, model.states.n_states
+        index = [(a, f, g) for a in range(n) for f in range(k) for g in range(k)
+                 if f != g]
+        table = pair_table(model)
+        lanes = table.lanes(index)
+        references = [reference_lane(model, *lane) for lane in index]
+        for lane, at, (rows, *stats) in zip(lanes, index, references):
+            assert list(lane[1:]) == stats, (model, at)
+            assert table.mean[at] == lane.mean
+            assert lane.rows is rows is None or lane.rows.tobytes() == rows.tobytes()
+        etas = np.array([rng.uniform(low, high) if rows is not None else rng.normal()
+                         for rows, _, _, low, high in references])
+        value, argmax, iterations = conjugates(lanes, etas)
+        solves = {}  # atom count: the lanes whose reference rows have it
+        for i, (rows, mean, variance, _, _) in enumerate(references):
+            if rows is None:
+                e = etas[i]
+                assert (value[i], argmax[i]) == ((e - mean) ** 2 / (2.0 * variance),
+                                                 (e - mean) / variance)
+            else:
+                solves.setdefault(rows.shape[1], []).append(i)
+        for members in solves.values():
+            rows = np.array([references[i][0] for i in members])
+            z, its = _solve_tilt(rows, etas[members])
+            assert argmax[members].tolist() == z.tolist()
+            assert iterations[members].tolist() == its.tolist()
+            assert value[members].tolist() == (etas[members] * z - _cgf(rows, z)).tolist()
+        assert np.all(table.mean[:, range(k), range(k)] == 0.0)

@@ -21,6 +21,9 @@ from ratebound.signal_models import (
     SignalModel,
     StateSpace,
 )
+from ratebound.network import Network
+from ratebound.sim_engine import InadmissibleConfig, SimConfig
+from ratebound.strategies import CoordinationComplete
 from ratebound.verification import _conjugate_zero_oracle
 
 LOG3 = 1.0986122886681098
@@ -136,6 +139,23 @@ def test_coordination_threshold_pins_the_group_sizes_at_three_quarters():
     sizes = [coordination_threshold(model, delta)
              for delta in (0.4, 0.3, 0.2, 0.1, 0.05, 0.01)]
     assert sizes == [6, 14, 36, 171, 740, 19_608]
+
+
+def test_coordination_threshold_and_the_engine_share_one_delta_rule():
+    # Two agents, p = 0.75 and p = 0.6: their smallest pair means are 0.549
+    # and 0.0811, so delta = 0.2 clears agent 0's but not agent 1's. Both
+    # refuse it, over every agent, with one message.
+    pmf = [[(p, 1.0 - p), (1.0 - p, p)] for p in (0.75, 0.6)]
+    model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf), 2)
+    message = "delta must lie in (0, 0.081093), the smallest pair mean"
+    with pytest.raises(ValueError) as threshold:
+        coordination_threshold(model, 0.2)
+    assert str(threshold.value) == message
+    with pytest.raises(InadmissibleConfig) as config:
+        SimConfig(model, Network.complete(2), CoordinationComplete(0.2),
+                  horizon=5, replications=10, seed=0)
+    assert config.value.violations == [f"strategy.delta: {message}"]
+    assert coordination_threshold(model, 0.05) >= 1
 
 
 def test_coordination_threshold_equals_its_pair_by_pair_solve():

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ratebound.ldp_numerics import PairKernel, llr_table, pair_means
+from ratebound.ldp_numerics import llr_table, pair_means
 from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -38,6 +38,7 @@ from ratebound.strategies import (
     strategy_from_json,
     strategy_to_json,
 )
+from lane_reference import reference_lane
 from replay_reference import ml_action, most_popular
 
 LOG3 = 1.0986122886681098
@@ -181,7 +182,7 @@ def test_pair_tables_equal_each_agents_kernels_and_table():
         for a in range(n):
             for f in range(k):
                 for g in range(k):
-                    want = 0.0 if f == g else PairKernel(model, a, f, g).mean
+                    want = 0.0 if f == g else reference_lane(model, a, f, g)[1]
                     assert means[a, f, g] == want, (model, a, f, g)
         if model.has_finite_support:
             table = llr_table(model)
