@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,61 +13,102 @@ from ratebound.signal_models import is_count
 _DOMAIN_GRAPH = 3
 
 
-@dataclass(frozen=True)
-class Network:
-    """Directed observation graph: neighborhoods[i] lists the agents i observes.
+def _agents(n) -> int:
+    """n as an int, once it is a count of at least one agent."""
+    if not is_count(n, 1):
+        raise ValueError("a network needs a positive integer number of agents")
+    return operator.index(n)
 
-    Every agent observes herself (i in neighborhoods[i]). Immutable.
+
+@dataclass(frozen=True, eq=False)
+class Network:
+    """Directed observation graph: observes[i, j] iff agent i observes agent j.
+
+    observes is a read-only (n, n) bool matrix with the diagonal set: every
+    agent observes herself. The network takes over the array it is given and
+    makes it read-only. Networks are equal, and hash alike, when their
+    matrices are. from_neighborhoods reads neighborhood lists.
     """
 
-    n: int
-    neighborhoods: tuple[tuple[int, ...], ...]
+    observes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not is_count(self.n, 1):
-            raise ValueError("a network needs a positive integer number of agents")
-        object.__setattr__(self, "n", operator.index(self.n))
-        if len(self.neighborhoods) != self.n:
+        observes, n = self.observes, _agents(len(self.observes))
+        if getattr(observes, "dtype", None) != bool or observes.shape != (n, n):
+            raise TypeError("observes must be a square bool ndarray")
+        missing = np.flatnonzero(~observes.diagonal())
+        if len(missing):
+            raise ValueError(f"agent {missing[0]} must observe herself")
+        observes.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.observes.shape[0]
+
+    @cached_property
+    def neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        """neighborhoods[i]: the agents i observes, ascending."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.observes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Network):
+            return NotImplemented
+        return np.array_equal(self.observes, other.observes)
+
+    def __hash__(self) -> int:
+        return hash((self.n, np.packbits(self.observes).tobytes()))
+
+    def __reduce__(self):
+        return Network, (self.observes,)
+
+    @staticmethod
+    def from_neighborhoods(n, neighborhoods) -> "Network":
+        """The network in which agent i observes the members of
+        neighborhoods[i], listed in any order, repeats allowed."""
+        n = _agents(n)
+        if len(neighborhoods) != n:
             raise ValueError("need one neighborhood per agent")
-        normalized = []
-        for i, hood in enumerate(self.neighborhoods):
+        observes = np.zeros((n, n), dtype=bool)
+        for i, hood in enumerate(neighborhoods):
             try:
-                members = sorted(set(map(operator.index, hood)))
+                members = list(map(operator.index, hood))
             except TypeError:
                 members = None
             if members is None or bool in map(type, hood):
                 raise ValueError(f"neighborhood of agent {i} must list integer indices")
-            if members and (members[0] < 0 or members[-1] >= self.n):
+            if members and (min(members) < 0 or max(members) >= n):
                 raise ValueError(f"neighborhood of agent {i} has out-of-range indices")
-            if i not in members:
+            observes[i, members] = True
+            if not observes[i, i]:
                 raise ValueError(f"agent {i} must observe herself")
-            normalized.append(tuple(members))
-        object.__setattr__(self, "neighborhoods", tuple(normalized))
+        return Network(observes)
 
     @staticmethod
     def complete(n: int) -> "Network":
-        everyone = tuple(range(n))
-        return Network(n, tuple(everyone for _ in range(n)))
+        n = _agents(n)
+        return Network(np.ones((n, n), dtype=bool))
 
     @staticmethod
     def directed_cycle(n: int) -> "Network":
         """Each agent observes herself and her predecessor (i-1 mod n)."""
-        return Network(n, tuple((i, (i - 1) % n) for i in range(n)))
+        n = _agents(n)
+        observes = np.eye(n, dtype=bool)
+        observes[np.arange(n), np.arange(n) - 1] = True
+        return Network(observes)
 
     @staticmethod
     def random_strongly_connected(n: int, edge_prob: float, seed) -> "Network":
         """Erdos-Renyi directed graph with self-loops, redrawn until strongly connected."""
         if not 0.0 < edge_prob <= 1.0:
             raise ValueError("edge_prob must lie in (0, 1]")
+        n = _agents(n)
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(_DOMAIN_GRAPH,))
         rng = np.random.Generator(np.random.Philox(ss))
         for _ in range(10_000):
             adjacency = rng.random((n, n)) < edge_prob
             np.fill_diagonal(adjacency, True)
             if _reaches_everyone(adjacency):
-                return Network(
-                    n, tuple(tuple(np.flatnonzero(row).tolist()) for row in adjacency)
-                )
+                return Network(adjacency)
         raise RuntimeError(
             f"no strongly connected graph found for n={n}, edge_prob={edge_prob}"
         )
@@ -77,19 +118,11 @@ def network_from_json(doc: dict) -> Network:
     """Build a Network from {"n": k, "neighborhoods": [[...], ...]}."""
     if not isinstance(doc, dict) or "n" not in doc or "neighborhoods" not in doc:
         raise ValueError('network document needs "n" and "neighborhoods"')
-    return Network(doc["n"], tuple(tuple(h) for h in doc["neighborhoods"]))
+    return Network.from_neighborhoods(doc["n"], doc["neighborhoods"])
 
 
 def network_to_json(net: Network) -> dict:
     return {"n": net.n, "neighborhoods": [list(h) for h in net.neighborhoods]}
-
-
-def _observes(net: Network) -> np.ndarray:
-    """Boolean (n, n) matrix: observes[i, u] iff u is in i's neighborhood."""
-    observes = np.zeros((net.n, net.n), dtype=bool)
-    for i, hood in enumerate(net.neighborhoods):
-        observes[i, list(hood)] = True
-    return observes
 
 
 def _reaches_everyone(observes: np.ndarray) -> bool:
@@ -110,13 +143,12 @@ def _reaches_everyone(observes: np.ndarray) -> bool:
 
 def is_strongly_connected(net: Network) -> bool:
     """True iff every agent reaches every other along observation edges."""
-    return _reaches_everyone(_observes(net))
+    return _reaches_everyone(net.observes)
 
 
 def is_complete(net: Network) -> bool:
     """True iff every agent observes every agent."""
-    everyone = tuple(range(net.n))
-    return all(hood == everyone for hood in net.neighborhoods)
+    return bool(net.observes.all())
 
 
 def distances(net: Network) -> np.ndarray:
@@ -124,19 +156,19 @@ def distances(net: Network) -> np.ndarray:
 
     A step goes from an observer to an agent she observes, so d(i, j) = 1
     exactly when j is a neighbor of i (j's action reaches i in one hop).
-    Entries are at most n-1 on strongly connected graphs.
+    Entries are at most n-1 on strongly connected graphs. One breadth-first
+    level for every source at once per matrix product: frontier[i, u] marks
+    the agents u at the current distance from i.
     """
     n = net.n
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for i in range(n):
-        dist[i, i] = 0
-        queue = deque([i])
-        while queue:
-            u = queue.popleft()
-            for v in net.neighborhoods[u]:
-                if dist[i, v] < 0:
-                    dist[i, v] = dist[i, u] + 1
-                    queue.append(v)
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    observes = net.observes.astype(np.float32)
+    frontier = np.eye(n, dtype=bool)
+    for level in range(1, n):
+        frontier = (frontier.astype(np.float32) @ observes > 0) & (dist < 0)
+        if not frontier.any():
+            break
+        dist[frontier] = level
     if np.any(dist < 0):
         raise ValueError("distances are undefined: network is not strongly connected")
     return dist
@@ -187,7 +219,7 @@ def build_schedule(net: Network) -> PropagationSchedule:
     dist = distances(net)
     agents = np.arange(n)
     # carrier[i, j]: the lowest u with observes[i, u] and d(u, j) = d(i, j) - 1
-    steps = _observes(net)[:, :, None] & (dist[None, :, :] == dist[:, None, :] - 1)
+    steps = net.observes[:, :, None] & (dist[None, :, :] == dist[:, None, :] - 1)
     carrier = steps.argmax(axis=1)
     # shown[u, j]: the block offset at which u displays j's vote, 0 for u = j
     # and else that of round (j, d(u, j) - 1); carriers are within n-2 of j
@@ -236,7 +268,7 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[in
     """
     n = net.n
     agents = np.arange(n)
-    observes = _observes(net)
+    observes = net.observes
     source, offset = schedule.relay_source, schedule.relay_offset
     unobserved = np.argwhere(~observes[agents, source])
     if len(unobserved):

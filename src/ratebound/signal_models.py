@@ -214,20 +214,6 @@ class SignalModel:
         """Signal means of a Gaussian family, shape (agents, states)."""
         return self._means
 
-    def pmf_row(self, agent: int, state: int) -> np.ndarray:
-        """Probability vector over the support, for one agent and state."""
-        self._check_agent(agent)
-        self._check_state(state)
-        return self._pmf[agent, state]
-
-    def gaussian_params(self, agent: int, state: int) -> tuple[float, float]:
-        """(mean, sigma) of the signal for one agent and state."""
-        if not isinstance(self.family, Gaussian):
-            raise TypeError("not a Gaussian model")
-        self._check_agent(agent)
-        self._check_state(state)
-        return float(self._means[agent, state]), self.family.sigma
-
     # -- core operations ---------------------------------------------------
 
     def llr(self, agent: int, f: int, g: int, s) -> float:
@@ -265,35 +251,25 @@ class SignalModel:
             if not 0.5 < self.family.p < 1.0:
                 violations.append("p must lie in (1/2,1)")
             return violations
+        # every agent and pair f < g at once, in the order agent, f, g
+        f, g = np.triu_indices(self.states.n_states, 1)
         if isinstance(self.family, Gaussian):
             if self.family.sigma <= 0.0:
                 violations.append("sigma must be positive")
-            for agent in range(self.n_agents):
-                for f in range(self.states.n_states):
-                    for g in range(f + 1, self.states.n_states):
-                        if self._means[agent, f] == self._means[agent, g]:
-                            violations.append(
-                                f"LLR identically zero (agent {agent}, states {f},{g}:"
-                                " equal means)"
-                            )
+            for agent, pair in np.argwhere(self._means[:, f] == self._means[:, g]):
+                violations.append(f"LLR identically zero (agent {agent}, states "
+                                  f"{f[pair]},{g[pair]}: equal means)")
             return violations
-        for agent in range(self.n_agents):
-            support_masks = self._pmf[agent] > 0.0
-            for f in range(self.states.n_states):
-                for g in range(f + 1, self.states.n_states):
-                    if not np.array_equal(support_masks[f], support_masks[g]):
-                        violations.append(
-                            "supports differ: absolute continuity fails "
-                            f"(agent {agent}, states {f},{g})"
-                        )
-                        continue
-                    mask = support_masks[f]
-                    if np.allclose(
-                        self._pmf[agent, f, mask], self._pmf[agent, g, mask]
-                    ):
-                        violations.append(
-                            f"LLR identically zero (agent {agent}, states {f},{g})"
-                        )
+        # rows of one support are both 0.0 off it, where np.isclose holds
+        masks = self._pmf > 0.0
+        differ = np.any(masks[:, f] != masks[:, g], axis=2)
+        close = np.all(np.isclose(self._pmf[:, f], self._pmf[:, g]), axis=2)
+        for agent, pair in np.argwhere(differ | close):
+            states = f"(agent {agent}, states {f[pair]},{g[pair]})"
+            if differ[agent, pair]:
+                violations.append(f"supports differ: absolute continuity fails {states}")
+            else:
+                violations.append(f"LLR identically zero {states}")
         return violations
 
     # -- helpers -------------------------------------------------------------

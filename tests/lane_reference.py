@@ -15,11 +15,11 @@ def reference_lane(model, agent, f, g):
     llrs over it, and the moments and range. Returns (rows, mean, variance,
     low, high); rows is None for a Gaussian lane."""
     if isinstance(model.family, Gaussian):
-        mean_f, sigma = model.gaussian_params(agent, f)
-        mean_g, _ = model.gaussian_params(agent, g)
+        mean_f, mean_g = float(model.means[agent, f]), float(model.means[agent, g])
+        sigma = model.family.sigma
         variance = (mean_f - mean_g) ** 2 / sigma**2
         return None, variance / 2.0, variance, -math.inf, math.inf
-    pmf_f, pmf_g = model.pmf_row(agent, f), model.pmf_row(agent, g)
+    pmf_f, pmf_g = model.pmf[agent, f], model.pmf[agent, g]
     mask = pmf_f > 0.0
     log_pf = np.log(pmf_f[mask])
     llrs = log_pf - np.log(pmf_g[mask])

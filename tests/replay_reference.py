@@ -43,8 +43,8 @@ def increment_fns(model):
     k = model.states.n_states
     fns = []
     for agent in range(model.n_agents):
-        means = np.array([model.gaussian_params(agent, f)[0] for f in range(k)])
-        sigma = model.gaussian_params(agent, 0)[1]
+        means = model.means[agent]
+        sigma = model.family.sigma
         diff = means[:, None] - means[None, :]
         avg = (means[:, None] + means[None, :]) / 2.0
         var = sigma * sigma

@@ -105,7 +105,9 @@ def test_parse_config_fills_defaults_and_round_trips(tmp_path):
         Gaussian(np.array([0.0, 1.0], dtype=np.float32), np.float32(1.5)),
         Finite((0, 1), np.array([[0.7, 0.3], [0.3, 0.7]])),
     )
-    network = Network(np.int64(2), ((np.int64(0), 1), (0, np.int32(1))))
+    network = Network.from_neighborhoods(
+        np.int64(2), ((np.int64(0), 1), (0, np.int32(1)))
+    )
     for family, strategy in itertools.product(families, (
         CoordinationComplete(np.float32(0.05)), ConstantFirstPeriod(np.int64(1))
     )):
@@ -593,6 +595,29 @@ def test_schedule_command_refuses_a_network_that_is_not_strongly_connected(
     assert err.splitlines() == [
         "error: a propagation schedule requires a strongly connected network"
     ]
+
+
+def test_schedule_command_refusals_pin_their_error_lines(tmp_path, capsys):
+    # every network refusal of `ratebound schedule`: exit 1 and exactly the
+    # one error line, word for word
+    cases = [
+        (["--complete", "0"], "a network needs a positive integer number of agents"),
+        (["--complete", "-3"], "a network needs a positive integer number of agents"),
+        (["--cycle", "0"], "a network needs a positive integer number of agents"),
+        (["--random", "0"], "a network needs a positive integer number of agents"),
+    ]
+    for name, hoods, line in (
+        ("range", [[0, 3], [1], [2]],
+         "network: neighborhood of agent 0 has out-of-range indices"),
+        ("self", [[0, 1], [0], [2]], "network: agent 1 must observe herself"),
+        ("integer", [[0, 1.5], [1], [2]],
+         "network: neighborhood of agent 0 must list integer indices"),
+    ):
+        path = write_json(tmp_path, f"{name}.json", {"n": 3, "neighborhoods": hoods})
+        cases.append((["--network", path], line))
+    for args, line in cases:
+        code, out, err = run_cli(["schedule", *args], capsys)
+        assert (code, out, err) == (1, "", f"error: {line}\n"), args
 
 
 def test_schedule_command_builds_a_complete_network(capsys):

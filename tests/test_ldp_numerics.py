@@ -129,8 +129,8 @@ def _itp_reference(model, f, g, eta):
     count, eps = 1e-13. Returns (value, argmax_z, iterations, budget, width),
     the last two being the iteration budget and the final bracket's width."""
     eps = 1e-13
-    log_pf = np.log(model.pmf_row(0, f))
-    llrs = log_pf - np.log(model.pmf_row(0, g))
+    log_pf = np.log(model.pmf[0, f])
+    llrs = log_pf - np.log(model.pmf[0, g])
 
     def prime(z):
         logw = log_pf + z * llrs

@@ -1,6 +1,7 @@
 """Observation graphs, distances, schedules, and the knowledge-replay oracle."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -12,39 +13,79 @@ from ratebound.network import (
     _display,
     build_schedule,
     distances,
+    is_complete,
     is_strongly_connected,
     network_from_json,
     network_to_json,
     replay_knowledge,
     voting_periods,
 )
+from ratebound.signal_models import BinarySymmetric, SignalModel, StateSpace
+from ratebound.sim_engine import SimConfig
+from ratebound.strategies import CoordinationComplete
 
 
 # -- construction -------------------------------------------------------------
 
 
 def test_network_normalizes_neighborhoods():
-    net = Network(3, ((2, 0, 0), (1, 0), (2,)))
+    net = Network.from_neighborhoods(3, ((2, 0, 0), (1, 0), (2,)))
     assert net.neighborhoods == ((0, 2), (0, 1), (2,))
 
 
 def test_network_requires_self_observation_and_valid_indices():
     with pytest.raises(ValueError):
-        Network(2, ((0,), (0,)))
+        Network.from_neighborhoods(2, ((0,), (0,)))
     with pytest.raises(ValueError):
-        Network(2, ((0, 5), (1,)))
+        Network.from_neighborhoods(2, ((0, 5), (1,)))
     with pytest.raises(ValueError):
-        Network(0, ())
+        Network.from_neighborhoods(0, ())
     with pytest.raises(ValueError):
-        Network(2, ((0,),))
+        Network.from_neighborhoods(2, ((0,),))
     with pytest.raises(ValueError, match="must observe herself"):
-        Network(2, ((), (1,)))
+        Network.from_neighborhoods(2, ((), (1,)))
     for hood in ((0, 1.7), (0, True), (0, "1")):
         with pytest.raises(ValueError, match="integer indices"):
-            Network(2, (hood, (1,)))
+            Network.from_neighborhoods(2, (hood, (1,)))
     for n in (2.0, True):
         with pytest.raises(ValueError, match="positive integer"):
-            Network(n, ((0,), (1,)))
+            Network.from_neighborhoods(n, ((0,), (1,)))
+
+
+def test_the_matrix_is_checked_and_made_read_only():
+    with pytest.raises(ValueError, match="positive integer"):
+        Network(np.ones((0, 0), dtype=bool))
+    with pytest.raises(ValueError, match="agent 1 must observe herself"):
+        Network(np.array([[True, True], [True, False]]))
+    with pytest.raises(TypeError, match="square"):
+        Network(np.ones((2, 3), dtype=bool))
+    with pytest.raises(TypeError, match="bool"):
+        Network(np.ones((2, 2)))
+    observes = np.eye(3, dtype=bool)
+    net = Network(observes)
+    assert net.observes is observes and not observes.flags.writeable
+    assert net.n == 3 and net.neighborhoods == ((0,), (1,), (2,))
+
+
+def test_networks_are_equal_and_hash_alike_when_their_matrices_are():
+    listed = Network.from_neighborhoods(3, [[2, 0, 2, 0], [1, 0, 1], [2, 1, 2]])
+    in_order = Network.from_neighborhoods(3, ((0, 2), (0, 1), (1, 2)))
+    assert listed == in_order and hash(listed) == hash(in_order)
+    assert listed.neighborhoods == in_order.neighborhoods
+    wider = Network.from_neighborhoods(3, ((0, 2), (0, 1, 2), (1, 2)))
+    assert listed != wider
+    assert listed != Network.complete(3) and listed != Network.complete(2)
+    rebuilt = pickle.loads(pickle.dumps(listed))
+    assert rebuilt == listed and not rebuilt.observes.flags.writeable
+
+
+def test_a_ten_thousand_agent_complete_config_builds_from_the_matrix():
+    n = 10_000
+    net = Network.complete(n)
+    model = SignalModel(StateSpace((0, 1)), BinarySymmetric(0.75), n)
+    config = SimConfig(model, net, CoordinationComplete(), 30, 1, 0)
+    assert is_complete(config.network)
+    assert "neighborhoods" not in vars(net)
 
 
 def test_complete_and_cycle_generators():
@@ -75,7 +116,9 @@ def _redrawn_network(n, edge_prob, seed):
     while True:
         adjacency = rng.random((n, n)) < edge_prob
         np.fill_diagonal(adjacency, True)
-        net = Network(n, tuple(tuple(np.flatnonzero(adjacency[i])) for i in range(n)))
+        net = Network.from_neighborhoods(
+            n, tuple(tuple(np.flatnonzero(adjacency[i])) for i in range(n))
+        )
         try:
             distances(net)
         except ValueError:
@@ -101,7 +144,9 @@ def test_network_json_round_trip():
     net = Network.random_strongly_connected(5, 0.5, seed=1)
     assert network_from_json(network_to_json(net)) == net
     # numpy integers are stored as plain ints, which JSON can write
-    numpy_net = Network(np.int64(2), ((np.int64(0), 1), (0, np.int32(1))))
+    numpy_net = Network.from_neighborhoods(
+        np.int64(2), ((np.int64(0), 1), (0, np.int32(1)))
+    )
     assert type(numpy_net.n) is int
     assert json.loads(json.dumps(network_to_json(numpy_net))) == {
         "n": 2, "neighborhoods": [[0, 1], [0, 1]]
@@ -117,7 +162,8 @@ def test_strong_connectivity_detection():
     assert is_strongly_connected(Network.directed_cycle(5))
     assert is_strongly_connected(Network.complete(3))
     # Agent 0 observes nobody else, so no information ever reaches her.
-    assert not is_strongly_connected(Network(3, ((0,), (0, 1), (1, 2))))
+    disconnected = Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2)))
+    assert not is_strongly_connected(disconnected)
 
 
 def test_distances_count_observation_hops():
@@ -135,7 +181,7 @@ def test_distances_count_observation_hops():
             if i != j:
                 assert (dist[i, j] == 1) == (j in net.neighborhoods[i])
     with pytest.raises(ValueError):
-        distances(Network(3, ((0,), (0, 1), (1, 2))))
+        distances(Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2))))
 
 
 # -- schedules --------------------------------------------------------------------
@@ -258,7 +304,7 @@ def test_schedule_arrays_are_read_only():
 
 def test_build_schedule_requires_strong_connectivity():
     with pytest.raises(ValueError):
-        build_schedule(Network(3, ((0,), (0, 1), (1, 2))))
+        build_schedule(Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2))))
 
 
 def _corrupted(schedule, name, index, value):

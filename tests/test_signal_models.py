@@ -58,8 +58,8 @@ def test_state_space_rejects_degenerate_inputs():
 
 def test_binary_symmetric_pmf_rows():
     model = binary_model(0.75, n_agents=2)
-    assert model.pmf_row(0, 0) == pytest.approx([0.75, 0.25])
-    assert model.pmf_row(1, 1) == pytest.approx([0.25, 0.75])
+    assert model.pmf[0, 0] == pytest.approx([0.75, 0.25])
+    assert model.pmf[1, 1] == pytest.approx([0.25, 0.75])
     assert model.support == (0, 1)
 
 
@@ -67,8 +67,8 @@ def test_finite_broadcasts_shared_pmf_across_agents():
     pmf = ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))
     model = SignalModel(StateSpace((0, 1)), Finite((0, 1, 2), pmf), n_agents=3)
     for agent in range(3):
-        assert model.pmf_row(agent, 0) == pytest.approx(pmf[0])
-        assert model.pmf_row(agent, 1) == pytest.approx(pmf[1])
+        assert model.pmf[agent, 0] == pytest.approx(pmf[0])
+        assert model.pmf[agent, 1] == pytest.approx(pmf[1])
 
 
 def test_finite_rejects_bad_pmf_shapes_and_values():
@@ -96,12 +96,10 @@ def test_finite_rejects_bad_pmf_shapes_and_values():
 
 def test_gaussian_broadcasts_means_and_checks_shape():
     model = SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 2.0), n_agents=2)
-    assert model.gaussian_params(1, 0) == (1.0, 2.0)
-    assert model.gaussian_params(0, 1) == (0.0, 2.0)
+    assert model.means.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert model.family.sigma == 2.0
     with pytest.raises(ValueError):
         SignalModel(StateSpace((0, 1)), Gaussian(((1.0, 0.0),), 1.0), n_agents=2)
-    with pytest.raises(TypeError):
-        binary_model().gaussian_params(0, 0)
 
 
 def test_model_arrays_are_read_only():
@@ -110,14 +108,14 @@ def test_model_arrays_are_read_only():
     )
     gaussian = SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 2.0))
     for array in (
-        binary_model(0.75, n_agents=2).pmf_row(0, 0),
+        binary_model(0.75, n_agents=2).pmf[0, 0],
         finite.pmf,
-        finite.pmf_row(1, 0),
+        finite.pmf[1, 0],
         gaussian._means,
     ):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.9
-    assert finite.pmf_row(0, 0).tolist() == [0.7, 0.3]
+    assert finite.pmf[0, 0].tolist() == [0.7, 0.3]
 
 
 def test_unknown_family_rejected():
@@ -218,7 +216,7 @@ def test_indices_from_uniforms_inverse_cdf_edges():
     assert model.validate() == []
     top = np.append(_words([0.9999999998, 0.9999999996]), WORD_MAX)
     for state in (0, 1):
-        assert _indices(model.pmf_row(0, state), top).tolist() == [1, 1, 1]
+        assert _indices(model.pmf[0, state], top).tolist() == [1, 1, 1]
 
 
 def test_word_edges_are_exact_at_both_ends():
@@ -269,7 +267,7 @@ def test_draw_chunk_draws_the_inverse_cdf_of_its_uniforms():
         got = _draw_chunk(binding, state, _chunk_generator(9, state, 0), 100, 5)
         u = _chunk_generator(9, state, 0).random((100, 2, 5))
         for agent in range(2):
-            idx = _reference_indices(model.pmf_row(agent, state), u[:, agent])
+            idx = _reference_indices(model.pmf[agent, state], u[:, agent])
             assert np.array_equal(got[:, agent], idx)
 
 
@@ -358,6 +356,73 @@ def test_validate_flags_uninformative_and_singular_finite_models():
         StateSpace((0, 1)), Finite((0, 1), ((1.0, 0.0), (0.0, 1.0)))
     )
     assert any("absolute continuity" in v for v in disjoint.validate())
+
+
+def _reference_finite_violations(model):
+    """validate's finite branch as a loop over agents and state pairs."""
+    violations = []
+    k = model.states.n_states
+    for agent in range(model.n_agents):
+        support_masks = model.pmf[agent] > 0.0
+        for f in range(k):
+            for g in range(f + 1, k):
+                if not np.array_equal(support_masks[f], support_masks[g]):
+                    violations.append(
+                        "supports differ: absolute continuity fails "
+                        f"(agent {agent}, states {f},{g})"
+                    )
+                    continue
+                mask = support_masks[f]
+                if np.allclose(model.pmf[agent, f, mask], model.pmf[agent, g, mask]):
+                    violations.append(
+                        f"LLR identically zero (agent {agent}, states {f},{g})"
+                    )
+    return violations
+
+
+def test_validate_lists_the_finite_violations_of_the_loop():
+    # random models with zero-mass atoms and rows equal or near equal to an
+    # earlier one, inside and outside np.isclose's tolerance
+    rng = np.random.default_rng(23)
+    found = set()
+    for _ in range(2000):
+        n, k, m = rng.integers(1, 5), rng.integers(2, 5), rng.integers(2, 6)
+        pmf = rng.dirichlet(np.ones(m), size=(n, k))
+        pmf[rng.random((n, k, m)) < 0.15] = 0.0
+        pmf[..., 0] += pmf.sum(axis=2) == 0.0
+        for agent, f in np.argwhere(rng.random((n, k)) < 0.4):
+            g = rng.integers(k)
+            nudge = rng.choice([0.0, 1e-9, 1e-6, 1e-3]) * rng.standard_normal(m)
+            pmf[agent, f] = pmf[agent, g] * (1.0 + nudge)
+        pmf /= pmf.sum(axis=2, keepdims=True)
+        model = SignalModel(
+            StateSpace(tuple(range(k))), Finite(tuple(range(m)), pmf), int(n)
+        )
+        expected = _reference_finite_violations(model)
+        assert model.validate() == expected
+        found.update(v.split(" (")[0] for v in expected)
+        found.add(bool(expected))
+    assert found == {
+        True, False, "LLR identically zero",
+        "supports differ: absolute continuity fails",
+    }
+
+
+def test_validate_lists_the_equal_gaussian_means_of_the_loop():
+    rng = np.random.default_rng(29)
+    found = set()
+    for _ in range(300):
+        n, k = rng.integers(1, 5), rng.integers(2, 5)
+        means = rng.integers(0, 3, size=(n, k)).astype(float)
+        model = SignalModel(StateSpace(tuple(range(k))), Gaussian(means, 1.0), int(n))
+        expected = [
+            f"LLR identically zero (agent {agent}, states {f},{g}: equal means)"
+            for agent in range(n) for f in range(k) for g in range(f + 1, k)
+            if means[agent, f] == means[agent, g]
+        ]
+        assert model.validate() == expected
+        found.add(bool(expected))
+    assert found == {True, False}
 
 
 def test_validate_flags_degenerate_gaussians():

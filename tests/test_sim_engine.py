@@ -91,7 +91,7 @@ def test_config_rejects_inconsistent_workloads():
         SimConfig(
             model, Network.directed_cycle(3), CoordinationComplete(0.05), 5, 10, 0
         )
-    disconnected = Network(3, ((0,), (0, 1), (1, 2)))
+    disconnected = Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2)))
     with pytest.raises(ValueError, match="strongly connected"):
         SimConfig(model, disconnected, CoordinationConnected(0.05), 5, 10, 0)
     with pytest.raises(ValueError, match="complete"):
@@ -162,7 +162,7 @@ def test_enumeration_sums_profiles_in_order():
     actions = _replay(config, binding, digits.reshape(-1, n, horizon))
     expected = np.zeros((2, n, horizon))
     for w in (0, 1):
-        pmf = config.model.pmf_row(0, w)
+        pmf = config.model.pmf[0, w]
         for profile, signal in zip(actions, digits):
             weight = pmf[signal[0]]
             for c in range(1, cells):

@@ -163,7 +163,7 @@ def _pair_table_models():
 
 def _agent_llr_table(model, agent):
     """Reference: one agent's table from that agent's pmf rows alone."""
-    pmf = np.stack([model.pmf_row(agent, f) for f in range(model.states.n_states)])
+    pmf = model.pmf[agent]
     with np.errstate(divide="ignore"):
         logs = np.log(pmf)
     logs[:, ~(pmf > 0.0).any(axis=0)] = 0.0
