@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -127,9 +129,43 @@ class Gaussian:
 
 
 def _freeze_nested(values, what: str):
-    if isinstance(values, (list, tuple, np.ndarray)):
-        return tuple(_freeze_nested(v, what) for v in values)
-    return _real(values, what)
+    """values, an array or nested lists and tuples, as nested tuples of
+    floats, each entry checked by _real. Plain values (see _plain) of one
+    shape whose entries are all finite are converted whole, row by row;
+    anything else goes entry by entry, so that an error names the first
+    offending value."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        return _real(values, what)
+    if _plain(values):
+        # an int too large for a float, or ragged rows, raise
+        with contextlib.suppress(OverflowError, ValueError):
+            array = np.array(values, dtype=float)
+            if np.isfinite(array).all():
+                return _tuples(array.tolist())
+    return tuple(_freeze_nested(v, what) for v in values)
+
+
+def _plain(values) -> bool:
+    """True for a numeric array, and for nested lists and tuples whose
+    entries are all plain floats and ints (not bools)."""
+    if isinstance(values, np.ndarray):
+        return values.ndim > 0 and values.dtype.kind in "fiu"
+    level = [values]
+    while level and set(map(type, level)) <= {list, tuple}:
+        level = list(chain.from_iterable(level))
+    return set(map(type, level)) <= {float, int}
+
+
+def _tuples(rows: list) -> tuple:
+    """Nested lists, as ndarray.tolist() gives them, as nested tuples."""
+    return tuple(map(_tuples, rows) if rows and type(rows[0]) is list else rows)
+
+
+def per_agent(rows: np.ndarray) -> np.ndarray:
+    """Per-agent parameters with the agent axis first; a length-1 agent axis
+    when every agent has the same, which keeps array operations on the
+    scalar fast path."""
+    return rows[:1] if (rows == rows[0]).all() else rows
 
 
 @dataclass(frozen=True)
@@ -384,13 +420,6 @@ def model_from_json(doc: dict) -> SignalModel:
     return SignalModel(states, family, doc.get("n_agents", 1))
 
 
-def _listed(values):
-    """A family's frozen nested tuples as nested lists."""
-    if isinstance(values, tuple):
-        return [_listed(v) for v in values]
-    return values
-
-
 def model_to_json(model: SignalModel) -> dict:
     """Inverse of model_from_json. The family is written as given, a pmf or
     means given once per state included, so the model reads back equal."""
@@ -400,12 +429,12 @@ def model_to_json(model: SignalModel) -> dict:
         fam = {
             "type": "finite",
             "support": list(model.family.support),
-            "pmf": _listed(model.family.pmf),
+            "pmf": np.array(model.family.pmf).tolist(),
         }
     else:
         fam = {
             "type": "gaussian",
-            "means": _listed(model.family.means),
+            "means": np.array(model.family.means).tolist(),
             "sigma": model.family.sigma,
         }
     return {

@@ -10,38 +10,13 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ratebound.ldp_numerics import checked_delta, llr_table, pair_means, pair_table
-from ratebound.network import (
-    Network,
-    PropagationSchedule,
-    build_schedule,
-    is_complete,
-    is_strongly_connected,
-)
+from ratebound.ldp_numerics import llr_table
+from ratebound.network import Network
 from ratebound.signal_models import (
-    BinarySymmetric,
-    SignalModel,
-    indices_from_words,
-    is_count,
-    word_edges,
+    BinarySymmetric, SignalModel, indices_from_words, is_count, per_agent, word_edges,
 )
 from ratebound.strategies import (
-    AutarkyML,
-    ConstantFirstPeriod,
-    Coordination,
-    CoordinationComplete,
-    CoordinationConnected,
-    OddEven,
-    Strategy,
-    dominance_plan,
-    first_action,
-    lowest_dominant,
-    ml_choice,
-    ml_plan,
-    plurality,
-    prior_log_matrix,
-    signed_cuts,
-    state_pairs,
+    Strategy, compile_rule, prior_log_matrix, state_pairs, strategy_violations,
 )
 
 # Replications are simulated in fixed-size blocks, each with its own
@@ -70,12 +45,6 @@ _PROB_SLACK = 1e-6
 _MIN_FIT_MISTAKES = 20
 
 
-def resolve_delta(model: SignalModel, delta: float | None) -> float:
-    """Default delta is a tenth of the smallest pair mean; any explicit value
-    must leave the decisiveness thresholds positive (checked_delta)."""
-    return checked_delta(pair_table(model), delta)
-
-
 def config_violations(
     model: SignalModel | None,
     network: Network | None,
@@ -99,38 +68,19 @@ def config_violations(
         violations.append("seed: must be a nonnegative integer")
     problems = [] if model is None else model.validate()
     violations.extend(f"model: {v}" for v in problems)
-    if strategy is not None and not isinstance(strategy, Strategy):
-        violations.append(f"strategy: unknown strategy object {strategy!r}")
-    if model is not None:
-        if network is not None and model.n_agents != network.n:
-            violations.append(
-                f"model/network: model has {model.n_agents} agents but the "
-                f"network has {network.n}"
-            )
-        if isinstance(strategy, Coordination) and not problems:
-            try:
-                resolve_delta(model, strategy.delta)
-            except ValueError as exc:
-                violations.append(f"strategy.delta: {exc}")
-        k = model.states.n_states
-        if isinstance(strategy, ConstantFirstPeriod) and strategy.state >= k:
-            violations.append("strategy.state: state index out of range")
-        if isinstance(strategy, OddEven) and not isinstance(
-            model.family, BinarySymmetric
-        ):
-            violations.append("strategy/model: the odd/even strategy requires "
-                              "symmetric binary signals")
-    if network is not None:
-        connected = isinstance(strategy, CoordinationConnected)
-        if connected and not is_strongly_connected(network):
-            violations.append("strategy/network: the connected coordination "
-                              "strategy requires a strongly connected network")
-        complete = isinstance(strategy, (CoordinationComplete, OddEven))
-        if complete and not is_complete(network):
-            violations.append(
-                "strategy/network: this strategy requires a complete network"
-            )
-    return violations
+    # an unknown strategy object is named before the model/network sizes,
+    # a strategy's own violations after them
+    own = []
+    try:
+        own = strategy_violations(strategy, model, network, not problems)
+    except TypeError as exc:
+        violations.append(f"strategy: {exc}")
+    if model is not None and network is not None and model.n_agents != network.n:
+        violations.append(
+            f"model/network: model has {model.n_agents} agents but the "
+            f"network has {network.n}"
+        )
+    return violations + own
 
 
 class InadmissibleConfig(ValueError):
@@ -243,13 +193,6 @@ def _draw_normal(means: np.ndarray, sigma: float, state: int,
 # -- the batched engine ------------------------------------------------------------
 
 
-def _per_agent(rows: np.ndarray) -> np.ndarray:
-    """Per-agent parameters with the agent axis first; a length-1 agent axis
-    when every agent has the same, which keeps array operations on the
-    scalar fast path."""
-    return rows[:1] if (rows == rows[0]).all() else rows
-
-
 class _Binding:
     """Per-config constants of the engine, compiled once per run.
 
@@ -261,13 +204,10 @@ class _Binding:
     flattened over (agent, atom) (table), or the Gaussian diff, avg and var.
     Per-agent arrays hold the agent axis second to last, (..., agents, 1),
     so they broadcast against (agents, reps) cells.
-    Decisions: the strategy, dispatched here once, becomes either
-    decide(t, L, history), which writes period t's (agents, reps) actions
-    into history[t - 1] from the evidence L (pairs, agents, reps) and the
-    earlier periods (autarky, coordination), or fill(signals, history), which
-    writes every period at once (odd/even, constant, and complete
-    coordination on two states and two atoms whenever _count_rule proves
-    its integer cuts exact); the other is None.
+    Decisions: the strategy's rule, compiled once by strategies.compile_rule
+    from the prior terms and the per-agent llr tables: either decide(t, L,
+    history), played after each period's evidence, or fill(signals,
+    history), which writes every period at once; the other is None.
     """
 
     def __init__(self, config: SimConfig):
@@ -280,58 +220,30 @@ class _Binding:
         prior = prior_log_matrix(model)
         self.prior = np.array([prior[f, g] for f, g in pairs])
         # partials of module functions, unlike closures, pickle for a pool
-        # whose workers are spawned
+        # whose workers are spawned; so do the strategy's compiled rules
         if model.has_finite_support:
-            edges = [word_edges(_per_agent(rows)[:, None, :])
+            edges = [word_edges(per_agent(rows)[:, None, :])
                      for rows in model.pmf.transpose(1, 0, 2)]
             llrs = llr_table(model)
-            tables = _per_agent(np.stack([llrs[:, :, f, g] for f, g in pairs], 1))
+            tables = per_agent(np.stack([llrs[:, :, f, g] for f, g in pairs], 1))
             # table[p] is indexed by agent * n_atoms + atom
             self.table = np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(
                 len(pairs), -1
             )
-            per_agent = len(tables) > 1
-            offsets = np.arange(n)[:, None] * tables.shape[2] if per_agent else None
+            offsets = np.arange(n)[:, None] * tables.shape[2] if len(tables) > 1 else None
             self.draw = partial(_draw_indices, edges)
             self.absorb = partial(_absorb_indices, self.table, offsets)
         else:
-            self.table = None
-            means = _per_agent(model.means)
+            tables = self.table = None
+            means = per_agent(model.means)
             sigma = model.family.sigma
             diff = np.stack([means[:, f] - means[:, g] for f, g in pairs])
             avg = np.stack([(means[:, f] + means[:, g]) / 2.0 for f, g in pairs])
             self.draw = partial(_draw_normal, means.T[:, None, :, None], sigma)
             self.absorb = partial(_absorb_normal, diff[..., None], avg[..., None],
                                   sigma * sigma)
-        strat = config.strategy
-        self.decide = self.fill = None
-        if isinstance(strat, AutarkyML):
-            self.decide = partial(_autarky, ml_plan(k))
-        elif isinstance(strat, Coordination):
-            slack = _per_agent(pair_means(model) - resolve_delta(model, strat.delta))
-            thresholds = slack.transpose(1, 2, 0)[..., None]
-            bounds = np.stack([signed_cuts(thresholds * t)
-                               for t in range(1, config.horizon + 1)])
-            first = first_action(model.states.prior)
-            rule = (k, first, dominance_plan(k), bounds)
-            if isinstance(strat, CoordinationComplete):
-                counted = None
-                if k == 2 and model.has_finite_support and tables.shape[2] == 2:
-                    counted = _count_rule(self.prior[0], tables[:, 0], bounds)
-                if counted is None:
-                    self.decide = partial(_follow_plurality, *rule)
-                else:
-                    self.fill = partial(_count_plurality, first, *counted)
-            else:
-                schedule = build_schedule(config.network)
-                # each voter's (source, offset) pairs, its own vote first
-                own = np.column_stack([np.arange(n), np.zeros(n, dtype=np.intp)])
-                votes = np.concatenate([own[:, None], schedule.harvest], axis=1)
-                self.decide = partial(_relay_votes, *rule, schedule, votes)
-        elif isinstance(strat, OddEven):
-            self.fill = partial(_odd_even, self.prior[0], self.table[0, 0])
-        else:
-            self.fill = partial(_constant, strat.state)
+        self.decide, self.fill = compile_rule(config.strategy, model, config.network,
+                                              config.horizon, self.prior, tables)
 
 
 def _absorb_indices(table: np.ndarray, offsets: np.ndarray | None,
@@ -354,157 +266,6 @@ def _absorb_normal(diff: np.ndarray, avg: np.ndarray, var: float,
         np.multiply(diff[p], step, out=step)
         np.divide(step, var, out=step)
         np.add(acc[p], step, out=acc[p])
-
-
-def _autarky(plan: tuple, t: int, L: np.ndarray, history: np.ndarray) -> None:
-    ml_choice(L, plan, history[t - 1])
-
-
-def _follow_plurality(k: int, first: int, dominance: tuple, cuts: np.ndarray,
-                      t: int, L: np.ndarray, history: np.ndarray) -> None:
-    """Complete coordination: the prior's mode at t = 1; then the lowest
-    decisive state, else the previous period's plurality."""
-    now = history[t - 1]
-    if t == 1:
-        now.fill(first)
-        return
-    now[...] = plurality(history[t - 2], k, axis=0)
-    lowest_dominant(L, dominance, cuts[t - 1], now)
-
-
-def reachable_sums(keep: np.ndarray, bump: np.ndarray, horizon: int):
-    """Bounds of the float sums that the engine's evidence loop can reach.
-
-    Yields (lo, hi) for t = 1..horizon, each of shape (t + 1,) + keep's shape
-    (a lane per agent): lo[c] and hi[c] are the least and the greatest value
-    of acc after t periods, c of which added bump and t - c keep, each added
-    in turn to acc = 0.0, over every order of the increments.
-
-    Rounding to nearest is monotone (x <= y gives fl(x + w) <= fl(y + w)), so
-    a cell's least sum is the lesser of its two predecessors' least sums,
-    each plus its increment, and likewise for the greatest: the bounds are
-    sums that some order reaches, and every other sum of the cell lies
-    between them. A test that both bounds pass holds for every sum."""
-    keep, bump = np.broadcast_arrays(np.asarray(keep, dtype=np.float64),
-                                     np.asarray(bump, dtype=np.float64))
-    lo = hi = np.zeros((1,) + keep.shape)
-    for _ in range(horizon):
-        lo = _add_period(lo, keep, bump, np.minimum)
-        hi = _add_period(hi, keep, bump, np.maximum)
-        yield lo, hi
-
-
-def _add_period(bound: np.ndarray, keep: np.ndarray, bump: np.ndarray,
-                pick) -> np.ndarray:
-    """One period of reachable_sums: count c is reached from c by keep and
-    from c - 1 by bump; pick chooses between the two where both exist."""
-    out = np.concatenate([bound + keep, bound[-1:] + bump])
-    pick(out[1:-1], bound[:-1] + bump, out=out[1:-1])
-    return out
-
-
-def _count_rule(prior: float, table: np.ndarray, bounds: np.ndarray):
-    """Complete coordination on two states and two atoms as integer cuts on
-    signal counts, or None when no such cuts reproduce the float rule.
-
-    table holds each agent's llr L[0, 1] per atom, (agents, 2); bounds are
-    the rule's signed cuts, (horizon, 2, 2, agents, 1). An agent counts its
-    signals of the atom that favors state 1 (atom 1 unless flip marks it).
-    After t periods its evidence is prior + acc, where acc is one of the
-    float sums that reachable_sums bounds for its count c. State 0 is
-    decisive when L >= bounds[t-1, 0, 1], state 1 when L <= bounds[t-1, 1, 0].
-    Each test must give one answer for every sum of a cell, and the decisive
-    counts must be two disjoint intervals, c <= a for state 0 and c >= b for
-    state 1. Then the agent plays 1 exactly when c > cuts[t-1, p], where p
-    is the previous plurality: cut a when p = 1, b - 1 when p = 0. Past a
-    horizon of 127 periods counts overflow int8, and the answer is None.
-
-    Returns (flip, cuts): flip (agents, 1) int8, or None when every agent
-    counts atom 1; cuts (horizon, 2, agents, 1) int8."""
-    horizon = bounds.shape[0]
-    if horizon > 127:
-        return None
-    cuts = []
-    sums = reachable_sums(table.max(axis=1), table.min(axis=1), horizon)
-    for t, (lo, hi) in enumerate(sums, start=1):
-        if prior:  # the engine adds the prior term only when it is not 0
-            lo, hi = prior + lo, prior + hi
-        zero, one = bounds[t - 1, 0, 1, :, 0], bounds[t - 1, 1, 0, :, 0]
-        to_zero, to_one = lo >= zero, hi <= one
-        if (to_zero != (hi >= zero)).any() or (to_one != (lo <= one)).any():
-            return None  # some cell's sums straddle a cut
-        a = to_zero.sum(axis=0) - 1
-        b = t + 1 - to_one.sum(axis=0)
-        c = np.arange(t + 1)[:, None]
-        if ((to_zero != (c <= a)).any() or (to_one != (c >= b)).any()
-                or (a >= b).any()):
-            return None
-        cuts.append((b - 1, a))
-    flip = table[:, 1] > table[:, 0]
-    flip = flip.astype(np.int8)[:, None] if flip.any() else None
-    return flip, np.array(cuts, dtype=np.int8)[..., None]
-
-
-def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
-                     signals: np.ndarray, history: np.ndarray) -> None:
-    """Complete coordination on integer counts (see _count_rule): the
-    prior's mode at t = 1; then each agent plays 1 exactly when its count of
-    state-1 signals exceeds its cut for the previous period's plurality.
-    Per period: one int8 add, one plurality sum over agents, one compare."""
-    reps, n, horizon = signals.shape
-    counts = np.empty((horizon, n, reps), dtype=np.int8)
-    if flip is None:
-        np.copyto(counts, signals.transpose(2, 1, 0), casting="unsafe")
-    else:
-        np.bitwise_xor(signals.transpose(2, 1, 0), flip, out=counts,
-                       casting="unsafe")
-    history[0] = first
-    for t in range(1, horizon):
-        np.add(counts[t - 1], counts[t], out=counts[t])
-        ones = history[t - 1].sum(axis=0, dtype=np.int32)
-        cut = np.where(ones > n // 2, cuts[t, 1], cuts[t, 0])
-        np.greater(counts[t], cut, out=history[t])
-
-
-def _relay_votes(k: int, first: int, dominance: tuple, cuts: np.ndarray,
-                 schedule: PropagationSchedule, votes: np.ndarray, t: int,
-                 L: np.ndarray, history: np.ndarray) -> None:
-    """Connected coordination: relay periods show what the schedule directs;
-    voting periods follow complete coordination's rule, over the previous
-    block's votes that each voter sees at its (n, 2) votes (source, offset)
-    pairs; the first vote is the prior's mode."""
-    now = history[t - 1]
-    offset = (t - 1) % schedule.M
-    if t == 1:
-        now.fill(first)
-    elif offset:
-        now[...] = history[
-            t - offset - 1 + schedule.relay_offset[offset - 1],
-            schedule.relay_source[offset - 1],
-        ]
-    else:
-        seen = history[t - schedule.M - 1 + votes[..., 1], votes[..., 0]]
-        now[...] = plurality(seen, k, axis=1)
-        lowest_dominant(L, dominance, cuts[t - 1], now)
-
-
-def _odd_even(prior: float, weight: float, signals: np.ndarray,
-              history: np.ndarray) -> None:
-    """OddEven without a loop over periods: odd agents play their signal;
-    every even agent plays 1 when prior + balance * weight < 0, where
-    balance counts the 0s minus the 1s revealed in earlier periods (an
-    exact integer cumsum)."""
-    reps, _, horizon = signals.shape
-    revealed = signals[:, 1::2]
-    history[:, 1::2] = revealed.T
-    ones = revealed.sum(axis=1, dtype=np.int64).T
-    balance = np.zeros((horizon, reps), dtype=np.int64)
-    np.cumsum(revealed.shape[1] - 2 * ones[:-1], axis=0, out=balance[1:])
-    history[:, 0::2] = (prior + balance * weight < 0.0)[:, None]
-
-
-def _constant(state: int, signals: np.ndarray, history: np.ndarray) -> None:
-    history.fill(state)
 
 
 def _replay(config: SimConfig, binding: _Binding, signals: np.ndarray) -> np.ndarray:

@@ -1,21 +1,36 @@
-"""Decision rules: the strategy profiles and the array kernels that play them.
+"""Strategies: each profile's description, its admissibility checks, its
+compiled rule and the array kernels that play it.
 
-A strategy is a frozen description; sim_engine's batched engine plays it one
-period at a time over (agents, replications) arrays. Evidence is held per
-unordered state pair: L[p] is L[f, g] for the p-th pair of state_pairs(k), and
-L[g, f] = -L[f, g] holds exactly in floating point, so one float per pair
-carries both directions. Actions are state indices.
+A strategy is a frozen description. strategy_violations lists why it cannot
+run on a model and network; compile_rule turns it into the rule that
+sim_engine's batched engine calls, once per period over (agents,
+replications) arrays, or once for every period. The engine knows no
+strategy: a new one is a class here, with its checks and its rule.
+
+Evidence is held per unordered state pair: L[p] is L[f, g] for the p-th pair
+of state_pairs(k), and L[g, f] = -L[f, g] holds exactly in floating point, so
+one float per pair carries both directions. Actions are state indices.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
-from ratebound.signal_models import SignalModel, is_count, is_real
+from ratebound.ldp_numerics import checked_delta, pair_table
+from ratebound.network import (
+    Network, PropagationSchedule, build_schedule, is_complete, is_strongly_connected,
+)
+from ratebound.signal_models import (
+    BinarySymmetric, SignalModel, is_count, is_real, per_agent,
+)
+
+
+# -- evidence and decision kernels -----------------------------------------------
 
 
 def first_action(prior: Iterable[float]) -> int:
@@ -158,6 +173,9 @@ def plurality(actions: np.ndarray, k: int, axis: int) -> np.ndarray:
     return best
 
 
+# -- the strategies --------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class AutarkyML:
     """Maximize the own-signal posterior each period; ignores everyone else."""
@@ -168,9 +186,10 @@ class Coordination:
     """Act decisively on strong evidence, else follow the group's plurality.
 
     A state is decisive when every pairwise evidence total clears the linear
-    threshold (m[f, g] - delta) * t; delta None takes the engine's default.
-    Period 1 plays the prior's mode. The shared base of CoordinationComplete
-    and CoordinationConnected, which say whose plurality is followed.
+    threshold (m[f, g] - delta) * t; delta None takes a tenth of the
+    smallest pair mean. Period 1 plays the prior's mode. The shared base of
+    CoordinationComplete and CoordinationConnected, which say whose
+    plurality is followed.
     """
 
     delta: float | None = None
@@ -227,6 +246,241 @@ class ConstantFirstPeriod:
 
 Strategy = AutarkyML | CoordinationComplete | CoordinationConnected | OddEven | ConstantFirstPeriod
 
+
+# -- admissibility ---------------------------------------------------------------
+
+
+def strategy_violations(strategy: Strategy | None, model: SignalModel | None,
+                        network: Network | None, admissible: bool) -> list[str]:
+    """Every reason the strategy cannot be played on the model and network,
+    each prefixed with the fields it concerns, in config_violations' order.
+    A strategy, model or network of None could not be read and is not
+    checked; delta is checked only against an admissible model. An object
+    that is no strategy raises TypeError."""
+    if not isinstance(strategy, Strategy | None):
+        raise TypeError(f"unknown strategy object {strategy!r}")
+    violations = []
+    if model is not None:
+        if isinstance(strategy, Coordination) and admissible:
+            try:
+                checked_delta(pair_table(model), strategy.delta)
+            except ValueError as exc:
+                violations.append(f"strategy.delta: {exc}")
+        k = model.states.n_states
+        if isinstance(strategy, ConstantFirstPeriod) and strategy.state >= k:
+            violations.append("strategy.state: state index out of range")
+        binary = isinstance(model.family, BinarySymmetric)
+        if isinstance(strategy, OddEven) and not binary:
+            violations.append("strategy/model: the odd/even strategy requires "
+                              "symmetric binary signals")
+    if network is not None:
+        connected = isinstance(strategy, CoordinationConnected)
+        if connected and not is_strongly_connected(network):
+            violations.append("strategy/network: the connected coordination "
+                              "strategy requires a strongly connected network")
+        complete = isinstance(strategy, (CoordinationComplete, OddEven))
+        if complete and not is_complete(network):
+            violations.append("strategy/network: this strategy requires a "
+                              "complete network")
+    return violations
+
+
+# -- compiled rules --------------------------------------------------------------
+
+
+def compile_rule(strategy: Strategy, model: SignalModel, network: Network,
+                 horizon: int, prior: np.ndarray, tables: np.ndarray | None):
+    """The strategy's rule for an admissible config, compiled once, as
+    (decide, fill) with exactly one of the two set.
+
+    decide(t, L, history) writes period t's (agents, reps) actions into
+    history[t - 1] from the evidence L (pairs, agents, reps) and the earlier
+    periods (autarky, coordination); fill(signals, history) writes every
+    period at once (odd/even, constant, and complete coordination on two
+    states and two atoms whenever _count_rule proves its integer cuts exact).
+    prior holds the log-prior term per state pair; tables each agent's llr
+    per pair and atom, (agents or 1, pairs, atoms), or None for Gaussian
+    signals. The rules are partials of module functions, which, unlike
+    closures, pickle for a pool whose workers are spawned."""
+    k = model.states.n_states
+    if isinstance(strategy, AutarkyML):
+        return partial(_autarky, ml_plan(k)), None
+    if isinstance(strategy, OddEven):
+        return None, partial(_odd_even, prior[0], tables[0, 0, 0])
+    if isinstance(strategy, ConstantFirstPeriod):
+        return None, partial(_constant, strategy.state)
+    table = pair_table(model)
+    slack = per_agent(table.mean - checked_delta(table, strategy.delta))
+    thresholds = slack.transpose(1, 2, 0)[..., None]
+    bounds = np.stack([signed_cuts(thresholds * t) for t in range(1, horizon + 1)])
+    first = first_action(model.states.prior)
+    rule = (k, first, dominance_plan(k), bounds)
+    if isinstance(strategy, CoordinationConnected):
+        schedule = build_schedule(network)
+        # each voter's (source, offset) pairs, its own vote first
+        n = model.n_agents
+        own = np.column_stack([np.arange(n), np.zeros(n, dtype=np.intp)])
+        votes = np.concatenate([own[:, None], schedule.harvest], axis=1)
+        return partial(_relay_votes, *rule, schedule, votes), None
+    if k == 2 and tables is not None and tables.shape[2] == 2:
+        counted = _count_rule(prior[0], tables[:, 0], bounds)
+        if counted is not None:
+            return None, partial(_count_plurality, first, *counted)
+    return partial(_follow_plurality, *rule), None
+
+
+def _autarky(plan: tuple, t: int, L: np.ndarray, history: np.ndarray) -> None:
+    ml_choice(L, plan, history[t - 1])
+
+
+def _follow_plurality(k: int, first: int, dominance: tuple, cuts: np.ndarray,
+                      t: int, L: np.ndarray, history: np.ndarray) -> None:
+    """Complete coordination: the prior's mode at t = 1; then the lowest
+    decisive state, else the previous period's plurality."""
+    now = history[t - 1]
+    if t == 1:
+        now.fill(first)
+        return
+    now[...] = plurality(history[t - 2], k, axis=0)
+    lowest_dominant(L, dominance, cuts[t - 1], now)
+
+
+def reachable_sums(keep: np.ndarray, bump: np.ndarray, horizon: int):
+    """Bounds of the float sums that the engine's evidence loop can reach.
+
+    Yields (lo, hi) for t = 1..horizon, each of shape (t + 1,) + keep's shape
+    (a lane per agent): lo[c] and hi[c] are the least and the greatest value
+    of acc after t periods, c of which added bump and t - c keep, each added
+    in turn to acc = 0.0, over every order of the increments.
+
+    Rounding to nearest is monotone (x <= y gives fl(x + w) <= fl(y + w)), so
+    a cell's least sum is the lesser of its two predecessors' least sums,
+    each plus its increment, and likewise for the greatest: the bounds are
+    sums that some order reaches, and every other sum of the cell lies
+    between them. A test that both bounds pass holds for every sum."""
+    keep, bump = np.broadcast_arrays(np.asarray(keep, dtype=np.float64),
+                                     np.asarray(bump, dtype=np.float64))
+    lo = hi = np.zeros((1,) + keep.shape)
+    for _ in range(horizon):
+        lo = _add_period(lo, keep, bump, np.minimum)
+        hi = _add_period(hi, keep, bump, np.maximum)
+        yield lo, hi
+
+
+def _add_period(bound: np.ndarray, keep: np.ndarray, bump: np.ndarray,
+                pick) -> np.ndarray:
+    """One period of reachable_sums: count c is reached from c by keep and
+    from c - 1 by bump; pick chooses between the two where both exist."""
+    out = np.concatenate([bound + keep, bound[-1:] + bump])
+    pick(out[1:-1], bound[:-1] + bump, out=out[1:-1])
+    return out
+
+
+def _count_rule(prior: float, table: np.ndarray, bounds: np.ndarray):
+    """Complete coordination on two states and two atoms as integer cuts on
+    signal counts, or None when no such cuts reproduce the float rule.
+
+    table holds each agent's llr L[0, 1] per atom, (agents, 2); bounds are
+    the rule's signed cuts, (horizon, 2, 2, agents, 1). An agent counts its
+    signals of the atom that favors state 1 (atom 1 unless flip marks it).
+    After t periods its evidence is prior + acc, where acc is one of the
+    float sums that reachable_sums bounds for its count c. State 0 is
+    decisive when L >= bounds[t-1, 0, 1], state 1 when L <= bounds[t-1, 1, 0].
+    Each test must give one answer for every sum of a cell, and the decisive
+    counts must be two disjoint intervals, c <= a for state 0 and c >= b for
+    state 1. Then the agent plays 1 exactly when c > cuts[t-1, p], where p
+    is the previous plurality: cut a when p = 1, b - 1 when p = 0. Past a
+    horizon of 127 periods counts overflow int8, and the answer is None.
+
+    Returns (flip, cuts): flip (agents, 1) int8, or None when every agent
+    counts atom 1; cuts (horizon, 2, agents, 1) int8."""
+    horizon = bounds.shape[0]
+    if horizon > 127:
+        return None
+    cuts = []
+    sums = reachable_sums(table.max(axis=1), table.min(axis=1), horizon)
+    for t, (lo, hi) in enumerate(sums, start=1):
+        if prior:  # the engine adds the prior term only when it is not 0
+            lo, hi = prior + lo, prior + hi
+        zero, one = bounds[t - 1, 0, 1, :, 0], bounds[t - 1, 1, 0, :, 0]
+        to_zero, to_one = lo >= zero, hi <= one
+        if (to_zero != (hi >= zero)).any() or (to_one != (lo <= one)).any():
+            return None  # some cell's sums straddle a cut
+        a = to_zero.sum(axis=0) - 1
+        b = t + 1 - to_one.sum(axis=0)
+        c = np.arange(t + 1)[:, None]
+        if ((to_zero != (c <= a)).any() or (to_one != (c >= b)).any()
+                or (a >= b).any()):
+            return None
+        cuts.append((b - 1, a))
+    flip = table[:, 1] > table[:, 0]
+    flip = flip.astype(np.int8)[:, None] if flip.any() else None
+    return flip, np.array(cuts, dtype=np.int8)[..., None]
+
+
+def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
+                     signals: np.ndarray, history: np.ndarray) -> None:
+    """Complete coordination on integer counts (see _count_rule): the
+    prior's mode at t = 1; then each agent plays 1 exactly when its count of
+    state-1 signals exceeds its cut for the previous period's plurality.
+    Per period: one int8 add, one plurality sum over agents, one compare."""
+    reps, n, horizon = signals.shape
+    counts = np.empty((horizon, n, reps), dtype=np.int8)
+    if flip is None:
+        np.copyto(counts, signals.transpose(2, 1, 0), casting="unsafe")
+    else:
+        np.bitwise_xor(signals.transpose(2, 1, 0), flip, out=counts,
+                       casting="unsafe")
+    history[0] = first
+    for t in range(1, horizon):
+        np.add(counts[t - 1], counts[t], out=counts[t])
+        ones = history[t - 1].sum(axis=0, dtype=np.int32)
+        cut = np.where(ones > n // 2, cuts[t, 1], cuts[t, 0])
+        np.greater(counts[t], cut, out=history[t])
+
+
+def _relay_votes(k: int, first: int, dominance: tuple, cuts: np.ndarray,
+                 schedule: PropagationSchedule, votes: np.ndarray, t: int,
+                 L: np.ndarray, history: np.ndarray) -> None:
+    """Connected coordination: relay periods show what the schedule directs;
+    voting periods follow complete coordination's rule, over the previous
+    block's votes that each voter sees at its (n, 2) votes (source, offset)
+    pairs; the first vote is the prior's mode."""
+    now = history[t - 1]
+    offset = (t - 1) % schedule.M
+    if t == 1:
+        now.fill(first)
+    elif offset:
+        now[...] = history[
+            t - offset - 1 + schedule.relay_offset[offset - 1],
+            schedule.relay_source[offset - 1],
+        ]
+    else:
+        seen = history[t - schedule.M - 1 + votes[..., 1], votes[..., 0]]
+        now[...] = plurality(seen, k, axis=1)
+        lowest_dominant(L, dominance, cuts[t - 1], now)
+
+
+def _odd_even(prior: float, weight: float, signals: np.ndarray,
+              history: np.ndarray) -> None:
+    """OddEven without a loop over periods: odd agents play their signal;
+    every even agent plays 1 when prior + balance * weight < 0, where
+    balance counts the 0s minus the 1s revealed in earlier periods (an
+    exact integer cumsum)."""
+    reps, _, horizon = signals.shape
+    revealed = signals[:, 1::2]
+    history[:, 1::2] = revealed.T
+    ones = revealed.sum(axis=1, dtype=np.int64).T
+    balance = np.zeros((horizon, reps), dtype=np.int64)
+    np.cumsum(revealed.shape[1] - 2 * ones[:-1], axis=0, out=balance[1:])
+    history[:, 0::2] = (prior + balance * weight < 0.0)[:, None]
+
+
+def _constant(state: int, signals: np.ndarray, history: np.ndarray) -> None:
+    history.fill(state)
+
+
+# -- JSON ------------------------------------------------------------------------
 
 # JSON names of the strategies; a document carries the dataclass's fields
 # beside the name, and one whose default is None may be left out.

@@ -12,9 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ratebound.ldp_numerics import llr_table, pair_means
+from ratebound.ldp_numerics import checked_delta, llr_table, pair_means, pair_table
 from ratebound.network import build_schedule
-from ratebound.sim_engine import resolve_delta
 from ratebound.strategies import (
     AutarkyML,
     Coordination,
@@ -86,7 +85,7 @@ def _constants(config):
         first=first_action(model.states.prior),
     )
     if isinstance(strat, Coordination):
-        constants.delta = resolve_delta(model, strat.delta)
+        constants.delta = checked_delta(pair_table(model), strat.delta)
         constants.means = pair_means(model)
     if isinstance(strat, CoordinationConnected):
         constants.schedule = build_schedule(config.network)

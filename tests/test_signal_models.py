@@ -16,6 +16,7 @@ from ratebound.signal_models import (
     Gaussian,
     SignalModel,
     StateSpace,
+    _real,
     indices_from_words,
     model_from_json,
     model_to_json,
@@ -116,6 +117,93 @@ def test_model_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.9
     assert finite.pmf[0, 0].tolist() == [0.7, 0.3]
+
+
+def _freeze_reference(values, what):
+    """The per-entry freeze of a family's nested values: one check per entry,
+    so an error names the first offending value in order."""
+    if isinstance(values, (list, tuple, np.ndarray)):
+        return tuple(_freeze_reference(v, what) for v in values)
+    return _real(values, what)
+
+
+def _frozen_or_refused(freeze, values):
+    try:
+        return "frozen", freeze(values, "a pmf entry")
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _float_leaves(frozen):
+    if isinstance(frozen, tuple):
+        return all(_float_leaves(v) for v in frozen)
+    return type(frozen) is float
+
+
+def _as_tuples(rows):
+    return tuple(map(_as_tuples, rows)) if isinstance(rows, list) else rows
+
+
+def _nested_forms(rng):
+    """One random shape's values as arrays of several dtypes, nested lists
+    and tuples, lists of arrays and lists mixing ints with floats."""
+    shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+    reals = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+    ints = rng.integers(-50, 50, size=shape)
+    mixed = np.where(rng.random(shape) < 0.5, reals.astype(object), ints.astype(object))
+    return [
+        reals, reals.astype(np.float32), ints, ints.astype(np.uint8),
+        reals.tolist(), ints.tolist(), mixed.tolist(), _as_tuples(mixed.tolist()),
+        list(reals), [np.float64(v) for v in reals.ravel()],
+    ]
+
+
+def _spoiled(rng, values):
+    """values as nested lists with one entry replaced by a value that is no
+    finite real, or one row made ragged, at a random position."""
+    rows = np.asarray(values, dtype=float).tolist()
+    if not isinstance(rows, list):
+        rows = [rows]
+    node = rows
+    while isinstance(node[0], list):
+        node = node[int(rng.integers(len(node)))]
+    bad = [True, False, "0.5", math.nan, math.inf, -math.inf, 10**400, "ragged"]
+    spoil = bad[rng.integers(len(bad))]
+    if spoil == "ragged":
+        node.pop() if len(node) > 1 and rng.random() < 0.5 else node.append(0.25)
+    else:
+        node[int(rng.integers(len(node)))] = spoil
+    return rows
+
+
+def test_the_array_freeze_equals_the_per_entry_freeze():
+    from ratebound.signal_models import _freeze_nested
+
+    rng = np.random.default_rng(2024)
+    refused = set()
+    for _ in range(150):
+        for values in _nested_forms(rng):
+            frozen = _frozen_or_refused(_freeze_nested, values)
+            assert frozen == _frozen_or_refused(_freeze_reference, values)
+            assert frozen[0] == "frozen" and _float_leaves(frozen[1])
+            spoiled = _spoiled(rng, values)
+            for form in (spoiled, _as_tuples(spoiled)):
+                outcome = _frozen_or_refused(_freeze_nested, form)
+                assert outcome == _frozen_or_refused(_freeze_reference, form)
+                if outcome[0] == "frozen":
+                    refused.add("ragged")
+                else:
+                    refused.add(outcome[1].partition(", not ")[2][:6])
+        poisoned = rng.normal(size=(3, 4))
+        poisoned[rng.integers(3), rng.integers(4)] = rng.choice([math.nan, math.inf])
+        for values in (poisoned, poisoned > 0.0, poisoned.astype(str)):
+            assert _frozen_or_refused(_freeze_nested, values) == _frozen_or_refused(
+                _freeze_reference, values)
+    # every spoiled entry was met; ragged rows freeze as they stand
+    assert refused == {"True", "False", "'0.5'", "nan", "inf", "-inf", "100000",
+                       "ragged"}
+    with pytest.raises(TypeError):
+        _freeze_nested(np.array(0.5), "a mean")
 
 
 def test_unknown_family_rejected():

@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import replay_reference
-from ratebound import sim_engine
-from ratebound.ldp_numerics import pair_means
+from ratebound import sim_engine, strategies
+from ratebound.ldp_numerics import checked_delta, pair_means, pair_table
 from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -33,7 +33,6 @@ from ratebound.sim_engine import (
     fit_rate,
     mistake_curve,
     read_curve_csv,
-    resolve_delta,
     run_trajectory,
     worker_count,
     write_curve_csv,
@@ -65,15 +64,15 @@ def autarky_config(horizon=3, replications=100, seed=0, p=0.75):
 
 
 def test_delta_defaults_to_a_tenth_of_the_smallest_pair_mean():
-    model = binary_model(0.75)
-    assert resolve_delta(model, None) == pytest.approx(
+    table = pair_table(binary_model(0.75))
+    assert checked_delta(table, None) == pytest.approx(
         0.1 * MEAN_THREEQ, rel=1e-12
     )
-    assert resolve_delta(model, 0.3) == 0.3
+    assert checked_delta(table, 0.3) == 0.3
     with pytest.raises(ValueError):
-        resolve_delta(model, 0.0)
+        checked_delta(table, 0.0)
     with pytest.raises(ValueError):
-        resolve_delta(model, MEAN_THREEQ + 0.01)
+        checked_delta(table, MEAN_THREEQ + 0.01)
 
 
 def test_config_rejects_inconsistent_workloads():
@@ -108,6 +107,58 @@ def test_config_rejects_inconsistent_workloads():
     for unknown in ("telepathy", object()):
         with pytest.raises(ValueError, match="strategy: unknown strategy object"):
             SimConfig(model, net, unknown, 3, 10, 0)
+
+
+_DELTA = "strategy.delta: delta must lie in (0, 0.549306), the smallest pair mean"
+_COMPLETE = "strategy/network: this strategy requires a complete network"
+_CONNECTED = ("strategy/network: the connected coordination strategy requires "
+              "a strongly connected network")
+_SIZES = "model/network: model has 4 agents but the network has 3"
+
+
+def test_config_violations_lists_every_strategy_check_in_order():
+    # the whole list, recorded before the strategy checks moved out of the
+    # engine: every message, its text and its place
+    model = binary_model(0.75, n_agents=3)
+    cycle, complete = Network.directed_cycle(3), Network.complete(3)
+    disconnected = Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2)))
+    finite = SignalModel(
+        StateSpace((0, 1)), Finite((0, 1), ((0.7, 0.3), (0.3, 0.7))), 3
+    )
+    cases = [
+        (model, cycle, AutarkyML(), []),
+        (model, cycle, "telepathy",
+         ["strategy: unknown strategy object 'telepathy'"]),
+        (model, complete, CoordinationComplete(3.0), [_DELTA]),
+        (model, cycle, CoordinationComplete(0.05), [_COMPLETE]),
+        (model, disconnected, CoordinationConnected(0.05), [_CONNECTED]),
+        (model, disconnected, CoordinationConnected(3.0), [_DELTA, _CONNECTED]),
+        (finite, cycle, OddEven(),
+         ["strategy/model: the odd/even strategy requires symmetric binary "
+          "signals", _COMPLETE]),
+        (model, complete, ConstantFirstPeriod(2),
+         ["strategy.state: state index out of range"]),
+        # delta is checked only against an admissible model
+        (binary_model(0.4, 3), cycle, CoordinationComplete(3.0),
+         ["model: p must lie in (1/2,1)", _COMPLETE]),
+        (None, cycle, OddEven(), [_COMPLETE]),
+        (model, None, CoordinationConnected(3.0), [_DELTA]),
+        (binary_model(0.75, 4), cycle, "telepathy",
+         ["strategy: unknown strategy object 'telepathy'", _SIZES]),
+        (binary_model(0.75, 4), cycle, CoordinationComplete(3.0),
+         [_SIZES, _DELTA, _COMPLETE]),
+    ]
+    for model_, network, strategy, expected in cases:
+        assert config_violations(model_, network, strategy, 5, 10, 0) == expected, (
+            model_, network, strategy)
+    assert config_violations(binary_model(0.75, 4), cycle, ConstantFirstPeriod(2),
+                             0, True, -1) == [
+        "horizon: must be a positive integer",
+        "replications: must be a positive integer",
+        "seed: must be a nonnegative integer",
+        _SIZES,
+        "strategy.state: state index out of range",
+    ]
 
 
 # -- exact oracles -----------------------------------------------------------------
@@ -358,7 +409,7 @@ def test_reachable_sums_bound_every_order_of_increments():
     keep = np.array([0.4054651081081644, 0.3, -0.1])
     bump = np.array([-0.4054651081081644, -0.7, 0.1])
     horizon = 12
-    bounds = list(sim_engine.reachable_sums(keep, bump, horizon))
+    bounds = list(strategies.reachable_sums(keep, bump, horizon))
     assert len(bounds) == horizon
     several = 0
     for t, (lo, hi) in enumerate(bounds, start=1):
@@ -402,8 +453,9 @@ def test_complete_coordination_binds_the_count_fill_only_when_it_is_exact():
     )
     assert _bound_path(straddles) == "float"
     binding = _Binding(straddles)
-    *_, (lo, hi) = sim_engine.reachable_sums(*binding.table[0], 25)
-    slack = pair_means(straddles.model)[0, 0, 1] - resolve_delta(straddles.model, None)
+    *_, (lo, hi) = strategies.reachable_sums(*binding.table[0], 25)
+    slack = pair_means(straddles.model)[0, 0, 1] - checked_delta(
+        pair_table(straddles.model), None)
     cut = slack * 25
     assert lo[8] == 7.625680743484829 and hi[8] == 7.625680743484831
     assert lo[8] < cut <= hi[8]

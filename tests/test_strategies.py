@@ -4,6 +4,7 @@ The rules are checked through the batched engine, on hand-made signal
 trajectories whose actions follow from the rule definitions.
 """
 
+import hashlib
 import math
 import pickle
 import warnings
@@ -20,7 +21,7 @@ from ratebound.signal_models import (
     SignalModel,
     StateSpace,
 )
-from ratebound.sim_engine import SimConfig, _Binding, _replay
+from ratebound.sim_engine import SimConfig, _Binding, _replay, mistake_curve
 from ratebound.strategies import (
     AutarkyML,
     ConstantFirstPeriod,
@@ -322,6 +323,77 @@ def test_constant_strategy_never_moves():
     assert play(ConstantFirstPeriod(1), model, [[0, 0]]).tolist() == [[1, 1]]
     with pytest.raises(ValueError):
         ConstantFirstPeriod(-1)
+
+
+# -- every compiled rule, pinned ---------------------------------------------------------
+
+
+_THREE_STATES = SignalModel(
+    StateSpace((0, 1, 2), (0.5, 0.3, 0.2)),
+    Finite((0, 1, 2), ((0.6, 0.3, 0.1), (0.2, 0.5, 0.3), (0.1, 0.3, 0.6))),
+    3,
+)
+_PINNED_RULES = {
+    # name: (config, the binding's compiled form, sha256 of shape and counts)
+    "autarky-binary": (
+        SimConfig(binary_model(0.7, 3, (0.4, 0.6)), Network.complete(3),
+                  AutarkyML(), 12, 3000, 1),
+        "decide", "0a414e7ed803a05ca29e67e1818aa4a6e88f6ee111cb3c3d6fa6e8c51d1d6455",
+    ),
+    "autarky-finite": (
+        SimConfig(_THREE_STATES, Network.complete(3), AutarkyML(), 10, 2000, 2),
+        "decide", "bd0b3be63e32d7fecef8e483876a1070a7018d9b2f463d52d56b5f5c921d2cdd",
+    ),
+    "autarky-gaussian": (
+        SimConfig(SignalModel(StateSpace((0, 1, 2)), Gaussian((0.0, 0.4, 1.0), 1.0), 2),
+                  Network.complete(2), AutarkyML(), 10, 2000, 3),
+        "decide", "f4dac7b17f05917a22993967e1165351c6cdd5d45a45a8faccb957706fc0d701",
+    ),
+    "complete-count": (
+        SimConfig(binary_model(0.75, 5), Network.complete(5),
+                  CoordinationComplete(0.05), 12, 3000, 4),
+        "fill", "e52081f16d126da40444c42e500760589a36f6047771f3da61dfd2d39c13c7ba",
+    ),
+    "complete-float-finite": (
+        SimConfig(_THREE_STATES, Network.complete(3), CoordinationComplete(0.02),
+                  10, 2000, 5),
+        "decide", "5207d2c6c15f0cf383070c3f19055b8523da786722068baa614d236ec4c174e4",
+    ),
+    # the README's straddling case: at t = 25 the float sums of one count
+    # fall on either side of the cut, so the rule stays on floats
+    "complete-float-straddle": (
+        SimConfig(binary_model(0.7, 3), Network.complete(3), CoordinationComplete(),
+                  25, 2000, 6),
+        "decide", "4e06c2d9d11db10439612d752df2302703e7fa5e8e6e034e84e9fd3ffdf71e9e",
+    ),
+    "connected-relay": (
+        SimConfig(binary_model(0.8, 4), Network.directed_cycle(4),
+                  CoordinationConnected(0.05), 20, 2000, 7),
+        "decide", "4274dba374a0c452df11ef4b027138a725525c2cb6836070504861ed49ac5f84",
+    ),
+    "odd-even": (
+        SimConfig(binary_model(0.75, 4), Network.complete(4), OddEven(), 10, 3000, 8),
+        "fill", "caa370602474faab8b012b4700bbaedde2422d3de155dec733e933d14ee61686",
+    ),
+    "constant": (
+        SimConfig(binary_model(0.75, 2), Network.complete(2), ConstantFirstPeriod(1),
+                  5, 1000, 9),
+        "fill", "85828e496965eb2a1ac0273dc94e44d890cfe36cbfa1b6b7f78cd781334a60cb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_RULES)
+def test_every_compiled_rule_keeps_its_seeded_counts(name):
+    # digests recorded before the rules moved out of the engine; each config
+    # is small and seeded, and binds the named form
+    config, form, digest = _PINNED_RULES[name]
+    binding = _Binding(config)
+    assert (binding.decide is None, binding.fill is None) == (
+        form != "decide", form != "fill")
+    counts = mistake_curve(config).counts
+    raw = np.ascontiguousarray(counts, dtype="<i8").tobytes()
+    assert hashlib.sha256(repr(counts.shape).encode() + raw).hexdigest() == digest
 
 
 # -- JSON ----------------------------------------------------------------------------
