@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ratebound.signal_models import is_count
+from ratebound.signal_models import is_count, is_real
 
 _DOMAIN_GRAPH = 3
 
@@ -99,8 +99,10 @@ class Network:
     @staticmethod
     def random_strongly_connected(n: int, edge_prob: float, seed) -> "Network":
         """Erdos-Renyi directed graph with self-loops, redrawn until strongly connected."""
-        if not 0.0 < edge_prob <= 1.0:
+        if not (is_real(edge_prob) and 0.0 < edge_prob <= 1.0):
             raise ValueError("edge_prob must lie in (0, 1]")
+        if not is_count(seed, 0):
+            raise ValueError("seed must be a nonnegative integer")
         n = _agents(n)
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(_DOMAIN_GRAPH,))
         rng = np.random.Generator(np.random.Philox(ss))

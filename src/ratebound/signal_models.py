@@ -1,4 +1,4 @@
-"""State spaces, signal families, and log-likelihood ratio evaluation."""
+"""State spaces, signal families, their draws from raw words, and JSON."""
 
 from __future__ import annotations
 
@@ -90,16 +90,17 @@ class BinarySymmetric:
         object.__setattr__(self, "p", _real(self.p, "p"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Finite:
     """Finitely supported signals with per-agent, per-state pmfs.
 
-    pmf may be nested per agent (agents x states x support) or given once per
-    state (states x support) and broadcast across agents.
+    pmf is a read-only float array, per agent (agents x states x support) or
+    given once per state (states x support) and broadcast across agents.
+    Families are equal, and hash alike, when their supports and arrays are.
     """
 
     support: tuple
-    pmf: tuple
+    pmf: np.ndarray
 
     def __post_init__(self) -> None:
         support = tuple(self.support)
@@ -108,41 +109,81 @@ class Finite:
         if len(set(support)) != len(support):
             raise ValueError("support values must be distinct")
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "pmf", _freeze_nested(self.pmf, "a pmf entry"))
+        pmf = _freeze_nested(self.pmf, "a pmf entry", _PMF_SHAPE)
+        object.__setattr__(self, "pmf", pmf)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Finite):
+            return NotImplemented
+        return self.support == other.support and np.array_equal(self.pmf, other.pmf)
+
+    def __hash__(self) -> int:
+        return hash((self.support, _array_key(self.pmf)))
+
+    def __reduce__(self):
+        return Finite, (self.support, self.pmf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gaussian:
     """Gaussian signals with per-agent, per-state means and one shared sigma.
 
-    means may be nested per agent (agents x states) or given once per state
-    and broadcast. The shared sigma keeps the moment generating function of
-    the log-likelihood ratio finite everywhere.
+    means is a read-only float array, per agent (agents x states) or given
+    once per state and broadcast. The shared sigma keeps the moment
+    generating function of the log-likelihood ratio finite everywhere.
+    Families are equal, and hash alike, when their arrays and sigmas are.
     """
 
-    means: tuple
+    means: np.ndarray
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "means", _freeze_nested(self.means, "a mean"))
+        means = _freeze_nested(self.means, "a mean", _MEANS_SHAPE)
+        object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Gaussian):
+            return NotImplemented
+        return self.sigma == other.sigma and np.array_equal(self.means, other.means)
 
-def _freeze_nested(values, what: str):
-    """values, an array or nested lists and tuples, as nested tuples of
-    floats, each entry checked by _real. Plain values (see _plain) of one
-    shape whose entries are all finite are converted whole, row by row;
-    anything else goes entry by entry, so that an error names the first
-    offending value."""
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        return _real(values, what)
+    def __hash__(self) -> int:
+        return hash((self.sigma, _array_key(self.means)))
+
+    def __reduce__(self):
+        return Gaussian, (self.means, self.sigma)
+
+
+_PMF_SHAPE = "pmf must have shape (n_agents, n_states, support) or (n_states, support)"
+_MEANS_SHAPE = "means must have shape (n_agents, n_states) or (n_states,)"
+
+
+def _freeze_nested(values, what: str, shape: str) -> np.ndarray:
+    """values, an array or nested lists and tuples, as one read-only float
+    array, each entry checked by _real. Plain values (see _plain) whose
+    entries are all finite are converted whole; anything else goes entry by
+    entry, so that an error names the first offending value. Ragged rows
+    raise the shape message."""
+    array = None
     if _plain(values):
         # an int too large for a float, or ragged rows, raise
         with contextlib.suppress(OverflowError, ValueError):
             array = np.array(values, dtype=float)
-            if np.isfinite(array).all():
-                return _tuples(array.tolist())
-    return tuple(_freeze_nested(v, what) for v in values)
+    if array is None or not np.isfinite(array).all():
+        rows = _checked(values, what)
+        try:
+            array = np.array(rows, dtype=float)
+        except ValueError:  # ragged rows
+            raise ValueError(shape) from None
+    array.flags.writeable = False
+    return array
+
+
+def _checked(values, what: str):
+    """values as nested lists of floats, entry by entry through _real."""
+    if isinstance(values, (list, tuple, np.ndarray)):
+        return [_checked(v, what) for v in values]
+    return _real(values, what)
 
 
 def _plain(values) -> bool:
@@ -156,9 +197,21 @@ def _plain(values) -> bool:
     return set(map(type, level)) <= {float, int}
 
 
-def _tuples(rows: list) -> tuple:
-    """Nested lists, as ndarray.tolist() gives them, as nested tuples."""
-    return tuple(map(_tuples, rows) if rows and type(rows[0]) is list else rows)
+def _array_key(array: np.ndarray) -> tuple:
+    """A hashable key of a float array; adding 0.0 turns -0.0 into 0.0, so
+    arrays that compare equal key alike."""
+    return array.shape, (array + 0.0).tobytes()
+
+
+def _stacked(rows: np.ndarray, n: int, ndim: int) -> np.ndarray:
+    """A family's read-only array with the agent axis first: rows given
+    once per state (ndim - 1 axes) stacked for n agents, anything else as
+    it is, for the model to check."""
+    if rows.ndim != ndim - 1:
+        return rows
+    rows = np.broadcast_to(rows, (n,) + rows.shape).copy()
+    rows.flags.writeable = False
+    return rows
 
 
 def per_agent(rows: np.ndarray) -> np.ndarray:
@@ -195,34 +248,27 @@ class SignalModel:
             pmf.flags.writeable = False
             object.__setattr__(self, "_pmf", pmf)
         elif isinstance(self.family, Finite):
-            pmf = np.asarray(self.family.pmf, dtype=float)
-            if pmf.ndim == 2:
-                pmf = np.broadcast_to(pmf, (n,) + pmf.shape).copy()
+            pmf = _stacked(self.family.pmf, n, 3)
             if pmf.ndim != 3 or pmf.shape[0] != n or pmf.shape[1] != k:
-                raise ValueError(
-                    "pmf must have shape (n_agents, n_states, support) "
-                    "or (n_states, support)"
-                )
+                raise ValueError(_PMF_SHAPE)
             if pmf.shape[2] != len(self.family.support):
                 raise ValueError("pmf rows must match the support length")
             if np.any(pmf < 0.0):
                 raise ValueError("pmf entries must be nonnegative")
             if np.any(np.abs(pmf.sum(axis=2) - 1.0) > _PMF_TOL):
                 raise ValueError("each per-state pmf must sum to 1")
-            pmf.flags.writeable = False
             object.__setattr__(self, "_pmf", pmf)
         elif isinstance(self.family, Gaussian):
-            means = np.asarray(self.family.means, dtype=float)
-            if means.ndim == 1:
-                means = np.broadcast_to(means, (n,) + means.shape).copy()
+            means = _stacked(self.family.means, n, 2)
             if means.ndim != 2 or means.shape != (n, k):
-                raise ValueError(
-                    "means must have shape (n_agents, n_states) or (n_states,)"
-                )
-            means.flags.writeable = False
+                raise ValueError(_MEANS_SHAPE)
             object.__setattr__(self, "_means", means)
         else:
             raise TypeError(f"unknown signal family: {self.family!r}")
+
+    def __reduce__(self):
+        # rebuilt, so the arrays come back read-only and shared with the family
+        return SignalModel, (self.states, self.family, self.n_agents)
 
     # -- support / density accessors -------------------------------------
 
@@ -251,32 +297,6 @@ class SignalModel:
         return self._means
 
     # -- core operations ---------------------------------------------------
-
-    def llr(self, agent: int, f: int, g: int, s) -> float:
-        """Log-likelihood ratio log(density_f(s) / density_g(s)) for one signal.
-
-        f and g are state indices; s is a support value (finite families) or a
-        real (Gaussian). Antisymmetric in (f, g) exactly.
-        """
-        self._check_agent(agent)
-        self._check_state(f)
-        self._check_state(g)
-        if f == g:
-            raise ValueError("llr requires two distinct states")
-        if isinstance(self.family, Gaussian):
-            mf = self._means[agent, f]
-            mg = self._means[agent, g]
-            sigma = self.family.sigma
-            return float((mf - mg) * (float(s) - (mf + mg) / 2.0) / sigma**2)
-        try:
-            idx = self.support.index(s)
-        except ValueError:
-            raise ValueError(f"signal value {s!r} is not in the support") from None
-        pf = self._pmf[agent, f, idx]
-        pg = self._pmf[agent, g, idx]
-        if pf <= 0.0 or pg <= 0.0:
-            raise ValueError(f"signal value {s!r} has zero probability")
-        return math.log(pf) - math.log(pg)
 
     def validate(self) -> list[str]:
         """Return every violated admissibility condition; empty iff admissible."""
@@ -307,16 +327,6 @@ class SignalModel:
             else:
                 violations.append(f"LLR identically zero {states}")
         return violations
-
-    # -- helpers -------------------------------------------------------------
-
-    def _check_agent(self, agent: int) -> None:
-        if not 0 <= agent < self.n_agents:
-            raise ValueError(f"agent index {agent} out of range")
-
-    def _check_state(self, state: int) -> None:
-        if not 0 <= state < self.states.n_states:
-            raise ValueError(f"state index {state} out of range")
 
 
 # numpy's Generator.random() is (w >> 11) * 2**-53 for a raw 64-bit word w,
@@ -429,12 +439,12 @@ def model_to_json(model: SignalModel) -> dict:
         fam = {
             "type": "finite",
             "support": list(model.family.support),
-            "pmf": np.array(model.family.pmf).tolist(),
+            "pmf": model.family.pmf.tolist(),
         }
     else:
         fam = {
             "type": "gaussian",
-            "means": np.array(model.family.means).tolist(),
+            "means": model.family.means.tolist(),
             "sigma": model.family.sigma,
         }
     return {

@@ -152,14 +152,6 @@ class MistakeCurve:
         """Prior-weighted mistake probabilities, shape (n_agents, horizon)."""
         return np.tensordot(np.asarray(self.prior), self.probs, axes=1)
 
-    def mixed_stderr(self) -> np.ndarray | None:
-        """Standard error of mixed(); None for exact curves."""
-        if self.trials == 0:
-            return None
-        weights = np.asarray(self.prior) ** 2
-        variances = self.probs * (1.0 - self.probs)
-        return np.sqrt(np.tensordot(weights, variances, axes=1) / self.trials)
-
 
 # -- deterministic signal streams ------------------------------------------------
 
@@ -523,6 +515,8 @@ def _binomial_rows(p: float, horizon: int):
 def exact_autarky_curve(model: SignalModel, horizon: int) -> MistakeCurve:
     """Closed-form autarky mistake curve for uniform-prior symmetric binary
     models: binomial tails of the signal-count majority, ties to state 0."""
+    if not is_count(horizon, 1):
+        raise ValueError("horizon must be a positive integer")
     if not isinstance(model.family, BinarySymmetric):
         raise ValueError("closed-form autarky curve requires binary symmetric "
                          "signals")

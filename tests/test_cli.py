@@ -620,6 +620,20 @@ def test_schedule_command_refusals_pin_their_error_lines(tmp_path, capsys):
         assert (code, out, err) == (1, "", f"error: {line}\n"), args
 
 
+def test_schedule_command_refuses_a_negative_random_seed(capsys):
+    code, out, err = run_cli(["schedule", "--random", "3", "--seed", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: seed must be a nonnegative integer\n")
+
+
+def test_rates_show_refuses_a_ragged_pmf_with_the_shape_line(tmp_path, capsys):
+    family = {"type": "finite", "support": [0, 1], "pmf": [[0.5, 0.5], [1.0]]}
+    model_path = write_json(tmp_path, "model.json", {"states": [0, 1], "family": family})
+    code, out, err = run_cli(["rates", "show", "--model", model_path], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: model: pmf must have shape (n_agents, n_states, support) "
+                   "or (n_states, support)\n")
+
+
 def test_schedule_command_builds_a_complete_network(capsys):
     code, out, err = run_cli(["schedule", "--complete", "4"], capsys)
     assert code == 0 and err == ""

@@ -1,6 +1,7 @@
 """Observation graphs, distances, schedules, and the knowledge-replay oracle."""
 
 import json
+import math
 import pickle
 from dataclasses import replace
 
@@ -105,6 +106,18 @@ def test_random_networks_are_seeded_connected_and_self_looped():
     assert a != c
     with pytest.raises(ValueError):
         Network.random_strongly_connected(4, 0.0, seed=0)
+
+
+def test_random_networks_refuse_seeds_and_edge_probabilities_of_the_wrong_type():
+    # seed None drew an unreproducible graph from OS entropy; True passed as
+    # seed 1 and as edge probability 1
+    for seed in (None, True, -1, 2.5, "3"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            Network.random_strongly_connected(4, 0.5, seed)
+    for edge_prob in (True, "0.5", None, math.nan, 0.0, 1.5):
+        with pytest.raises(ValueError, match=r"edge_prob must lie in \(0, 1\]"):
+            Network.random_strongly_connected(4, edge_prob, 0)
+    assert Network.random_strongly_connected(4, 1, np.int64(0)) == Network.complete(4)
 
 
 def _redrawn_network(n, edge_prob, seed):

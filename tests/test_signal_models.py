@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from ratebound.signal_models import (
     Gaussian,
     SignalModel,
     StateSpace,
+    _freeze_nested,
     _real,
     indices_from_words,
     model_from_json,
@@ -25,7 +27,8 @@ from ratebound.signal_models import (
 from ratebound.sim_engine import SimConfig, _Binding, _chunk_generator, _draw_chunk
 from ratebound.strategies import AutarkyML
 
-LOG3 = 1.0986122886681098
+PMF_SHAPE = "pmf must have shape (n_agents, n_states, support) or (n_states, support)"
+MEANS_SHAPE = "means must have shape (n_agents, n_states) or (n_states,)"
 
 
 def binary_model(p=0.75, n_agents=1):
@@ -134,10 +137,36 @@ def _frozen_or_refused(freeze, values):
         return type(exc), str(exc)
 
 
-def _float_leaves(frozen):
-    if isinstance(frozen, tuple):
-        return all(_float_leaves(v) for v in frozen)
-    return type(frozen) is float
+def _freeze_array(values, what):
+    return _freeze_nested(values, what, PMF_SHAPE)
+
+
+def _reference_outcome(values):
+    """The per-entry freeze's outcome, its nested tuples as the one float
+    array a family keeps; ragged rows, which that freeze keeps as they
+    stand, are refused with the family's shape message."""
+    outcome = _frozen_or_refused(_freeze_reference, values)
+    if outcome[0] != "frozen":
+        return outcome
+    try:
+        return "frozen", np.array(outcome[1], dtype=float)
+    except ValueError:
+        return ValueError, PMF_SHAPE
+
+
+def _assert_same_outcome(values):
+    outcome = _frozen_or_refused(_freeze_array, values)
+    expected = _reference_outcome(values)
+    assert outcome[0] == expected[0]
+    if outcome[0] != "frozen":
+        assert outcome[1] == expected[1]
+        return outcome
+    frozen = outcome[1]
+    assert type(frozen) is np.ndarray and frozen.dtype == float
+    assert not frozen.flags.writeable
+    assert frozen.shape == expected[1].shape
+    assert np.array_equal(frozen, expected[1])
+    return outcome
 
 
 def _as_tuples(rows):
@@ -177,33 +206,26 @@ def _spoiled(rng, values):
 
 
 def test_the_array_freeze_equals_the_per_entry_freeze():
-    from ratebound.signal_models import _freeze_nested
-
     rng = np.random.default_rng(2024)
     refused = set()
     for _ in range(150):
         for values in _nested_forms(rng):
-            frozen = _frozen_or_refused(_freeze_nested, values)
-            assert frozen == _frozen_or_refused(_freeze_reference, values)
-            assert frozen[0] == "frozen" and _float_leaves(frozen[1])
+            assert _assert_same_outcome(values)[0] == "frozen"
             spoiled = _spoiled(rng, values)
             for form in (spoiled, _as_tuples(spoiled)):
-                outcome = _frozen_or_refused(_freeze_nested, form)
-                assert outcome == _frozen_or_refused(_freeze_reference, form)
-                if outcome[0] == "frozen":
-                    refused.add("ragged")
-                else:
-                    refused.add(outcome[1].partition(", not ")[2][:6])
+                kind, message = _assert_same_outcome(form)
+                if kind != "frozen":
+                    ragged = message == PMF_SHAPE
+                    refused.add("ragged" if ragged else message.partition(", not ")[2][:6])
         poisoned = rng.normal(size=(3, 4))
         poisoned[rng.integers(3), rng.integers(4)] = rng.choice([math.nan, math.inf])
         for values in (poisoned, poisoned > 0.0, poisoned.astype(str)):
-            assert _frozen_or_refused(_freeze_nested, values) == _frozen_or_refused(
-                _freeze_reference, values)
-    # every spoiled entry was met; ragged rows freeze as they stand
+            _assert_same_outcome(values)
+    # every spoiled entry was met; ragged rows raise the shape message
     assert refused == {"True", "False", "'0.5'", "nan", "inf", "-inf", "100000",
                        "ragged"}
     with pytest.raises(TypeError):
-        _freeze_nested(np.array(0.5), "a mean")
+        _freeze_nested(np.array(0.5), "a mean", PMF_SHAPE)
 
 
 def test_unknown_family_rejected():
@@ -211,37 +233,91 @@ def test_unknown_family_rejected():
         SignalModel(StateSpace((0, 1)), "not a family")
 
 
-# -- log-likelihood ratios -------------------------------------------------------
+def test_family_arrays_are_read_only_floats_the_model_reuses():
+    given_pmf = np.array([[[0.7, 0.3], [0.3, 0.7]], [[0.6, 0.4], [0.4, 0.6]]])
+    finite = Finite((0, 1), given_pmf)
+    gaussian = Gaussian([[1, 0], [2, 0]], 1.0)
+    for array in (finite.pmf, gaussian.means):
+        assert type(array) is np.ndarray and array.dtype == float
+        assert not array.flags.writeable
+    # the family keeps its own copy of an array it is given
+    assert given_pmf.flags.writeable and finite.pmf is not given_pmf
+    model = SignalModel(StateSpace((0, 1)), finite, n_agents=2)
+    assert model.pmf is finite.pmf
+    assert SignalModel(StateSpace((0, 1)), gaussian, 2).means is gaussian.means
+    # rows given once per state are stacked once, read-only
+    shared = SignalModel(StateSpace((0, 1)), Finite((0, 1), given_pmf[0]), 3)
+    assert shared.pmf.shape == (3, 2, 2) and not shared.pmf.flags.writeable
+    assert np.array_equal(shared.pmf, np.stack([given_pmf[0]] * 3))
 
 
-def test_llr_binary_golden_and_exact_antisymmetry():
-    model = binary_model(0.75)
-    assert model.llr(0, 0, 1, 0) == pytest.approx(LOG3, rel=1e-15)
-    assert model.llr(0, 0, 1, 1) == pytest.approx(-LOG3, rel=1e-15)
-    assert model.llr(0, 1, 0, 0) == -model.llr(0, 0, 1, 0)
+def test_ragged_rows_raise_the_shape_message_at_the_family():
+    for rows in ([[0.5, 0.5], [1.0]], ((0.5, 0.5), (1.0,)), [[0.5, 0.5], 1.0],
+                 [[[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]]]):
+        with pytest.raises(ValueError) as refusal:
+            Finite((0, 1), rows)
+        assert str(refusal.value) == PMF_SHAPE
+    with pytest.raises(ValueError) as refusal:
+        Gaussian([[0.0, 1.0], [0.0]], 1.0)
+    assert str(refusal.value) == MEANS_SHAPE
+    # a bad entry is named before the rows are found ragged
+    with pytest.raises(ValueError, match="a pmf entry must be a finite real "
+                                         "number, not True"):
+        Finite((0, 1), [[0.5, 0.5], [True]])
+    # a pmf of the wrong depth still fails at the model, as before
+    with pytest.raises(ValueError) as refusal:
+        SignalModel(StateSpace((0, 1)), Finite((0, 1), [0.5, 0.5]))
+    assert str(refusal.value) == PMF_SHAPE
 
 
-def test_llr_gaussian_closed_form():
-    model = SignalModel(StateSpace((0, 1)), Gaussian((1.0, 0.0), 2.0))
-    x = 0.3
-    expected = (1.0 - 0.0) * (x - 0.5) / 4.0
-    assert model.llr(0, 0, 1, x) == pytest.approx(expected, rel=1e-15)
+def _random_model(rng):
+    """A random Finite or Gaussian model, its array per agent or per state,
+    with some of its zero entries written as -0.0."""
+    n, k = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    rows = (n, k) if rng.random() < 0.5 else (k,)
+    states = StateSpace(tuple(range(k)))
+    if rng.random() < 0.5:
+        means = rng.integers(-2, 3, size=rows) * rng.choice([1.0, 0.25])
+        means[means == 0.0] *= rng.choice([1.0, -1.0])
+        return SignalModel(states, Gaussian(means, float(rng.uniform(0.5, 2))), n)
+    m = int(rng.integers(2, 5))
+    pmf = rng.dirichlet(np.ones(m), size=rows)
+    pmf[..., -1] = 0.0
+    pmf /= pmf.sum(axis=-1, keepdims=True)
+    pmf[..., -1] *= rng.choice([1.0, -1.0])
+    return SignalModel(states, Finite(tuple(range(m)), pmf), n)
 
 
-def test_llr_rejects_bad_queries():
-    model = binary_model()
-    with pytest.raises(ValueError):
-        model.llr(0, 1, 1, 0)
-    with pytest.raises(ValueError):
-        model.llr(0, 0, 1, 7)
-    with pytest.raises(ValueError):
-        model.llr(2, 0, 1, 0)
-    zero_atom = SignalModel(
-        StateSpace((0, 1)),
-        Finite((0, 1, 2), ((0.5, 0.5, 0.0), (0.25, 0.25, 0.5))),
-    )
-    with pytest.raises(ValueError):
-        zero_atom.llr(0, 0, 1, 2)
+def test_families_round_trip_through_json_and_pickle_equal_and_hash_alike():
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        model = _random_model(rng)
+        doc = json.dumps(model_to_json(model))
+        for rebuilt in (model_from_json(json.loads(doc)),
+                        pickle.loads(pickle.dumps(model))):
+            assert rebuilt == model and hash(rebuilt) == hash(model)
+            assert rebuilt.family == model.family
+            assert hash(rebuilt.family) == hash(model.family)
+            assert json.dumps(model_to_json(rebuilt)) == doc
+            array = (rebuilt.family.pmf if isinstance(rebuilt.family, Finite)
+                     else rebuilt.family.means)
+            model_array = rebuilt.pmf if rebuilt.has_finite_support else rebuilt.means
+            assert not array.flags.writeable and not model_array.flags.writeable
+            assert (model_array is array) == (array.ndim == model_array.ndim)
+
+
+def test_zero_entries_of_either_sign_compare_equal_and_hash_alike():
+    pairs = [
+        (Gaussian((0.0, 1.0), 1.0), Gaussian((-0.0, 1.0), 1.0)),
+        (Finite((0, 1, 2), ((0.5, 0.5, 0.0), (0.25, 0.75, 0.0))),
+         Finite((0, 1, 2), ((0.5, 0.5, -0.0), (0.25, 0.75, -0.0)))),
+    ]
+    for plus, minus in pairs:
+        assert plus == minus and hash(plus) == hash(minus)
+    assert Gaussian((0.0, 1.0), 1.0) != Gaussian((0.0, 1.0), 2.0)
+    assert Gaussian((0.0, 1.0), 1.0) != Gaussian(((0.0, 1.0),), 1.0)
+    assert Finite((0, 1), ((0.5, 0.5),)) != Finite(("a", "b"), ((0.5, 0.5),))
+    assert Finite((0, 1), ((0.5, 0.5),)) != Gaussian((0.5, 0.5), 1.0)
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -595,5 +671,6 @@ def test_model_from_json_rejects_malformed_documents():
         np.int64(2),
     )
     assert type(model.n_agents) is int and type(model.family.sigma) is float
-    assert all(type(v) is float for v in model.family.means + model.states.prior)
+    assert model.family.means.dtype == float
+    assert all(type(v) is float for v in model.states.prior)
     assert type(BinarySymmetric(np.float32(0.75)).p) is float

@@ -189,6 +189,14 @@ def test_closed_form_autarky_curve_rejects_unsupported_models():
         exact_autarky_curve(skewed, 3)
 
 
+def test_closed_form_autarky_curve_refuses_a_horizon_that_is_no_count():
+    # 0 gave an empty curve, -3 a numpy broadcast error, 2.5 a TypeError
+    for horizon in (0, -3, 2.5, True, None):
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            exact_autarky_curve(binary_model(0.75), horizon)
+    assert exact_autarky_curve(binary_model(0.75), np.int64(2)).horizon == 2
+
+
 def test_enumeration_agrees_with_the_closed_form():
     config = autarky_config(horizon=6, replications=1)
     enum = enumerate_exact(config)
@@ -824,18 +832,6 @@ def test_mixed_curve_weights_states_by_the_prior():
     probs = np.array([[[0.2, 0.1]], [[0.4, 0.3]]])
     curve = MistakeCurve(probs, prior=(0.25, 0.75), provenance="exact-enumeration")
     assert curve.mixed()[0] == pytest.approx([0.35, 0.25], rel=1e-14)
-    assert curve.mixed_stderr() is None
-
-
-def test_mixed_stderr_matches_the_binomial_formula():
-    probs = np.array([[[0.2]], [[0.4]]])
-    counts = (probs * 100).astype(np.int64)
-    curve = MistakeCurve(
-        probs, prior=(0.5, 0.5), provenance="monte-carlo", counts=counts,
-        trials=100,
-    )
-    expected = math.sqrt((0.25 * 0.2 * 0.8 + 0.25 * 0.4 * 0.6) / 100)
-    assert curve.mixed_stderr()[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 # -- rate fitting -----------------------------------------------------------------------

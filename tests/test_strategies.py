@@ -39,7 +39,7 @@ from ratebound.strategies import (
     strategy_from_json,
     strategy_to_json,
 )
-from lane_reference import reference_lane
+from lane_reference import reference_lane, reference_llr
 from replay_reference import ml_action, most_popular
 
 LOG3 = 1.0986122886681098
@@ -224,7 +224,7 @@ def test_compiled_increments_match_llr_for_both_families():
     table = _Binding(config).table
     assert table.shape == (1, 2)  # one pair, one shared row of two atoms
     for s in (0, 1):
-        assert table[0, s] == model.llr(0, 0, 1, s)
+        assert table[0, s] == reference_llr(model, 0, 0, 1, s)
     gaussian = SignalModel(
         StateSpace((0, 1, 2)), Gaussian(((1.0, 0.0, -0.5), (2.0, 0.0, 1.0)), 2.0), 2
     )
@@ -236,7 +236,7 @@ def test_compiled_increments_match_llr_for_both_families():
         for agent in (0, 1):
             for r, x in enumerate(xs):
                 assert acc[p, agent, r] == pytest.approx(
-                    gaussian.llr(agent, f, g, x), rel=1e-14
+                    reference_llr(gaussian, agent, f, g, x), rel=1e-14
                 )
 
 
