@@ -66,6 +66,8 @@ class Network:
         """The network in which agent i observes the members of
         neighborhoods[i], listed in any order, repeats allowed."""
         n = _agents(n)
+        if not isinstance(neighborhoods, (list, tuple)):
+            raise ValueError("neighborhoods must be a list of index lists")
         if len(neighborhoods) != n:
             raise ValueError("need one neighborhood per agent")
         observes = np.zeros((n, n), dtype=bool)

@@ -41,11 +41,21 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _labels(values, what: str) -> tuple:
+    """values as a tuple, once they are a list or tuple of JSON scalars:
+    strings or finite numbers, not bools; else ValueError on what."""
+    if not (isinstance(values, (list, tuple))
+            and all(isinstance(v, str) or is_real(v) for v in values)):
+        raise ValueError(f"{what} must be a list of strings or finite numbers")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Finite set of world states with a full-support prior.
 
-    labels: ordered, distinct state identifiers (at least 2).
+    labels: a list or tuple of at least 2 distinct state names, each a
+    string or a number.
     prior: probability vector over states; None means uniform.
     """
 
@@ -53,13 +63,15 @@ class StateSpace:
     prior: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+        labels = _labels(self.labels, "state labels")
         if len(labels) < 2:
             raise ValueError("a state space needs at least 2 states")
         if len(set(labels)) != len(labels):
             raise ValueError("state labels must be distinct")
         if self.prior is None:
             prior = tuple(1.0 / len(labels) for _ in labels)
+        elif not isinstance(self.prior, (list, tuple, np.ndarray)):
+            raise ValueError("prior must be a list of probabilities")
         else:
             prior = tuple(_real(q, "a prior entry") for q in self.prior)
             if len(prior) != len(labels):
@@ -94,16 +106,18 @@ class BinarySymmetric:
 class Finite:
     """Finitely supported signals with per-agent, per-state pmfs.
 
-    pmf is a read-only float array, per agent (agents x states x support) or
-    given once per state (states x support) and broadcast across agents.
-    Families are equal, and hash alike, when their supports and arrays are.
+    support is a list or tuple of at least 2 distinct signal names, each a
+    string or a number. pmf is a read-only float array, per agent (agents x
+    states x support) or given once per state (states x support) and
+    broadcast across agents. Families are equal, and hash alike, when their
+    supports and arrays are.
     """
 
     support: tuple
     pmf: np.ndarray
 
     def __post_init__(self) -> None:
-        support = tuple(self.support)
+        support = _labels(self.support, "support")
         if len(support) < 2:
             raise ValueError("support needs at least 2 signal values")
         if len(set(support)) != len(support):
@@ -386,7 +400,8 @@ def indices_from_words(edges: WordEdges, words: np.ndarray) -> np.ndarray:
     integer type that holds them: int8 up to 128 atoms.
 
     One word per draw, so streams of words align one-to-one with draws.
-    Shared by every sampling path in the package to keep them bit-identical.
+    The package's one sampling path, sim_engine._draw_indices, draws every
+    finite-support signal through it.
     """
     thresholds = edges.thresholds
     n_edges = thresholds.shape[-1]
@@ -411,7 +426,7 @@ def model_from_json(doc: dict) -> SignalModel:
     for key in ("states", "family"):
         if key not in doc:
             raise ValueError(f"model document is missing {key!r}")
-    states = StateSpace(tuple(doc["states"]), doc.get("prior"))
+    states = StateSpace(doc["states"], doc.get("prior"))
     fam = doc["family"]
     if not isinstance(fam, dict) or "type" not in fam:
         raise ValueError("family must be an object with a 'type' field")
@@ -420,7 +435,7 @@ def model_from_json(doc: dict) -> SignalModel:
         if kind == "binary_symmetric":
             family = BinarySymmetric(p=fam["p"])
         elif kind == "finite":
-            family = Finite(support=tuple(fam["support"]), pmf=fam["pmf"])
+            family = Finite(support=fam["support"], pmf=fam["pmf"])
         elif kind == "gaussian":
             family = Gaussian(means=fam["means"], sigma=fam["sigma"])
         else:

@@ -49,51 +49,11 @@ def state_pairs(k: int) -> list[tuple[int, int]]:
     return [(f, g) for f in range(k) for g in range(f + 1, k)]
 
 
-def _pair_index(pairs: list[tuple[int, int]], f: int, g: int) -> int:
-    """Position of the unordered pair {f, g} in state_pairs order."""
-    return pairs.index((min(f, g), max(f, g)))
-
-
-def dominance_plan(k: int) -> tuple:
-    """lowest_dominant's tests, compiled once: for each state f from the
-    highest down, the (pair, compare, g) triples whose conjunction makes f
-    dominant. L[f, g] >= c reads L[p] >= c when f < g, and L[p] <= -c
-    otherwise, which negation makes exact; signed_cuts supplies the bounds
-    c and -c."""
+def _row_pairs(k: int, f: int) -> list[tuple[int, int]]:
+    """(g, p) for every g != f in g order, p the position of the unordered
+    pair {f, g} in state_pairs(k): L[f, g] is L[p] when f < g, else -L[p]."""
     pairs = state_pairs(k)
-    return tuple(
-        (f, tuple(
-            (_pair_index(pairs, f, g),
-             np.greater_equal if f < g else np.less_equal, g)
-            for g in range(k)
-            if g != f
-        ))
-        for f in reversed(range(k))
-    )
-
-
-def signed_cuts(cut: np.ndarray) -> np.ndarray:
-    """The bounds of dominance_plan's tests for a (k, k, ...) cut: cut[f, g]
-    above the diagonal, -cut[f, g] below it."""
-    k = cut.shape[0]
-    below = np.tri(k, k, -1, dtype=bool).reshape((k, k) + (1,) * (cut.ndim - 2))
-    return np.where(below, -cut, cut)
-
-
-def ml_plan(k: int) -> tuple:
-    """ml_choice's compiled form: for each state f, the (pair, sign) terms of
-    its row sum over g != f in g order; then the dominance plan and its zero
-    bounds."""
-    pairs = state_pairs(k)
-    rows = tuple(
-        tuple(
-            (_pair_index(pairs, f, g), 1 if f < g else -1)
-            for g in range(k)
-            if g != f
-        )
-        for f in range(k)
-    )
-    return rows, dominance_plan(k), np.zeros((k, k))
+    return [(g, pairs.index((min(f, g), max(f, g)))) for g in range(k) if g != f]
 
 
 def _put(actions: np.ndarray, f: int, where: np.ndarray, top: int) -> None:
@@ -114,39 +74,39 @@ def _put(actions: np.ndarray, f: int, where: np.ndarray, top: int) -> None:
         np.add(actions, step, out=actions)
 
 
-def lowest_dominant(L: np.ndarray, plan: tuple, bounds: np.ndarray,
-                    actions: np.ndarray) -> None:
-    """Where some state f passes every test of plan against bounds (see
-    dominance_plan), set actions to the lowest such f; other cells keep
-    their value. actions must hold states, 0..k-1."""
-    top = plan[0][0]
-    for f, tests in plan:
+def lowest_dominant(L: np.ndarray, cut: np.ndarray, actions: np.ndarray) -> None:
+    """Where some state f has L[f, g] >= cut[f, g] for every g != f, set
+    actions to the lowest such f; other cells keep their value. cut is
+    (k, k, ...); L[f, g] >= cut[f, g] reads L[p] <= -cut[f, g] when f > g,
+    which negation makes exact. actions must hold states, 0..k-1."""
+    k = cut.shape[0]
+    for f in reversed(range(k)):
         ok = None
-        for p, compare, g in tests:
+        for g, p in _row_pairs(k, f):
+            test = L[p] >= cut[f, g] if f < g else L[p] <= -cut[f, g]
             if ok is None:
-                ok = compare(L[p], bounds[f, g])
+                ok = test
             else:
-                np.logical_and(ok, compare(L[p], bounds[f, g]), out=ok)
-        _put(actions, f, ok, top)
+                np.logical_and(ok, test, out=ok)
+        _put(actions, f, ok, k - 1)
 
 
-def ml_choice(L: np.ndarray, plan: tuple, actions: np.ndarray) -> None:
-    """Maximum-likelihood action (plan = ml_plan(k)): the lowest state whose
-    row dominates, L[f, g] >= 0 for every g. On two states that is one
-    compare: state 0 exactly when L[0, 1] >= 0 (-0.0 included). Accumulated
-    rounding can starve every row when k > 2; such cells take the largest
-    row sum, summed left to right over g != f (ties to the lowest state)."""
-    rows, dominance, zeros = plan
-    if len(rows) == 2:
+def ml_choice(L: np.ndarray, k: int, actions: np.ndarray) -> None:
+    """Maximum-likelihood action: the lowest state whose row dominates,
+    L[f, g] >= 0 for every g. On two states that is one compare: state 0
+    exactly when L[0, 1] >= 0 (-0.0 included). Accumulated rounding can
+    starve every row when k > 2; such cells take the largest row sum,
+    summed left to right over g != f (ties to the lowest state)."""
+    if k == 2:
         np.less(L[0], 0.0, out=actions)
         return
-    top = len(rows) - 1
+    top = k - 1
     actions.fill(0)
     best = None
-    for f, terms in enumerate(rows):
+    for f in range(k):
         row = None
-        for p, sign in terms:
-            term = L[p] if sign > 0 else -L[p]
+        for g, p in _row_pairs(k, f):
+            term = L[p] if f < g else -L[p]
             row = term if row is None else row + term
         if best is not None:
             better = row > best
@@ -154,7 +114,7 @@ def ml_choice(L: np.ndarray, plan: tuple, actions: np.ndarray) -> None:
                 row = np.where(better, row, best)
             _put(actions, f, better, top)
         best = row
-    lowest_dominant(L, dominance, zeros, actions)
+    lowest_dominant(L, np.zeros((k, k)), actions)
 
 
 def plurality(actions: np.ndarray, k: int, axis: int) -> np.ndarray:
@@ -304,7 +264,7 @@ def compile_rule(strategy: Strategy, model: SignalModel, network: Network,
     closures, pickle for a pool whose workers are spawned."""
     k = model.states.n_states
     if isinstance(strategy, AutarkyML):
-        return partial(_autarky, ml_plan(k)), None
+        return partial(_autarky, k), None
     if isinstance(strategy, OddEven):
         return None, partial(_odd_even, prior[0], tables[0, 0, 0])
     if isinstance(strategy, ConstantFirstPeriod):
@@ -312,9 +272,9 @@ def compile_rule(strategy: Strategy, model: SignalModel, network: Network,
     table = pair_table(model)
     slack = per_agent(table.mean - checked_delta(table, strategy.delta))
     thresholds = slack.transpose(1, 2, 0)[..., None]
-    bounds = np.stack([signed_cuts(thresholds * t) for t in range(1, horizon + 1)])
+    cuts = np.stack([thresholds * t for t in range(1, horizon + 1)])
     first = first_action(model.states.prior)
-    rule = (k, first, dominance_plan(k), bounds)
+    rule = (k, first, cuts)
     if isinstance(strategy, CoordinationConnected):
         schedule = build_schedule(network)
         # each voter's (source, offset) pairs, its own vote first
@@ -323,18 +283,18 @@ def compile_rule(strategy: Strategy, model: SignalModel, network: Network,
         votes = np.concatenate([own[:, None], schedule.harvest], axis=1)
         return partial(_relay_votes, *rule, schedule, votes), None
     if k == 2 and tables is not None and tables.shape[2] == 2:
-        counted = _count_rule(prior[0], tables[:, 0], bounds)
+        counted = _count_rule(prior[0], tables[:, 0], cuts)
         if counted is not None:
             return None, partial(_count_plurality, first, *counted)
     return partial(_follow_plurality, *rule), None
 
 
-def _autarky(plan: tuple, t: int, L: np.ndarray, history: np.ndarray) -> None:
-    ml_choice(L, plan, history[t - 1])
+def _autarky(k: int, t: int, L: np.ndarray, history: np.ndarray) -> None:
+    ml_choice(L, k, history[t - 1])
 
 
-def _follow_plurality(k: int, first: int, dominance: tuple, cuts: np.ndarray,
-                      t: int, L: np.ndarray, history: np.ndarray) -> None:
+def _follow_plurality(k: int, first: int, cuts: np.ndarray, t: int, L: np.ndarray,
+                      history: np.ndarray) -> None:
     """Complete coordination: the prior's mode at t = 1; then the lowest
     decisive state, else the previous period's plurality."""
     now = history[t - 1]
@@ -342,7 +302,7 @@ def _follow_plurality(k: int, first: int, dominance: tuple, cuts: np.ndarray,
         now.fill(first)
         return
     now[...] = plurality(history[t - 2], k, axis=0)
-    lowest_dominant(L, dominance, cuts[t - 1], now)
+    lowest_dominant(L, cuts[t - 1], now)
 
 
 def reachable_sums(keep: np.ndarray, bump: np.ndarray, horizon: int):
@@ -376,33 +336,33 @@ def _add_period(bound: np.ndarray, keep: np.ndarray, bump: np.ndarray,
     return out
 
 
-def _count_rule(prior: float, table: np.ndarray, bounds: np.ndarray):
+def _count_rule(prior: float, table: np.ndarray, cuts: np.ndarray):
     """Complete coordination on two states and two atoms as integer cuts on
     signal counts, or None when no such cuts reproduce the float rule.
 
-    table holds each agent's llr L[0, 1] per atom, (agents, 2); bounds are
-    the rule's signed cuts, (horizon, 2, 2, agents, 1). An agent counts its
-    signals of the atom that favors state 1 (atom 1 unless flip marks it).
-    After t periods its evidence is prior + acc, where acc is one of the
-    float sums that reachable_sums bounds for its count c. State 0 is
-    decisive when L >= bounds[t-1, 0, 1], state 1 when L <= bounds[t-1, 1, 0].
+    table holds each agent's llr L[0, 1] per atom, (agents, 2); cuts are
+    the rule's ordered-pair cuts, (horizon, 2, 2, agents, 1). An agent counts
+    its signals of the atom that favors state 1 (atom 1 unless flip marks
+    it). After t periods its evidence is prior + acc, where acc is one of
+    the float sums that reachable_sums bounds for its count c. State 0 is
+    decisive when L >= cuts[t-1, 0, 1], state 1 when L <= -cuts[t-1, 1, 0].
     Each test must give one answer for every sum of a cell, and the decisive
     counts must be two disjoint intervals, c <= a for state 0 and c >= b for
-    state 1. Then the agent plays 1 exactly when c > cuts[t-1, p], where p
-    is the previous plurality: cut a when p = 1, b - 1 when p = 0. Past a
+    state 1. Then the agent plays 1 exactly when c > limits[t-1, p], where p
+    is the previous plurality: limit a when p = 1, b - 1 when p = 0. Past a
     horizon of 127 periods counts overflow int8, and the answer is None.
 
-    Returns (flip, cuts): flip (agents, 1) int8, or None when every agent
-    counts atom 1; cuts (horizon, 2, agents, 1) int8."""
-    horizon = bounds.shape[0]
+    Returns (flip, limits): flip (agents, 1) int8, or None when every agent
+    counts atom 1; limits (horizon, 2, agents, 1) int8."""
+    horizon = cuts.shape[0]
     if horizon > 127:
         return None
-    cuts = []
+    limits = []
     sums = reachable_sums(table.max(axis=1), table.min(axis=1), horizon)
     for t, (lo, hi) in enumerate(sums, start=1):
         if prior:  # the engine adds the prior term only when it is not 0
             lo, hi = prior + lo, prior + hi
-        zero, one = bounds[t - 1, 0, 1, :, 0], bounds[t - 1, 1, 0, :, 0]
+        zero, one = cuts[t - 1, 0, 1, :, 0], -cuts[t - 1, 1, 0, :, 0]
         to_zero, to_one = lo >= zero, hi <= one
         if (to_zero != (hi >= zero)).any() or (to_one != (lo <= one)).any():
             return None  # some cell's sums straddle a cut
@@ -412,10 +372,10 @@ def _count_rule(prior: float, table: np.ndarray, bounds: np.ndarray):
         if ((to_zero != (c <= a)).any() or (to_one != (c >= b)).any()
                 or (a >= b).any()):
             return None
-        cuts.append((b - 1, a))
+        limits.append((b - 1, a))
     flip = table[:, 1] > table[:, 0]
     flip = flip.astype(np.int8)[:, None] if flip.any() else None
-    return flip, np.array(cuts, dtype=np.int8)[..., None]
+    return flip, np.array(limits, dtype=np.int8)[..., None]
 
 
 def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
@@ -439,9 +399,8 @@ def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
         np.greater(counts[t], cut, out=history[t])
 
 
-def _relay_votes(k: int, first: int, dominance: tuple, cuts: np.ndarray,
-                 schedule: PropagationSchedule, votes: np.ndarray, t: int,
-                 L: np.ndarray, history: np.ndarray) -> None:
+def _relay_votes(k: int, first: int, cuts: np.ndarray, schedule: PropagationSchedule,
+                 votes: np.ndarray, t: int, L: np.ndarray, history: np.ndarray) -> None:
     """Connected coordination: relay periods show what the schedule directs;
     voting periods follow complete coordination's rule, over the previous
     block's votes that each voter sees at its (n, 2) votes (source, offset)
@@ -458,7 +417,7 @@ def _relay_votes(k: int, first: int, dominance: tuple, cuts: np.ndarray,
     else:
         seen = history[t - schedule.M - 1 + votes[..., 1], votes[..., 0]]
         now[...] = plurality(seen, k, axis=1)
-        lowest_dominant(L, dominance, cuts[t - 1], now)
+        lowest_dominant(L, cuts[t - 1], now)
 
 
 def _odd_even(prior: float, weight: float, signals: np.ndarray,

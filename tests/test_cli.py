@@ -27,6 +27,7 @@ from ratebound.signal_models import (
     Gaussian,
     SignalModel,
     StateSpace,
+    model_from_json,
     model_to_json,
 )
 from ratebound.strategies import (
@@ -359,6 +360,15 @@ def test_sweep_command_writes_files_and_validates_bounds(tmp_path, capsys):
         code, _, err = run_cli(bad, capsys)
         assert code == 1
         assert "error:" in err
+    # a file that cannot be written is a runtime error
+    unwritable = tmp_path / "no" / "such" / "dir" / "rates.csv"
+    code, out, err = run_cli(
+        ["sweep", "--from", "0.75", "--to", "0.75", "--points", "1",
+         "--out", str(unwritable)],
+        capsys,
+    )
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {unwritable}: ")
 
 
 def test_sweep_help_lists_the_options_in_grid_order(capsys):
@@ -632,6 +642,154 @@ def test_rates_show_refuses_a_ragged_pmf_with_the_shape_line(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == ("error: model: pmf must have shape (n_agents, n_states, support) "
                    "or (n_states, support)\n")
+
+
+_FINITE_MODEL = {
+    "states": [0, 1], "prior": [0.5, 0.5],
+    "family": {"type": "finite", "support": [0, 1], "pmf": [[0.7, 0.3], [0.3, 0.7]]},
+    "n_agents": 2,
+}
+_NETWORK = {"n": 2, "neighborhoods": [[0, 1], [0, 1]]}
+_CONFIG = {
+    "model": _FINITE_MODEL, "network": _NETWORK,
+    "strategy": {"strategy": "coordination", "delta": 0.05},
+    "horizon": 3, "replications": 4, "seed": 0,
+}
+# one value of each JSON type
+_JSON_VALUES = {"string": "ab", "number": 5, "list": [1, 2], "object": {"a": 1},
+                "bool": True, "null": None}
+# (document, path to a field, the JSON types the field takes)
+_TYPED_FIELDS = [
+    (_FINITE_MODEL, (), {"object"}),
+    (_FINITE_MODEL, ("states",), {"list"}),
+    (_FINITE_MODEL, ("prior",), {"list", "null"}),
+    (_FINITE_MODEL, ("family",), {"object"}),
+    (_FINITE_MODEL, ("family", "type"), {"string"}),
+    (_FINITE_MODEL, ("family", "support"), {"list"}),
+    (_FINITE_MODEL, ("family", "pmf"), {"list"}),
+    (_FINITE_MODEL, ("n_agents",), {"number"}),
+    ({"states": [0, 1], "family": {"type": "binary_symmetric", "p": 0.75}},
+     ("family", "p"), {"number"}),
+    ({"states": [0, 1], "family": {"type": "gaussian", "means": [0, 1], "sigma": 1}},
+     ("family", "means"), {"list"}),
+    ({"states": [0, 1], "family": {"type": "gaussian", "means": [0, 1], "sigma": 1}},
+     ("family", "sigma"), {"number"}),
+    (_NETWORK, (), {"object"}),
+    (_NETWORK, ("n",), {"number"}),
+    (_NETWORK, ("neighborhoods",), {"list"}),
+    (_NETWORK, ("neighborhoods", 0), {"list"}),
+    (_CONFIG, (), {"object"}),
+    (_CONFIG, ("model",), {"object", "string"}),  # a string is a file path
+    (_CONFIG, ("network",), {"object", "string"}),
+    (_CONFIG, ("strategy",), {"object"}),
+    (_CONFIG, ("strategy", "strategy"), {"string"}),
+    (_CONFIG, ("strategy", "delta"), {"number", "null"}),
+    ({**_CONFIG, "strategy": {"strategy": "constant", "state": 1}},
+     ("strategy", "state"), {"number"}),
+    (_CONFIG, ("horizon",), {"number"}),
+    (_CONFIG, ("replications",), {"number"}),
+    (_CONFIG, ("seed",), {"number"}),
+    (_CONFIG, ("out",), {"string", "null"}),
+]
+_WRONG_ENTRIES = [
+    # lists of the right length whose entries have the wrong type
+    (_FINITE_MODEL, ("states",), [[0], [1]]),
+    (_FINITE_MODEL, ("states",), [True, False]),
+    (_FINITE_MODEL, ("states",), [0, None]),
+    (_FINITE_MODEL, ("family", "support"), [[0], [1]]),
+    (_FINITE_MODEL, ("family", "support"), [{"a": 1}, "x"]),
+    (_FINITE_MODEL, ("prior",), ["a", "b"]),
+    (_FINITE_MODEL, ("family", "pmf"), [[True, 0.5], [0.5, 0.5]]),
+    (_NETWORK, ("neighborhoods", 0), [0, "1"]),
+]
+_WRONG_TYPED = [
+    (doc, path, value)
+    for doc, path, takes in _TYPED_FIELDS
+    for kind, value in _JSON_VALUES.items()
+    if kind not in takes
+] + _WRONG_ENTRIES
+
+
+def _with(doc, path, value):
+    """doc with the field at path replaced by value."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    parent[last] = value
+    return doc
+
+
+def _command(doc, path):
+    """The section a refusal names and the command that reads doc."""
+    if "horizon" in doc:
+        return path[0] if path else "config", ["simulate", "--config"]
+    if "n" in doc:
+        return "network", ["schedule", "--network"]
+    return "model", ["rates", "show", "--model"]
+
+
+@pytest.mark.parametrize(
+    "doc, path, value", _WRONG_TYPED,
+    ids=[f"{_command(d, p)[0]}-{'.'.join(map(str, p)) or 'doc'}-"
+         f"{json.dumps(v, separators=(',', ':'))}" for d, p, v in _WRONG_TYPED],
+)
+def test_wrong_typed_documents_are_refused_with_one_error_line(
+        doc, path, value, tmp_path, capsys):
+    # a value of the wrong JSON type, anywhere in a model, network, strategy
+    # or whole config, exits 1 with one error line that names its section
+    # and no Python type
+    section, command = _command(doc, path)
+    args = [*command, write_json(tmp_path, "doc.json", _with(doc, path, value))]
+    if command[0] == "simulate":
+        args += ["--out", str(tmp_path / "c.csv")]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, ""), err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {section}: "), err
+    python_words = ("'int'", "'float'", "'str'", "'list'", "'dict'", "'bool'",
+                    "NoneType", "unhashable", "iterable", "has no len",
+                    "object of type")
+    assert not any(word in err for word in python_words), err
+
+
+def test_label_refusals_pin_their_error_lines(tmp_path, capsys):
+    # a string is not a list of labels, and a label is a string or a number
+    labels = "state labels must be a list of strings or finite numbers"
+    support = "support must be a list of strings or finite numbers"
+    for path, value, line in (
+        (("states",), "ab", labels),
+        (("states",), [[0], [1]], labels),
+        (("family", "support"), "xy", support),
+        (("family", "support"), 5, support),
+    ):
+        doc = _with(_FINITE_MODEL, path, value)
+        model_path = write_json(tmp_path, "model.json", doc)
+        code, out, err = run_cli(["rates", "show", "--model", model_path], capsys)
+        assert (code, out, err) == (1, "", f"error: model: {line}\n"), (path, value)
+
+
+def test_valid_documents_write_back_the_json_they_were_read_from(tmp_path):
+    # labels of strings and numbers read and write back unchanged, as do
+    # the shipped model and config files
+    labelled = _with(_with(_FINITE_MODEL, ("states",), ["low", 2.5]),
+                     ("family", "support"), ["x", 7])
+    docs = [_FINITE_MODEL, labelled]
+    for name in ("model_mixed.json", "config_small.json"):
+        with open(os.path.join(DATA, name)) as fh:
+            doc = json.load(fh)
+        docs.append(doc.get("model", doc))
+    for doc in docs:
+        written = model_to_json(model_from_json(doc))
+        assert json.dumps(written) == json.dumps(doc)
+    sim, out = parse_config(os.path.join(DATA, "config_small.json"))
+    with open(os.path.join(DATA, "config_small.json")) as fh:
+        small = json.load(fh)
+    echoed = config_doc(sim)
+    del echoed["network"]  # the file leaves the complete network implicit
+    assert out is None and json.dumps(echoed) == json.dumps(small)
 
 
 def test_schedule_command_builds_a_complete_network(capsys):

@@ -900,11 +900,16 @@ def test_monte_carlo_curve_round_trips_through_csv(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"agent,period,state,mistakes,trials\n")
     assert b"\r" not in raw
-    back = read_curve_csv(path)
-    assert back.trials == 50
-    assert np.array_equal(back.counts, curve.counts)
-    assert np.array_equal(back.probs, curve.probs)
-    assert back.provenance == "monte-carlo"
+    lines = path.read_text().splitlines()
+    # blank lines between the rows, as an editor or a concatenation leaves
+    # them, read back the same curve
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(lines[0] + "\n\n" + "\n \n".join(lines[1:]) + "\n\n")
+    for back in (read_curve_csv(path), read_curve_csv(spaced)):
+        assert back.trials == 50
+        assert np.array_equal(back.counts, curve.counts)
+        assert np.array_equal(back.probs, curve.probs)
+        assert back.provenance == "monte-carlo"
 
 
 def test_exact_curve_round_trips_through_csv(tmp_path):

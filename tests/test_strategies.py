@@ -29,18 +29,16 @@ from ratebound.strategies import (
     CoordinationComplete,
     CoordinationConnected,
     OddEven,
-    dominance_plan,
     first_action,
     lowest_dominant,
     ml_choice,
-    ml_plan,
     prior_log_matrix,
-    signed_cuts,
+    state_pairs,
     strategy_from_json,
     strategy_to_json,
 )
 from lane_reference import reference_lane, reference_llr
-from replay_reference import ml_action, most_popular
+from replay_reference import dominant_row, ml_action, most_popular
 
 LOG3 = 1.0986122886681098
 
@@ -78,7 +76,7 @@ def test_first_action_is_the_prior_mode():
 def ml(pair_evidence, k):
     """ml_choice on one cell; pair_evidence lists L[f, g] for f < g."""
     out = np.empty(1, dtype=np.int8)
-    ml_choice(np.asarray(pair_evidence, dtype=float)[:, None], ml_plan(k), out)
+    ml_choice(np.asarray(pair_evidence, dtype=float)[:, None], k, out)
     return int(out[0])
 
 
@@ -106,7 +104,7 @@ def test_two_state_ml_is_one_compare_that_equals_the_reference():
     L = pair.reshape(1, 50, -1)
     for dtype in (np.int8, np.int16):
         actions = np.full(L.shape[1:], 7, dtype=dtype)
-        ml_choice(L, ml_plan(2), actions)
+        ml_choice(L, 2, actions)
         expected = [ml_action(np.array([[0.0, v], [-v, 0.0]])) for v in pair]
         assert actions.ravel().tolist() == expected
 
@@ -119,13 +117,59 @@ def test_decisive_state_thresholds():
                                   (0.0, 1, None)):
         for start in (0, 1):
             out = np.full(1, start, dtype=np.int8)
-            lowest_dominant(
-                np.array([[evidence]]), dominance_plan(2),
-                signed_cuts(thresholds * t), out,
-            )
+            lowest_dominant(np.array([[evidence]]), thresholds * t, out)
             assert out[0] == (start if decisive is None else decisive), (
                 evidence, t, start,
             )
+
+
+def _full_evidence(pair_values, k):
+    """The k x k matrix that one cell's pair evidence stands for."""
+    L = np.zeros((k, k))
+    for p, (f, g) in enumerate(state_pairs(k)):
+        L[f, g], L[g, f] = pair_values[p], -pair_values[p]
+    return L
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_decision_kernels_equal_the_scalar_reference(k):
+    # Evidence and cuts come from a pool of signed zeros, infinities and
+    # small integers, so tests tie with their cuts and row sums tie with
+    # each other, with a quarter of the values normal floats. Every cell of
+    # lowest_dominant and ml_choice must equal the scalar reference.
+    rng = np.random.default_rng(2600 + k)
+    pool = np.array([-math.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf])
+    cells = 3000
+
+    def draw(shape):
+        values = rng.choice(pool, size=shape)
+        noisy = rng.random(shape) < 0.25
+        values[noisy] = rng.normal(scale=2.0, size=noisy.sum())
+        return values
+
+    L = draw((len(state_pairs(k)), cells))
+    cut = draw((k, k, cells))
+    start = rng.integers(0, k, size=cells).astype(np.int8)
+    actions = start.copy()
+    lowest_dominant(L, cut, actions)
+    chosen = np.full(cells, 7, dtype=np.int8)
+    dominant, ml, fallbacks = [], [], 0
+    with np.errstate(invalid="ignore"):  # a row sum of inf and -inf is nan
+        ml_choice(L, k, chosen)
+        for c in range(cells):
+            full = _full_evidence(L[:, c], k)
+            dominant.append(dominant_row(full, cut[..., c]))
+            ml.append(ml_action(full))
+            fallbacks += dominant_row(full, np.zeros((k, k))) is None
+    kept = [s if f is None else f for s, f in zip(start.tolist(), dominant)]
+    assert actions.tolist() == kept
+    assert chosen.tolist() == ml
+    # no vacuous case: every state is somewhere dominant and some cell has
+    # none; ml_choice picks every state, by its row-sum fallback too when
+    # k > 2 (on two states some row always dominates)
+    assert set(dominant) == set(range(k)) | {None}
+    assert set(ml) == set(range(k))
+    assert (fallbacks > 0) == (k > 2)
 
 
 # -- evidence tables ---------------------------------------------------------------
