@@ -205,6 +205,20 @@ class PropagationSchedule:
     harvest: np.ndarray
 
 
+def schedule_too_large(n: int) -> str | None:
+    """Why no propagation schedule is built on n agents, or None.
+
+    The relay tables of a schedule on n agents hold (M - 1) n = n^2 (n - 2)
+    entries each, and building them takes about 18 n^3 bytes of working
+    arrays (8 GB at n = 2000). Tables of more than 2^24 entries, that is
+    past 256 agents, are refused before any of them is allocated."""
+    entries = n * n * (n - 2)
+    if entries <= 2**24:
+        return None
+    return (f"a propagation schedule on {n} agents needs relay tables of "
+            f"{entries} entries; at most 2^24 (256 agents) are supported")
+
+
 def build_schedule(net: Network) -> PropagationSchedule:
     """Construct the relay plan for a strongly connected network.
 
@@ -216,7 +230,11 @@ def build_schedule(net: Network) -> PropagationSchedule:
     at offset 0); everyone else repeats her own voting action. One pass per
     distance level reaches distance n-2; agents at distance n-1 still learn
     the vote by observing their carrier, which replay_knowledge certifies.
+    A network of more than 256 agents is refused (see schedule_too_large).
     """
+    too_large = schedule_too_large(net.n)
+    if too_large:
+        raise ValueError(too_large)
     if not is_strongly_connected(net):
         raise ValueError("a propagation schedule requires a strongly connected network")
     n = net.n

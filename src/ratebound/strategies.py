@@ -24,6 +24,7 @@ import numpy as np
 from ratebound.ldp_numerics import checked_delta, pair_table
 from ratebound.network import (
     Network, PropagationSchedule, build_schedule, is_complete, is_strongly_connected,
+    schedule_too_large,
 )
 from ratebound.signal_models import (
     BinarySymmetric, SignalModel, is_count, is_real, per_agent,
@@ -215,8 +216,9 @@ def strategy_violations(strategy: Strategy | None, model: SignalModel | None,
     """Every reason the strategy cannot be played on the model and network,
     each prefixed with the fields it concerns, in config_violations' order.
     A strategy, model or network of None could not be read and is not
-    checked; delta is checked only against an admissible model. An object
-    that is no strategy raises TypeError."""
+    checked; delta is checked only against an admissible model. A network
+    too large for a relay schedule is not tested for strong connectivity.
+    An object that is no strategy raises TypeError."""
     if not isinstance(strategy, Strategy | None):
         raise TypeError(f"unknown strategy object {strategy!r}")
     violations = []
@@ -234,10 +236,13 @@ def strategy_violations(strategy: Strategy | None, model: SignalModel | None,
             violations.append("strategy/model: the odd/even strategy requires "
                               "symmetric binary signals")
     if network is not None:
-        connected = isinstance(strategy, CoordinationConnected)
-        if connected and not is_strongly_connected(network):
-            violations.append("strategy/network: the connected coordination "
-                              "strategy requires a strongly connected network")
+        if isinstance(strategy, CoordinationConnected):
+            too_large = schedule_too_large(network.n)
+            if too_large:
+                violations.append(f"strategy/network: {too_large}")
+            elif not is_strongly_connected(network):
+                violations.append("strategy/network: the connected coordination "
+                                  "strategy requires a strongly connected network")
         complete = isinstance(strategy, (CoordinationComplete, OddEven))
         if complete and not is_complete(network):
             violations.append("strategy/network: this strategy requires a "
@@ -349,14 +354,13 @@ def _count_rule(prior: float, table: np.ndarray, cuts: np.ndarray):
     Each test must give one answer for every sum of a cell, and the decisive
     counts must be two disjoint intervals, c <= a for state 0 and c >= b for
     state 1. Then the agent plays 1 exactly when c > limits[t-1, p], where p
-    is the previous plurality: limit a when p = 1, b - 1 when p = 0. Past a
-    horizon of 127 periods counts overflow int8, and the answer is None.
+    is the previous plurality: limit a when p = 1, b - 1 when p = 0.
 
     Returns (flip, limits): flip (agents, 1) int8, or None when every agent
-    counts atom 1; limits (horizon, 2, agents, 1) int8."""
+    counts atom 1; limits (horizon, 2, agents, 1) in the narrowest signed
+    integer that holds every count and limit, -1..horizon: int8 through 127
+    periods, then int16."""
     horizon = cuts.shape[0]
-    if horizon > 127:
-        return None
     limits = []
     sums = reachable_sums(table.max(axis=1), table.min(axis=1), horizon)
     for t, (lo, hi) in enumerate(sums, start=1):
@@ -375,7 +379,7 @@ def _count_rule(prior: float, table: np.ndarray, cuts: np.ndarray):
         limits.append((b - 1, a))
     flip = table[:, 1] > table[:, 0]
     flip = flip.astype(np.int8)[:, None] if flip.any() else None
-    return flip, np.array(limits, dtype=np.int8)[..., None]
+    return flip, np.array(limits, dtype=np.min_scalar_type(-horizon - 1))[..., None]
 
 
 def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
@@ -383,9 +387,10 @@ def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
     """Complete coordination on integer counts (see _count_rule): the
     prior's mode at t = 1; then each agent plays 1 exactly when its count of
     state-1 signals exceeds its cut for the previous period's plurality.
-    Per period: one int8 add, one plurality sum over agents, one compare."""
+    Counts take the cuts' integer type. Per period: one integer add, one
+    plurality sum over agents, one compare."""
     reps, n, horizon = signals.shape
-    counts = np.empty((horizon, n, reps), dtype=np.int8)
+    counts = np.empty((horizon, n, reps), dtype=cuts.dtype)
     if flip is None:
         np.copyto(counts, signals.transpose(2, 1, 0), casting="unsafe")
     else:

@@ -607,10 +607,20 @@ def test_schedule_command_refuses_a_network_that_is_not_strongly_connected(
     ]
 
 
-def test_schedule_command_refusals_pin_their_error_lines(tmp_path, capsys):
+def test_schedule_command_refusals_pin_their_error_lines(tmp_path, monkeypatch,
+                                                        capsys):
     # every network refusal of `ratebound schedule`: exit 1 and exactly the
-    # one error line, word for word
+    # one error line, word for word, before distances or the connectivity
+    # test run, so a schedule too large to hold builds none of its O(n^3)
+    # arrays
+    def fail(*args):
+        raise AssertionError("a refused schedule reached the graph routines")
+    monkeypatch.setattr("ratebound.network.distances", fail)
+    monkeypatch.setattr("ratebound.network._reaches_everyone", fail)
     cases = [
+        (["--complete", "2048"],
+         "a propagation schedule on 2048 agents needs relay tables of "
+         "8581545984 entries; at most 2^24 (256 agents) are supported"),
         (["--complete", "0"], "a network needs a positive integer number of agents"),
         (["--complete", "-3"], "a network needs a positive integer number of agents"),
         (["--cycle", "0"], "a network needs a positive integer number of agents"),

@@ -19,6 +19,7 @@ from ratebound.network import (
     network_from_json,
     network_to_json,
     replay_knowledge,
+    schedule_too_large,
     voting_periods,
 )
 from ratebound.signal_models import BinarySymmetric, SignalModel, StateSpace
@@ -318,6 +319,25 @@ def test_schedule_arrays_are_read_only():
 def test_build_schedule_requires_strong_connectivity():
     with pytest.raises(ValueError):
         build_schedule(Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2))))
+
+
+def test_build_schedule_refuses_a_schedule_too_large_to_hold(monkeypatch):
+    # relay tables hold n^2 (n - 2) entries: 16,646,144 at n = 256 and
+    # 16,842,495 at n = 257, on either side of 2^24
+    assert schedule_too_large(256) is None
+    assert schedule_too_large(257) == (
+        "a propagation schedule on 257 agents needs relay tables of 16842495 "
+        "entries; at most 2^24 (256 agents) are supported")
+    assert all(schedule_too_large(n) is None for n in (1, 2, 3))
+    # distances and the connectivity test are never reached, so none of the
+    # schedule's O(n^3) arrays is built
+    def fail(*args):
+        raise AssertionError("a refused schedule reached the graph routines")
+    monkeypatch.setattr("ratebound.network.distances", fail)
+    monkeypatch.setattr("ratebound.network._reaches_everyone", fail)
+    with pytest.raises(ValueError) as excinfo:
+        build_schedule(Network.complete(2048))
+    assert str(excinfo.value) == schedule_too_large(2048)
 
 
 def _corrupted(schedule, name, index, value):

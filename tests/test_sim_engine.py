@@ -25,6 +25,7 @@ from ratebound.signal_models import (
 )
 from ratebound.sim_engine import (
     CHUNK,
+    InadmissibleConfig,
     MistakeCurve,
     SimConfig,
     config_violations,
@@ -158,6 +159,22 @@ def test_config_violations_lists_every_strategy_check_in_order():
         "seed: must be a nonnegative integer",
         _SIZES,
         "strategy.state: state index out of range",
+    ]
+
+
+def test_a_relay_schedule_too_large_to_hold_is_refused_before_it_is_built(
+    monkeypatch
+):
+    def fail(*args):
+        raise AssertionError("a refused config reached the graph routines")
+    monkeypatch.setattr("ratebound.network.distances", fail)
+    monkeypatch.setattr("ratebound.network._reaches_everyone", fail)
+    model = binary_model(0.75, 2048)
+    with pytest.raises(InadmissibleConfig) as excinfo:
+        SimConfig(model, Network.complete(2048), CoordinationConnected(), 5, 10, 0)
+    assert excinfo.value.violations == [
+        "strategy/network: a propagation schedule on 2048 agents needs relay "
+        "tables of 8581545984 entries; at most 2^24 (256 agents) are supported"
     ]
 
 
@@ -468,9 +485,10 @@ def test_complete_coordination_binds_the_count_fill_only_when_it_is_exact():
     assert lo[8] == 7.625680743484829 and hi[8] == 7.625680743484831
     assert lo[8] < cut <= hi[8]
     assert _bound_path(dataclasses.replace(straddles, horizon=24)) == "count"
-    # counts past int8, more than two states or atoms, other strategies
-    long = dataclasses.replace(herd, horizon=128)
-    assert _bound_path(long) == "float"
+    # counts past int8 take a wider integer; more than two states or atoms,
+    # and other strategies, stay on floats
+    for horizon in (128, 300, 600):
+        assert _bound_path(dataclasses.replace(herd, horizon=horizon)) == "count"
     three_atoms = SignalModel(
         StateSpace((0, 1)), Finite((0, 1, 2), ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))), 2
     )
@@ -495,6 +513,45 @@ def test_complete_coordination_binds_the_count_fill_only_when_it_is_exact():
             assert np.array_equal(
                 actions[r], replay_reference.replay(straddles, signals[r])
             ), (state, r)
+
+
+# binary, and a two-atom family whose atom 0 favors state 1 (the count fill
+# flips it) under a prior whose mode is state 1
+_LONG_HORIZON_MODELS = {
+    "binary": binary_model(0.75, 3),
+    "flipped-finite": SignalModel(
+        StateSpace((0, 1), (0.4, 0.6)), Finite((0, 1), ((0.35, 0.65), (0.8, 0.2))), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon", [128, 300])
+@pytest.mark.parametrize("name", _LONG_HORIZON_MODELS)
+def test_the_count_fill_plays_past_127_periods_as_the_float_rule(
+    name, horizon, monkeypatch
+):
+    model = _LONG_HORIZON_MODELS[name]
+    config = SimConfig(model, Network.complete(3), CoordinationComplete(0.05),
+                       horizon, 600, 11)
+    binding = _Binding(config)
+    assert _bound_path(config) == "count"
+    _, flip, limits = binding.fill.args
+    assert (flip is not None) == (name == "flipped-finite")
+    assert limits.dtype == np.int16 and limits.shape[:2] == (horizon, 2)
+    for state in (0, 1):
+        signals = _draw_chunk(binding, state, _chunk_generator(11, state, 0), 6,
+                              horizon)
+        actions = _replay(config, binding, signals)
+        for r in range(6):
+            assert np.array_equal(
+                actions[r], replay_reference.replay(config, signals[r])
+            ), (state, r)
+    counted = mistake_curve(config).counts
+    monkeypatch.setattr(strategies, "_count_rule", lambda *args: None)
+    floats = dataclasses.replace(config)
+    assert _bound_path(floats) == "float"
+    assert counted.sum() > 0
+    assert np.array_equal(mistake_curve(floats).counts, counted)
 
 
 @st.composite
