@@ -37,9 +37,10 @@ _TILE_PERIODS = 16
 # With RATEBOUND_THREADS unset, a curve of fewer cells (states x replications
 # x agents x horizon) than this runs in the calling process. Measured on 2
 # shared vCPUs, starting and stopping a 2-worker fork pool takes only 8-10 ms,
-# yet verify-light's 6.0M-cell autarky curve took 58.9 ms on the pool against
-# 39.9 ms in process (the pool won 8 of 24 alternated runs), while the
-# 98.3M-cell herd took 0.31 s pooled against 0.58-0.60 s serially.
+# yet verify-light's 6.0M-cell autarky curve, on the count fill, took 43.4 ms
+# on the pool against 34.5 ms in process (medians of six sets of 24
+# alternated runs; the pool won 52 of the 144), while the 98.3M-cell herd
+# took 0.31 s pooled against 0.58-0.60 s serially.
 _POOL_CELLS = 2**23
 _ENUM_LIMIT = 2**20
 # An exact probability is a sum of products of pmf entries, whose rows may

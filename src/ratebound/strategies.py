@@ -261,14 +261,25 @@ def compile_rule(strategy: Strategy, model: SignalModel, network: Network,
     decide(t, L, history) writes period t's (agents, reps) actions into
     history[t - 1] from the evidence L (pairs, agents, reps) and the earlier
     periods (autarky, coordination); fill(signals, history) writes every
-    period at once (odd/even, constant, and complete coordination on two
-    states and two atoms whenever _count_rule proves its integer cuts exact).
-    prior holds the log-prior term per state pair; tables each agent's llr
-    per pair and atom, (agents or 1, pairs, atoms), or None for Gaussian
-    signals. The rules are partials of module functions, which, unlike
-    closures, pickle for a pool whose workers are spawned."""
+    period at once (odd/even, constant, and autarky and complete
+    coordination on two states and two atoms whenever _count_rule proves
+    integer cuts on signal counts exact). prior holds the log-prior term per
+    state pair; tables each agent's llr per pair and atom, (agents or 1,
+    pairs, atoms), or None for Gaussian signals. The rules are partials of
+    module functions, which, unlike closures, pickle for a pool whose
+    workers are spawned."""
     k = model.states.n_states
+    two_atoms = k == 2 and tables is not None and tables.shape[2] == 2
     if isinstance(strategy, AutarkyML):
+        if two_atoms:
+            # ml_choice plays 0 when L >= 0 and 1 when L < 0, that is when L
+            # is at most the greatest negative float
+            zero = np.zeros((horizon, 1))
+            counted = _count_rule(prior[0], tables[:, 0], zero,
+                                  zero - np.nextafter(0.0, 1.0))
+            if counted is not None:
+                flip, limits = counted
+                return None, partial(_count_autarky, flip, limits[:, 0])
         return partial(_autarky, k), None
     if isinstance(strategy, OddEven):
         return None, partial(_odd_even, prior[0], tables[0, 0, 0])
@@ -287,8 +298,9 @@ def compile_rule(strategy: Strategy, model: SignalModel, network: Network,
         own = np.column_stack([np.arange(n), np.zeros(n, dtype=np.intp)])
         votes = np.concatenate([own[:, None], schedule.harvest], axis=1)
         return partial(_relay_votes, *rule, schedule, votes), None
-    if k == 2 and tables is not None and tables.shape[2] == 2:
-        counted = _count_rule(prior[0], tables[:, 0], cuts)
+    if two_atoms:
+        counted = _count_rule(prior[0], tables[:, 0], cuts[:, 0, 1, :, 0],
+                              -cuts[:, 1, 0, :, 0])
         if counted is not None:
             return None, partial(_count_plurality, first, *counted)
     return partial(_follow_plurality, *rule), None
@@ -341,32 +353,35 @@ def _add_period(bound: np.ndarray, keep: np.ndarray, bump: np.ndarray,
     return out
 
 
-def _count_rule(prior: float, table: np.ndarray, cuts: np.ndarray):
-    """Complete coordination on two states and two atoms as integer cuts on
-    signal counts, or None when no such cuts reproduce the float rule.
+def _count_rule(prior: float, table: np.ndarray, zero_cut: np.ndarray,
+                one_cut: np.ndarray):
+    """A two-state, two-atom rule as integer cuts on signal counts, or None
+    when no such cuts reproduce the float rule.
 
-    table holds each agent's llr L[0, 1] per atom, (agents, 2); cuts are
-    the rule's ordered-pair cuts, (horizon, 2, 2, agents, 1). An agent counts
-    its signals of the atom that favors state 1 (atom 1 unless flip marks
-    it). After t periods its evidence is prior + acc, where acc is one of
-    the float sums that reachable_sums bounds for its count c. State 0 is
-    decisive when L >= cuts[t-1, 0, 1], state 1 when L <= -cuts[t-1, 1, 0].
-    Each test must give one answer for every sum of a cell, and the decisive
-    counts must be two disjoint intervals, c <= a for state 0 and c >= b for
-    state 1. Then the agent plays 1 exactly when c > limits[t-1, p], where p
-    is the previous plurality: limit a when p = 1, b - 1 when p = 0.
+    table holds each agent's llr L[0, 1] per atom, (agents, 2). State 0 is
+    decisive in period t when L >= zero_cut[t - 1], state 1 when
+    L <= one_cut[t - 1]; both cuts are (horizon, agents or 1). An agent
+    counts its signals of the atom that favors state 1 (atom 1 unless flip
+    marks it). After t periods its evidence is prior + acc, where acc is one
+    of the float sums that reachable_sums bounds for its count c. Each test
+    must give one answer for every sum of a cell, and the decisive counts
+    must be two disjoint intervals, c <= a for state 0 and c >= b for state
+    1. Then complete coordination plays 1 exactly when c > limits[t-1, p],
+    where p is the previous plurality: limit a when p = 1, b - 1 when p = 0.
+    Autarky's cuts make every count decisive (b = a + 1), so both limits
+    are equal and it plays 1 exactly when c > limits[t-1, 0].
 
     Returns (flip, limits): flip (agents, 1) int8, or None when every agent
     counts atom 1; limits (horizon, 2, agents, 1) in the narrowest signed
     integer that holds every count and limit, -1..horizon: int8 through 127
     periods, then int16."""
-    horizon = cuts.shape[0]
+    horizon = zero_cut.shape[0]
     limits = []
     sums = reachable_sums(table.max(axis=1), table.min(axis=1), horizon)
     for t, (lo, hi) in enumerate(sums, start=1):
         if prior:  # the engine adds the prior term only when it is not 0
             lo, hi = prior + lo, prior + hi
-        zero, one = cuts[t - 1, 0, 1, :, 0], -cuts[t - 1, 1, 0, :, 0]
+        zero, one = zero_cut[t - 1], one_cut[t - 1]
         to_zero, to_one = lo >= zero, hi <= one
         if (to_zero != (hi >= zero)).any() or (to_one != (lo <= one)).any():
             return None  # some cell's sums straddle a cut
@@ -382,24 +397,45 @@ def _count_rule(prior: float, table: np.ndarray, cuts: np.ndarray):
     return flip, np.array(limits, dtype=np.min_scalar_type(-horizon - 1))[..., None]
 
 
-def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
-                     signals: np.ndarray, history: np.ndarray) -> None:
-    """Complete coordination on integer counts (see _count_rule): the
-    prior's mode at t = 1; then each agent plays 1 exactly when its count of
-    state-1 signals exceeds its cut for the previous period's plurality.
-    Counts take the cuts' integer type. Per period: one integer add, one
-    plurality sum over agents, one compare."""
+def _signal_counts(flip: np.ndarray | None, dtype: np.dtype,
+                   signals: np.ndarray) -> np.ndarray:
+    """Each agent's running count of its signals of the atom that favors
+    state 1 (see _count_rule), (horizon, agents, reps) in dtype, from the
+    (reps, agents, horizon) support indices: one integer add per period."""
     reps, n, horizon = signals.shape
-    counts = np.empty((horizon, n, reps), dtype=cuts.dtype)
+    counts = np.empty((horizon, n, reps), dtype=dtype)
     if flip is None:
         np.copyto(counts, signals.transpose(2, 1, 0), casting="unsafe")
     else:
         np.bitwise_xor(signals.transpose(2, 1, 0), flip, out=counts,
                        casting="unsafe")
-    history[0] = first
     for t in range(1, horizon):
         np.add(counts[t - 1], counts[t], out=counts[t])
-        ones = history[t - 1].sum(axis=0, dtype=np.int32)
+    return counts
+
+
+def _count_autarky(flip: np.ndarray | None, limits: np.ndarray, signals: np.ndarray,
+                   history: np.ndarray) -> None:
+    """Autarky on integer counts (see _count_rule): each agent plays 1
+    exactly when its count of state-1 signals exceeds its limit, one compare
+    of every period at once."""
+    np.greater(_signal_counts(flip, limits.dtype, signals), limits, out=history)
+
+
+def _count_plurality(first: int, flip: np.ndarray | None, cuts: np.ndarray,
+                     signals: np.ndarray, history: np.ndarray) -> None:
+    """Complete coordination on integer counts (see _count_rule): the
+    prior's mode at t = 1; then each agent plays 1 exactly when its count of
+    state-1 signals exceeds its cut for the previous period's plurality.
+    Counts take the cuts' integer type, and the plurality tally the
+    narrowest unsigned one that holds the number of agents. Per period: one
+    plurality sum over agents, one compare."""
+    counts = _signal_counts(flip, cuts.dtype, signals)
+    horizon, n, _ = counts.shape
+    tally = np.min_scalar_type(n)
+    history[0] = first
+    for t in range(1, horizon):
+        ones = history[t - 1].sum(axis=0, dtype=tally)
         cut = np.where(ones > n // 2, cuts[t, 1], cuts[t, 0])
         np.greater(counts[t], cut, out=history[t])
 

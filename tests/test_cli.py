@@ -417,15 +417,18 @@ def test_file_sections_name_their_field_in_errors(tmp_path, capsys):
     assert err == 'error: network: network document needs "n" and "neighborhoods"\n'
 
 
-def test_simulate_writes_the_small_config_golden_curve(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["small", "autarky"])
+def test_simulate_writes_the_golden_curves(name, tmp_path, capsys):
+    # small: complete coordination; autarky: its count fill on a prior of
+    # (0.4, 0.6); CI diffs both through the installed console script
     target = tmp_path / "curve.csv"
     code, out, _ = run_cli(
-        ["simulate", "--config", os.path.join(DATA, "config_small.json"),
+        ["simulate", "--config", os.path.join(DATA, f"config_{name}.json"),
          "--out", str(target)],
         capsys,
     )
     assert code == 0 and out == f"wrote {target}\n"
-    with open(os.path.join(DATA, "curve_small.csv"), "rb") as fh:
+    with open(os.path.join(DATA, f"curve_{name}.csv"), "rb") as fh:
         assert target.read_bytes() == fh.read()
 
 

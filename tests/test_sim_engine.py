@@ -515,14 +515,38 @@ def test_complete_coordination_binds_the_count_fill_only_when_it_is_exact():
             ), (state, r)
 
 
-# binary, and a two-atom family whose atom 0 favors state 1 (the count fill
-# flips it) under a prior whose mode is state 1
+# a two-atom family whose atom 0 favors state 1 (the count fill flips it)
+# under a prior whose mode is state 1
+_FLIPPED_FINITE = SignalModel(
+    StateSpace((0, 1), (0.4, 0.6)), Finite((0, 1), ((0.35, 0.65), (0.8, 0.2))), 3
+)
 _LONG_HORIZON_MODELS = {
     "binary": binary_model(0.75, 3),
-    "flipped-finite": SignalModel(
-        StateSpace((0, 1), (0.4, 0.6)), Finite((0, 1), ((0.35, 0.65), (0.8, 0.2))), 3
-    ),
+    "flipped-finite": _FLIPPED_FINITE,
 }
+
+
+def _plays_as_the_float_rule(config, monkeypatch):
+    """The count fill's actions equal the scalar reference's on a few
+    trajectories of each state, and its counts the float rule's, forced by
+    making _count_rule refuse."""
+    binding = _Binding(config)
+    for state in (0, 1):
+        signals = _draw_chunk(binding, state,
+                              _chunk_generator(config.seed, state, 0), 6,
+                              config.horizon)
+        actions = _replay(config, binding, signals)
+        for r in range(6):
+            assert np.array_equal(
+                actions[r], replay_reference.replay(config, signals[r])
+            ), (state, r)
+    counted = mistake_curve(config).counts
+    with monkeypatch.context() as patch:
+        patch.setattr(strategies, "_count_rule", lambda *args: None)
+        floats = dataclasses.replace(config)
+        assert _bound_path(floats) == "float"
+        assert counted.sum() > 0
+        assert np.array_equal(mistake_curve(floats).counts, counted)
 
 
 @pytest.mark.parametrize("horizon", [128, 300])
@@ -538,26 +562,52 @@ def test_the_count_fill_plays_past_127_periods_as_the_float_rule(
     _, flip, limits = binding.fill.args
     assert (flip is not None) == (name == "flipped-finite")
     assert limits.dtype == np.int16 and limits.shape[:2] == (horizon, 2)
-    for state in (0, 1):
-        signals = _draw_chunk(binding, state, _chunk_generator(11, state, 0), 6,
-                              horizon)
-        actions = _replay(config, binding, signals)
-        for r in range(6):
-            assert np.array_equal(
-                actions[r], replay_reference.replay(config, signals[r])
-            ), (state, r)
-    counted = mistake_curve(config).counts
-    monkeypatch.setattr(strategies, "_count_rule", lambda *args: None)
-    floats = dataclasses.replace(config)
-    assert _bound_path(floats) == "float"
-    assert counted.sum() > 0
-    assert np.array_equal(mistake_curve(floats).counts, counted)
+    _plays_as_the_float_rule(config, monkeypatch)
+
+
+def test_autarky_binds_the_count_fill_only_when_it_is_exact(monkeypatch):
+    # verify's autarky-exactness curve and criterion 7's autarky profile
+    verify = SimConfig(binary_model(0.75), Network.complete(1), AutarkyML(), 30,
+                       100_000, 0)
+    profile = SimConfig(binary_model(0.75, 10), Network.complete(10), AutarkyML(),
+                        25, 100_000, 0)
+    assert _bound_path(verify) == _bound_path(profile) == "count"
+    # on a uniform prior the float sums of the middle count straddle 0, first
+    # at t = 60 (count 30) when p = 0.75 and at t = 6 (count 3) when p = 0.6
+    for p, horizon, count, edge in ((0.75, 60, 30, 3.552713678800501e-15),
+                                    (0.6, 6, 3, 1.1102230246251565e-16)):
+        config = autarky_config(horizon, p=p)
+        assert _bound_path(config) == "float"
+        assert _bound_path(dataclasses.replace(config, horizon=horizon - 1)) == "count"
+        *_, (lo, hi) = strategies.reachable_sums(*_Binding(config).table[0], horizon)
+        assert (lo[count], hi[count]) == (-edge, edge)
+    # more than two states or atoms, and Gaussian signals, stay on floats
+    for model in (
+        SignalModel(StateSpace((0, 1)),
+                    Finite((0, 1, 2), ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))), 2),
+        SignalModel(StateSpace((0, 1, 2)),
+                    Finite((0, 1), ((0.8, 0.2), (0.5, 0.5), (0.2, 0.8))), 2),
+        SignalModel(StateSpace((0, 1)), Gaussian((0.0, 1.0), 1.0), 2),
+    ):
+        config = SimConfig(model, Network.complete(2), AutarkyML(), 5, 10, 0)
+        assert _bound_path(config) == "float"
+    # past 127 periods the limits take int16; binary autarky takes a
+    # non-uniform prior, as on a uniform one it straddles at t = 60
+    for model in (binary_model(0.75, 3, (0.4, 0.6)), _FLIPPED_FINITE):
+        for horizon in (128, 300):
+            config = SimConfig(model, Network.complete(3), AutarkyML(), horizon,
+                               600, 11)
+            assert _bound_path(config) == "count"
+            flip, limits = _Binding(config).fill.args
+            assert (flip is not None) == (model is _FLIPPED_FINITE)
+            assert limits.dtype == np.int16 and limits.shape == (horizon, 1, 1)
+            _plays_as_the_float_rule(config, monkeypatch)
 
 
 @st.composite
 def _two_atom_coordination(draw):
-    """Complete coordination on a random two-state, two-atom model: per-agent
-    pmfs, either atom may favor state 1, a random prior."""
+    """Autarky or complete coordination on a random two-state, two-atom
+    model: per-agent pmfs, either atom may favor state 1, a random prior."""
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pmf = rng.uniform(0.05, 0.95, size=(n, 2, 1))
@@ -571,8 +621,8 @@ def _two_atom_coordination(draw):
                          horizon, 8, seed):
         # an explicit delta at or past the smallest pair mean
         delta = None
-    return SimConfig(model, Network.complete(n), CoordinationComplete(delta),
-                     horizon, 8, seed)
+    strategy = draw(st.sampled_from([AutarkyML(), CoordinationComplete(delta)]))
+    return SimConfig(model, Network.complete(n), strategy, horizon, 8, seed)
 
 
 @settings(max_examples=60, deadline=None,
@@ -580,7 +630,7 @@ def _two_atom_coordination(draw):
 @given(_two_atom_coordination(), st.integers(0, 1))
 def test_count_fill_matches_the_scalar_reference_on_random_models(config, state):
     binding = _Binding(config)
-    event(_bound_path(config))
+    event(f"{type(config.strategy).__name__}: {_bound_path(config)}")
     signals = _draw_chunk(
         binding, state, _chunk_generator(config.seed, state, 0),
         config.replications, config.horizon,
@@ -589,7 +639,7 @@ def test_count_fill_matches_the_scalar_reference_on_random_models(config, state)
     for r in range(config.replications):
         assert np.array_equal(
             actions[r], replay_reference.replay(config, signals[r])
-        ), (_bound_path(config), r)
+        ), (config.strategy, _bound_path(config), r)
 
 
 def test_pooled_and_serial_count_curves_agree(monkeypatch):

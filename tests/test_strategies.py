@@ -382,7 +382,13 @@ _PINNED_RULES = {
     "autarky-binary": (
         SimConfig(binary_model(0.7, 3, (0.4, 0.6)), Network.complete(3),
                   AutarkyML(), 12, 3000, 1),
-        "decide", "0a414e7ed803a05ca29e67e1818aa4a6e88f6ee111cb3c3d6fa6e8c51d1d6455",
+        "fill", "0a414e7ed803a05ca29e67e1818aa4a6e88f6ee111cb3c3d6fa6e8c51d1d6455",
+    ),
+    # p = 0.6 on a uniform prior: at t = 6 the float sums of count 3 fall on
+    # either side of 0, so autarky stays on floats
+    "autarky-binary-float": (
+        SimConfig(binary_model(0.6, 3), Network.complete(3), AutarkyML(), 10, 2000, 10),
+        "decide", "e56795b5ef5ac78237240f0505f6bfba02cfe5e4736aec4fae203dd420589cca",
     ),
     "autarky-finite": (
         SimConfig(_THREE_STATES, Network.complete(3), AutarkyML(), 10, 2000, 2),
