@@ -50,6 +50,20 @@ def _labels(values, what: str) -> tuple:
     return tuple(values)
 
 
+def checked_prior(values, n_states: int) -> tuple[float, ...]:
+    """values as a prior over n_states states: finite, positive entries that
+    sum to 1 within 1e-12; else ValueError. The one prior rule, of a state
+    space and of a curve file."""
+    prior = tuple(_real(q, "a prior entry") for q in values)
+    if len(prior) != n_states:
+        raise ValueError(f"prior has {len(prior)} entries for {n_states} states")
+    if any(q <= 0.0 for q in prior):
+        raise ValueError("prior must have full support (all entries positive)")
+    if abs(sum(prior) - 1.0) > _PRIOR_TOL:
+        raise ValueError("prior must sum to 1")
+    return prior
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Finite set of world states with a full-support prior.
@@ -73,13 +87,7 @@ class StateSpace:
         elif not isinstance(self.prior, (list, tuple, np.ndarray)):
             raise ValueError("prior must be a list of probabilities")
         else:
-            prior = tuple(_real(q, "a prior entry") for q in self.prior)
-            if len(prior) != len(labels):
-                raise ValueError("prior length must match the number of states")
-            if any(q <= 0.0 for q in prior):
-                raise ValueError("prior must have full support (all entries positive)")
-            if abs(sum(prior) - 1.0) > _PRIOR_TOL:
-                raise ValueError("prior must sum to 1")
+            prior = checked_prior(self.prior, len(labels))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", prior)
 

@@ -13,7 +13,8 @@ import numpy as np
 from ratebound.ldp_numerics import llr_table
 from ratebound.network import Network
 from ratebound.signal_models import (
-    BinarySymmetric, SignalModel, indices_from_words, is_count, per_agent, word_edges,
+    BinarySymmetric, SignalModel, checked_prior, indices_from_words, is_count,
+    per_agent, word_edges,
 )
 from ratebound.strategies import (
     Strategy, compile_rule, prior_log_matrix, state_pairs, strategy_violations,
@@ -634,6 +635,47 @@ def write_curve_csv(curve: MistakeCurve, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _curve_field(kind, text: str, what: str, line: int):
+    """kind(text), int or float; else ValueError naming the curve file's
+    line."""
+    try:
+        return kind(text)
+    except ValueError:
+        adjective = "non-integer" if kind is int else "non-numeric"
+        raise ValueError(
+            f"curve file line {line}: {adjective} {what} {text!r}") from None
+
+
+def _curve_row(text: str, line: int) -> tuple:
+    """One data row as (agent, period, state, mistakes, trials): the mistake
+    count an integer in [0, trials], or, when trials is 0, a probability in
+    [0, 1 + _PROB_SLACK]; else ValueError naming the file's line."""
+    fields = text.split(",")
+    if len(fields) != 5:
+        raise ValueError(f"curve file line {line}: expected the 5 fields "
+                         f"{_CURVE_COLUMNS}, found {len(fields)}")
+    names = _CURVE_COLUMNS.split(",")
+    agent, period, state, trials = (
+        _curve_field(int, fields[i], names[i], line) for i in (0, 1, 2, 4)
+    )
+    if not 0 <= trials < 2**63:  # counts are held as int64
+        raise ValueError(f"curve file line {line}: trials outside [0, 2^63)")
+    if min(agent, state) < 0 or period < 1:
+        raise ValueError(f"curve file line {line}: an agent or state below 0 "
+                         "or a period below 1")
+    if trials:
+        mistakes = _curve_field(int, fields[3], "mistake count", line)
+        if not 0 <= mistakes <= trials:
+            raise ValueError(f"curve file line {line}: mistake count outside "
+                             f"[0, {trials}]")
+    else:
+        mistakes = _curve_field(float, fields[3], "mistake probability", line)
+        if not 0.0 <= mistakes <= 1.0 + _PROB_SLACK:
+            raise ValueError(f"curve file line {line}: mistake probability "
+                             "outside [0, 1]")
+    return agent, period, state, mistakes, trials
+
+
 def read_curve_csv(path) -> MistakeCurve:
     """Rebuild a curve from write_curve_csv output, prior and provenance
     included.
@@ -642,7 +684,9 @@ def read_curve_csv(path) -> MistakeCurve:
     uniformly, and the provenance is monte-carlo when trials are recorded,
     exact-enumeration otherwise. A file must list every (agent, period,
     state) cell exactly once, with integer counts in [0, trials], or with
-    probabilities in [0, 1] when trials is 0.
+    probabilities in [0, 1] when trials is 0, and its prior must pass
+    checked_prior. A malformed row or prior raises ValueError naming its
+    line.
     """
     meta = {}
     with open(path) as fh:
@@ -650,26 +694,23 @@ def read_curve_csv(path) -> MistakeCurve:
         if header != _CURVE_COLUMNS:
             raise ValueError(f"unrecognized curve header: {header!r}")
         rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for line, text in enumerate(fh, start=2):
+            text = text.strip()
+            if not text:
                 continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].strip().partition("=")
+            if text.startswith("#"):
+                key, sep, value = text[1:].strip().partition("=")
                 if not sep or key not in ("prior", "provenance"):
-                    raise ValueError(f"unrecognized curve metadata: {line!r}")
-                meta[key] = value
+                    raise ValueError(f"unrecognized curve metadata: {text!r}")
+                meta[key] = (line, value)
                 continue
-            agent, period, state, mistakes, trials = line.split(",")
-            rows.append((int(agent), int(period), int(state), mistakes, int(trials)))
+            rows.append(_curve_row(text, line))
     if not rows:
         raise ValueError("curve file has no data rows")
     agents, periods, states, values, all_trials = zip(*rows)
     trials = all_trials[0]
     if any(t != trials for t in all_trials):
         raise ValueError("curve file mixes different trial counts")
-    if min(agents) < 0 or min(periods) < 1 or min(states) < 0:
-        raise ValueError("curve file has an agent or state below 0 or a period below 1")
     n_states = max(states) + 1
     shape = (n_states, max(agents) + 1, max(periods))
     cells = np.ravel_multi_index((states, agents, np.array(periods) - 1), shape)
@@ -678,31 +719,28 @@ def read_curve_csv(path) -> MistakeCurve:
     counts = None
     if trials:
         counts = np.zeros(shape, dtype=np.int64)
-        try:
-            counts.flat[cells] = [int(v) for v in values]
-        except ValueError:
-            raise ValueError("curve file has a non-integer mistake count") from None
-        if counts.min() < 0 or counts.max() > trials:
-            raise ValueError(f"curve file has a mistake count outside [0, {trials}]")
+        counts.flat[cells] = values
         probs = counts / trials
     else:
         probs = np.zeros(shape)
-        probs.flat[cells] = [float(v) for v in values]
-        if not ((probs >= 0.0) & (probs <= 1.0 + _PROB_SLACK)).all():
-            raise ValueError("curve file has a mistake probability outside [0, 1]")
+        probs.flat[cells] = values
     if "prior" in meta:
-        prior = tuple(float(q) for q in meta["prior"].split(","))
-        if len(prior) != n_states:
-            raise ValueError(
-                f"curve prior has {len(prior)} entries for {n_states} states"
-            )
+        line, value = meta["prior"]
+        entries = [_curve_field(float, q, "prior entry", line)
+                   for q in value.split(",")]
+        try:
+            prior = checked_prior(entries, n_states)
+        except ValueError as exc:
+            raise ValueError(f"curve file line {line}: {exc}") from None
     else:
         prior = tuple(1.0 / n_states for _ in range(n_states))
-    provenance = meta.get(
-        "provenance", "monte-carlo" if trials else "exact-enumeration"
-    )
-    if provenance not in _PROVENANCES:
-        raise ValueError(f"unknown curve provenance {provenance!r}")
+    if "provenance" in meta:
+        line, provenance = meta["provenance"]
+        if provenance not in _PROVENANCES:
+            raise ValueError(f"curve file line {line}: unknown curve provenance "
+                             f"{provenance!r}")
+    else:
+        provenance = "monte-carlo" if trials else "exact-enumeration"
     return MistakeCurve(
         probs=probs,
         prior=prior,

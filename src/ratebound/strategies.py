@@ -334,7 +334,10 @@ def reachable_sums(keep: np.ndarray, bump: np.ndarray, horizon: int):
     a cell's least sum is the lesser of its two predecessors' least sums,
     each plus its increment, and likewise for the greatest: the bounds are
     sums that some order reaches, and every other sum of the cell lies
-    between them. A test that both bounds pass holds for every sum."""
+    between them. A test that both bounds pass holds for every sum. When
+    bump <= keep, both bounds fall as the count rises: lo[c + 1] <= lo[c]
+    and hi[c + 1] <= hi[c], since trading one keep of an order for a bump
+    lowers no partial sum."""
     keep, bump = np.broadcast_arrays(np.asarray(keep, dtype=np.float64),
                                      np.asarray(bump, dtype=np.float64))
     lo = hi = np.zeros((1,) + keep.shape)
@@ -356,19 +359,23 @@ def _add_period(bound: np.ndarray, keep: np.ndarray, bump: np.ndarray,
 def _count_rule(prior: float, table: np.ndarray, zero_cut: np.ndarray,
                 one_cut: np.ndarray):
     """A two-state, two-atom rule as integer cuts on signal counts, or None
-    when no such cuts reproduce the float rule.
+    when some cell's float sums straddle a cut.
 
     table holds each agent's llr L[0, 1] per atom, (agents, 2). State 0 is
     decisive in period t when L >= zero_cut[t - 1], state 1 when
-    L <= one_cut[t - 1]; both cuts are (horizon, agents or 1). An agent
-    counts its signals of the atom that favors state 1 (atom 1 unless flip
-    marks it). After t periods its evidence is prior + acc, where acc is one
-    of the float sums that reachable_sums bounds for its count c. Each test
-    must give one answer for every sum of a cell, and the decisive counts
-    must be two disjoint intervals, c <= a for state 0 and c >= b for state
-    1. Then complete coordination plays 1 exactly when c > limits[t-1, p],
-    where p is the previous plurality: limit a when p = 1, b - 1 when p = 0.
-    Autarky's cuts make every count decisive (b = a + 1), so both limits
+    L <= one_cut[t - 1]; both cuts are (horizon, agents or 1), and
+    zero_cut > one_cut, so no cell is decisive both ways. An agent counts
+    its signals of the atom that favors state 1 (atom 1 unless flip marks
+    it). After t periods its evidence is prior + acc, where acc is one of
+    the float sums that reachable_sums bounds for its count c (the engine
+    skips a prior of 0, and 0.0 + acc differs from acc only in the sign of
+    a zero, which no compare sees). Those bounds fall as c rises, so unless
+    a cell's two bounds fall on either side of a cut, state 0 is decisive
+    exactly when c < a and state 1 exactly when c >= b, where a counts the
+    cells that pass lo >= zero_cut and b those that fail hi <= one_cut.
+    Then complete coordination plays 1 exactly when c > limits[t-1, p],
+    where p is the previous plurality: limit a - 1 when p = 1, b - 1 when
+    p = 0. Autarky's cuts make every count decisive (b = a), so both limits
     are equal and it plays 1 exactly when c > limits[t-1, 0].
 
     Returns (flip, limits): flip (agents, 1) int8, or None when every agent
@@ -378,20 +385,12 @@ def _count_rule(prior: float, table: np.ndarray, zero_cut: np.ndarray,
     horizon = zero_cut.shape[0]
     limits = []
     sums = reachable_sums(table.max(axis=1), table.min(axis=1), horizon)
-    for t, (lo, hi) in enumerate(sums, start=1):
-        if prior:  # the engine adds the prior term only when it is not 0
-            lo, hi = prior + lo, prior + hi
-        zero, one = zero_cut[t - 1], one_cut[t - 1]
-        to_zero, to_one = lo >= zero, hi <= one
-        if (to_zero != (hi >= zero)).any() or (to_one != (lo <= one)).any():
+    for (lo, hi), zero, one in zip(sums, zero_cut, one_cut):
+        lo, hi = prior + lo, prior + hi
+        a, b = (lo >= zero).sum(axis=0), (hi > one).sum(axis=0)
+        if ((hi >= zero).sum(axis=0) != a).any() or ((lo > one).sum(axis=0) != b).any():
             return None  # some cell's sums straddle a cut
-        a = to_zero.sum(axis=0) - 1
-        b = t + 1 - to_one.sum(axis=0)
-        c = np.arange(t + 1)[:, None]
-        if ((to_zero != (c <= a)).any() or (to_one != (c >= b)).any()
-                or (a >= b).any()):
-            return None
-        limits.append((b - 1, a))
+        limits.append((b - 1, a - 1))
     flip = table[:, 1] > table[:, 0]
     flip = flip.astype(np.int8)[:, None] if flip.any() else None
     return flip, np.array(limits, dtype=np.min_scalar_type(-horizon - 1))[..., None]

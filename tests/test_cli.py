@@ -486,6 +486,30 @@ def test_fit_names_a_reversed_window(capsys):
         assert err == f"error: window ({lo}, {hi}) outside the curve's 1..6\n"
 
 
+def test_fit_refuses_a_bad_prior_or_row_with_one_line(tmp_path, capsys):
+    # the prior passes the state space's prior rule, and each row holds five
+    # fields of the column types, or fit reads no rate
+    rows = "".join(f"0,{t},{s},{40 - t},100\n" for t in (1, 2, 3) for s in (0, 1))
+    for line, message in (
+        ("# prior=-1,2", "prior must have full support (all entries positive)"),
+        ("# prior=nan,nan", "a prior entry must be a finite real number, not nan"),
+        ("# prior=inf,0", "a prior entry must be a finite real number, not inf"),
+        ("# prior=0.9,0.3", "prior must sum to 1"),
+        ("0,1,0,3", "expected the 5 fields agent,period,state,mistakes,trials, "
+                    "found 4"),
+        ("0,x,0,3,100", "non-integer period 'x'"),
+    ):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"agent,period,state,mistakes,trials\n{line}\n{rows}")
+        code, out, err = run_cli(["fit", "--curve", str(curve), "--window", "1:3"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: curve file line 2: {message}\n"
+    curve.write_text(f"agent,period,state,mistakes,trials\n# prior=0.4,0.6\n{rows}")
+    code, out, _ = run_cli(["fit", "--curve", str(curve), "--window", "1:3"], capsys)
+    assert code == 0 and json.loads(out)["pooled"]["usable"]
+
+
 def test_simulate_surfaces_every_config_violation(tmp_path, capsys):
     config = {
         "model": binary_doc(0.4),

@@ -451,6 +451,82 @@ def test_reachable_sums_bound_every_order_of_increments():
                 assert (lo[c, lane], hi[c, lane]) == (min(reached), max(reached))
                 several += len(reached) > 1
     assert several > 0
+    # where bump <= keep, as _count_rule passes them, neither bound rises
+    # with the count, also once a prior term is added as the engine adds it:
+    # exact +-llr binary lanes, the two lanes above and two-atom pmfs' lanes
+    binary = [_Binding(autarky_config(p=p)).table[0] for p in (0.6, 0.7, 0.75, 0.99)]
+    pmf = np.random.default_rng(5).dirichlet((2.0, 2.0), size=(6, 2))
+    llr = np.sort(np.log(pmf[:, 0]) - np.log(pmf[:, 1]), axis=1)
+    keep = np.concatenate([[lane[0] for lane in binary], keep[:2], llr[:, 1]])
+    bump = np.concatenate([[lane[1] for lane in binary], bump[:2], llr[:, 0]])
+    assert (bump <= keep).all() and (bump[:4] == -keep[:4]).all()
+    for prior in (0.0, math.log(0.4 / 0.6), math.log(0.7 / 0.3)):
+        for lo, hi in strategies.reachable_sums(keep, bump, 90):
+            assert (np.diff(prior + lo, axis=0) <= 0.0).all()
+            assert (np.diff(prior + hi, axis=0) <= 0.0).all()
+    assert lo.shape == (91, keep.size)
+
+
+def test_count_rule_meets_its_specification_on_every_order(monkeypatch):
+    # both callers' cuts on random two-atom lanes and priors, t <= 12: every
+    # order of the increments, summed left to right from 0.0 as the engine
+    # sums them, with the prior term added unless it is 0. _count_rule
+    # refuses exactly when some (t, count) cell reaches both sides of a cut,
+    # and otherwise its limits give every order's decisions.
+    calls = []
+    count_rule = strategies._count_rule
+
+    def recorded(*args):
+        calls.append((args, count_rule(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(strategies, "_count_rule", recorded)
+    rng = np.random.default_rng(29)
+    # p = 0.6 with this delta puts state 0's cut of t = 9 alone inside the
+    # sums of count 5 under a prior of (0.7, 0.3), and state 1's alone inside
+    # those of count 4 under (0.3, 0.7); on a uniform prior autarky's sums of
+    # count 3 straddle 0 at t = 6
+    configs = [
+        SimConfig(binary_model(0.6, 2, prior), Network.complete(2),
+                  CoordinationComplete(0.032000493590628454), 10, 1, 0)
+        for prior in ((0.7, 0.3), (0.3, 0.7))
+    ] + [autarky_config(8, p=0.6)]
+    for case in range(80):
+        n, horizon = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+        prior = None if case % 2 else (q := float(rng.uniform(0.1, 0.9)), 1.0 - q)
+        if case % 4 < 2:
+            model = binary_model(float(rng.choice([0.6, 0.7, 0.75])), n, prior)
+        else:
+            pmf = rng.uniform(0.05, 0.95, size=(n, 2, 1))
+            model = SignalModel(StateSpace((0, 1), prior),
+                                Finite((0, 1), np.concatenate([pmf, 1.0 - pmf], 2)), n)
+        strategy = AutarkyML() if case % 8 < 4 else CoordinationComplete()
+        configs.append(SimConfig(model, Network.complete(n), strategy, horizon, 1, 0))
+    orders = np.array(list(itertools.product((False, True), repeat=12)))
+    counts = orders.cumsum(axis=1)
+    outcomes = set()
+    for config in configs:
+        _Binding(config)
+        (prior_term, table, zero_cut, one_cut), counted = calls.pop()
+        straddles = False
+        for agent, (keep, bump) in enumerate(np.sort(table, axis=1)[:, ::-1]):
+            acc = np.zeros(len(orders))
+            for t in range(1, config.horizon + 1):
+                acc = acc + np.where(orders[:, t - 1], bump, keep)
+                L = prior_term + acc if prior_term else acc
+                zero = L >= zero_cut[t - 1, agent % zero_cut.shape[1]]
+                one = L <= one_cut[t - 1, agent % one_cut.shape[1]]
+                c = counts[:, t - 1]
+                for decided in (zero, one):
+                    for count in range(t + 1):
+                        straddles |= np.unique(decided[c == count]).size > 1
+                if counted is not None:
+                    limits = counted[1][t - 1, :, agent % counted[1].shape[2], 0]
+                    assert np.array_equal(c <= limits[1], zero)
+                    assert np.array_equal(c > limits[0], one)
+        assert straddles == (counted is None), config
+        outcomes.add((type(config.strategy), counted is None))
+    assert len(outcomes) == 4
 
 
 def _bound_path(config):
@@ -1118,6 +1194,32 @@ def test_read_curve_rejects_malformed_files(tmp_path):
         bad_meta.write_text(f"agent,period,state,mistakes,trials\n{meta}\n{rows}")
         with pytest.raises(ValueError, match=message):
             read_curve_csv(bad_meta)
+    # a malformed row or prior is refused with one line that names the
+    # file's line, the state space's prior rule and no Python internals
+    for body, message in (
+        ("0,1,0,3\n", "expected the 5 fields agent,period,state,mistakes,trials, "
+                      "found 4"),
+        ("0,1,0,3,100,7\n", "expected the 5 fields agent,period,state,mistakes,"
+                            "trials, found 6"),
+        ("x,1,0,3,100\n", "non-integer agent 'x'"),
+        ("0,1.5,0,3,100\n", "non-integer period '1.5'"),
+        ("0,1,s,3,100\n", "non-integer state 's'"),
+        ("0,1,0,3,ten\n", "non-integer trials 'ten'"),
+        ("0,1,0,3,-10\n", "trials outside [0, 2^63)"),
+        (f"0,1,0,{2**63},{2**63}\n", "trials outside [0, 2^63)"),
+        ("0,1,0,abc,0\n", "non-numeric mistake probability 'abc'"),
+        ("# prior=-1,2\n", "prior must have full support (all entries positive)"),
+        ("# prior=nan,nan\n", "a prior entry must be a finite real number, not nan"),
+        ("# prior=inf,0\n", "a prior entry must be a finite real number, not inf"),
+        ("# prior=0.9,0.3\n", "prior must sum to 1"),
+        ("# prior=abc,0.5\n", "non-numeric prior entry 'abc'"),
+    ):
+        bad = tmp_path / "f.csv"
+        bad.write_text(f"agent,period,state,mistakes,trials\n0,1,0,3,100\n{body}"
+                       "0,1,1,3,100\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_curve_csv(bad)
+        assert str(excinfo.value) == f"curve file line 3: {message}"
 
 
 # -- worker configuration ----------------------------------------------------------

@@ -446,6 +446,39 @@ def test_every_compiled_rule_keeps_its_seeded_counts(name):
     assert hashlib.sha256(repr(counts.shape).encode() + raw).hexdigest() == digest
 
 
+_PINNED_LIMITS = {
+    # name: (config, sha256 of the count fill's limits: dtype, shape, bytes)
+    "herd": (
+        SimConfig(binary_model(0.75, 50), Network.complete(50),
+                  CoordinationComplete(0.05), 30, 1, 0),
+        "8f006a3a6f37574b5d6cf6c55496229d184eba31e806fac0328a7f17009b52ce",
+    ),
+    "verify-autarky": (
+        SimConfig(binary_model(0.75), Network.complete(1), AutarkyML(), 30, 1, 0),
+        "6b195ada7a3149dc028663f0fbb4acefb532c943a435d4d1585174ca626eb240",
+    ),
+    "complete-count": (
+        _PINNED_RULES["complete-count"][0],
+        "3f3327dcfe380ed202cf3d38071e416c2d94e4495354ea810e439f70f9aef0d8",
+    ),
+    "autarky-binary": (
+        _PINNED_RULES["autarky-binary"][0],
+        "f7b51b285e4b357f1141de4f91d5b9cd5b65cd6a44e3c702bab45bafcff4b029",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_LIMITS)
+def test_count_fill_limits_keep_their_digests(name):
+    # every limit of the compiled count fill, which a seeded run samples
+    # only where its counts land; digests recorded before _count_rule read
+    # its limits off the monotone bounds
+    config, digest = _PINNED_LIMITS[name]
+    limits = _Binding(config).fill.args[-1]
+    raw = str(limits.dtype).encode() + repr(limits.shape).encode() + limits.tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
 # -- JSON ----------------------------------------------------------------------------
 
 
