@@ -17,6 +17,7 @@ from ratebound import verification
 from ratebound.network import (
     Network,
     build_schedule,
+    harvest_owners,
     network_from_json,
     replay_knowledge,
 )
@@ -145,18 +146,15 @@ def _schedule_doc(net: Network, schedule, knowledge) -> dict:
             schedule.relay_source.tolist(), schedule.relay_offset.tolist()
         )
     ]
-    harvest = [
-        [[owner, *entry] for owner, entry in
-         zip((j for j in range(net.n) if j != i), entries)]
-        for i, entries in enumerate(schedule.harvest.tolist())
-    ]
+    owners = harvest_owners(net.n)
+    harvest = np.concatenate([owners[..., None], schedule.harvest], -1).tolist()
     return {
         "n": net.n,
         "block_length": schedule.M,
         "voting_periods": {"first": 1, "stride": schedule.M},
         "directives": directives,
         "harvest": harvest,
-        "full_knowledge": all(k == set(range(net.n)) for k in knowledge),
+        "full_knowledge": bool(knowledge.all()),
     }
 
 

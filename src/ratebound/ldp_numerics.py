@@ -203,12 +203,6 @@ def llr_table(model: SignalModel) -> np.ndarray:
     return logs[..., :, None] - logs[..., None, :]
 
 
-def pair_means(model: SignalModel) -> np.ndarray:
-    """E_f[llr] of every agent and ordered state pair, shape (agents, k, k),
-    zero on the diagonal: the pair table's read-only means."""
-    return pair_table(model).mean
-
-
 def argmin_pair(matrix: np.ndarray) -> tuple[int, int]:
     """The ordered state pair (f, g), f != g, at which a (k, k) matrix is
     smallest; ties go to the first pair in row-major order."""

@@ -160,9 +160,10 @@ def distances(net: Network) -> np.ndarray:
 
     A step goes from an observer to an agent she observes, so d(i, j) = 1
     exactly when j is a neighbor of i (j's action reaches i in one hop).
-    Entries are at most n-1 on strongly connected graphs. One breadth-first
-    level for every source at once per matrix product: frontier[i, u] marks
-    the agents u at the current distance from i.
+    d(i, j) = -1 when j's action never reaches i, so the graph is strongly
+    connected iff no entry is -1; the others are at most n-1. One
+    breadth-first level for every source at once per matrix product:
+    frontier[i, u] marks the agents u at the current distance from i.
     """
     n = net.n
     dist = np.where(np.eye(n, dtype=bool), 0, -1)
@@ -173,9 +174,15 @@ def distances(net: Network) -> np.ndarray:
         if not frontier.any():
             break
         dist[frontier] = level
-    if np.any(dist < 0):
-        raise ValueError("distances are undefined: network is not strongly connected")
     return dist
+
+
+def harvest_owners(n: int) -> np.ndarray:
+    """owners[i, m], the m-th agent other than i in ascending order, shape
+    (n, n-1): whose vote harvest entry (i, m) of a schedule on n agents
+    delivers."""
+    m = np.arange(n - 1)
+    return m + (m >= np.arange(n)[:, None])
 
 
 def voting_periods(horizon: int, block: int) -> range:
@@ -194,9 +201,9 @@ class PropagationSchedule:
     agent i displays the action that agent relay_source[o-1, i] took at block
     offset relay_offset[o-1, i]; relay_source[o-1, i] == i means she repeats
     her own vote (offset 0). harvest[i, m] = (source, offset): agent i learns
-    the vote of the m-th agent other than herself, in ascending order, by
-    watching source (a neighbor) act at that block offset. The arrays, of
-    shapes (M-1, n), (M-1, n) and (n, n-1, 2), are read-only.
+    the vote of agent harvest_owners(n)[i, m] by watching source (a neighbor)
+    act at that block offset. The arrays, of shapes (M-1, n), (M-1, n) and
+    (n, n-1, 2), are read-only.
     """
 
     M: int
@@ -230,15 +237,16 @@ def build_schedule(net: Network) -> PropagationSchedule:
     at offset 0); everyone else repeats her own voting action. One pass per
     distance level reaches distance n-2; agents at distance n-1 still learn
     the vote by observing their carrier, which replay_knowledge certifies.
-    A network of more than 256 agents is refused (see schedule_too_large).
+    A network of more than 256 agents is refused (see schedule_too_large),
+    and so is one whose distances hold a -1 (not strongly connected).
     """
     too_large = schedule_too_large(net.n)
     if too_large:
         raise ValueError(too_large)
-    if not is_strongly_connected(net):
-        raise ValueError("a propagation schedule requires a strongly connected network")
     n = net.n
     dist = distances(net)
+    if (dist < 0).any():
+        raise ValueError("a propagation schedule requires a strongly connected network")
     agents = np.arange(n)
     # carrier[i, j]: the lowest u with observes[i, u] and d(u, j) = d(i, j) - 1
     steps = net.observes[:, :, None] & (dist[None, :, :] == dist[:, None, :] - 1)
@@ -252,8 +260,7 @@ def build_schedule(net: Network) -> PropagationSchedule:
     M = max(1, 1 + n * (n - 2))
     relay_source = np.where(relaying, carrier.T, agents).reshape(M - 1, n)
     relay_offset = np.where(relaying, relay_at.T, 0).reshape(M - 1, n)
-    others = ~np.eye(n, dtype=bool)
-    harvest = np.stack([carrier, relay_at], axis=-1)[others].reshape(n, n - 1, 2)
+    harvest = np.stack([carrier, relay_at], -1)[agents[:, None], harvest_owners(n)]
     for array in (relay_source, relay_offset, harvest):
         array.flags.writeable = False
     return PropagationSchedule(M, relay_source, relay_offset, harvest)
@@ -278,15 +285,15 @@ def _display(source: np.ndarray, offset: np.ndarray) -> np.ndarray:
         pointer = jumped
 
 
-def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[int]]:
+def replay_knowledge(net: Network, schedule: PropagationSchedule) -> np.ndarray:
     """Symbolically replay one block; return whose votes each agent ends up knowing.
 
     display[o, u] is the agent whose voting action u shows at block offset o
     (offset 0: everyone shows her own vote). Every relay is checked against
     the network and against what its source actually displays, and every
     harvest entry is checked to deliver the vote it claims. The result is the
-    schedule-correctness oracle: full knowledge means every set equals
-    {0, ..., n-1}.
+    schedule-correctness oracle, an (n, n) bool matrix whose row i marks the
+    agents whose votes agent i learns: full knowledge means every entry is set.
     """
     n = net.n
     agents = np.arange(n)
@@ -310,7 +317,7 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[in
     if len(future):
         raise RuntimeError(f"directive at offset {future[0, 0] + 1} reads a future offset")
     display = _display(source, offset)
-    owners = np.broadcast_to(agents, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    owners = harvest_owners(n)
     source, offset = schedule.harvest[..., 0], schedule.harvest[..., 1]
     unobserved = np.argwhere(~observes[agents[:, None], source])
     if len(unobserved):
@@ -335,5 +342,4 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> list[set[in
     # shows[u, a]: u displays a's vote at some offset of the block
     shows = np.zeros((n, n), dtype=bool)
     shows[agents, display] = True
-    knowledge = observes @ shows
-    return [set(np.flatnonzero(row).tolist()) for row in knowledge]
+    return observes @ shows

@@ -14,7 +14,6 @@ from ratebound.ldp_numerics import (
     checked_delta,
     conjugates,
     llr_table,
-    pair_means,
     pair_table,
     pmf_table,
 )
@@ -73,7 +72,7 @@ def autarky_rate(model: SignalModel, agent: int = 0) -> float:
 
 
 def _bounded_detail(model: SignalModel) -> tuple[float, tuple[int, int], int]:
-    means = pair_means(model)
+    means = pair_table(model).mean
     best = means.max(axis=0)
     f, g = argmin_pair(best)
     return float(best[f, g]), (f, g), int(means[:, f, g].argmax())

@@ -566,7 +566,8 @@ def fit_rate(
 ) -> FitResult:
     """Fit an exponential decay rate on a period window (1-based, inclusive).
 
-    agent=None pools across agents. Periods qualify when the estimate can
+    agent=None pools across agents; otherwise agent is an integer index
+    below the curve's n_agents. Periods qualify when the estimate can
     support a log: Monte Carlo cells need at least 20 recorded mistakes,
     exact cells a positive probability. Fewer than 3 qualifying periods make
     the fit unusable.
@@ -581,8 +582,9 @@ def fit_rate(
     if agent is None:
         p_hat = mixed.mean(axis=0)
     else:
-        if not 0 <= agent < curve.n_agents:
-            raise ValueError(f"agent index {agent} out of range")
+        if not (is_count(agent, 0) and agent < curve.n_agents):
+            raise ValueError(f"agent must be an integer index in "
+                             f"0..{curve.n_agents - 1}, not {agent!r}")
         p_hat = mixed[agent]
     p_hat = p_hat[lo - 1 : hi]
     if curve.trials > 0:

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ratebound.ldp_numerics import checked_delta, llr_table, pair_means, pair_table
+from ratebound.ldp_numerics import checked_delta, llr_table, pair_table
 from ratebound.network import build_schedule
 from ratebound.strategies import (
     AutarkyML,
@@ -86,7 +86,7 @@ def _constants(config):
     )
     if isinstance(strat, Coordination):
         constants.delta = checked_delta(pair_table(model), strat.delta)
-        constants.means = pair_means(model)
+        constants.means = pair_table(model).mean
     if isinstance(strat, CoordinationConnected):
         constants.schedule = build_schedule(config.network)
     if isinstance(strat, OddEven):

@@ -427,7 +427,7 @@ def test_kernel_rejects_identical_states_and_singular_pairs():
 
 def test_kernels_need_every_agent_to_share_one_support_across_states():
     # A kernel is a lane of the whole model's pair table, which needs each
-    # agent's states to share one support, as pair_means and llr_table do.
+    # agent's states to share one support, as pair_table and llr_table do.
     # So a nested pair, supp(p_0) inside supp(p_1), raises both ways round,
     # and so does an admissible agent of a model with such another agent.
     nested = ((0.5, 0.5, 0.0), (0.25, 0.25, 0.5))

@@ -14,6 +14,7 @@ from ratebound.network import (
     _display,
     build_schedule,
     distances,
+    harvest_owners,
     is_complete,
     is_strongly_connected,
     network_from_json,
@@ -124,7 +125,7 @@ def test_random_networks_refuse_seeds_and_edge_probabilities_of_the_wrong_type()
 def _redrawn_network(n, edge_prob, seed):
     """The redraw loop that built and normalized a Network for every draw
     and kept the first strongly connected one, as a reference; distances
-    raises on a network that is not strongly connected."""
+    marks -1 on a network that is not strongly connected."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(3,))
     rng = np.random.Generator(np.random.Philox(ss))
     while True:
@@ -133,11 +134,8 @@ def _redrawn_network(n, edge_prob, seed):
         net = Network.from_neighborhoods(
             n, tuple(tuple(np.flatnonzero(adjacency[i])) for i in range(n))
         )
-        try:
-            distances(net)
-        except ValueError:
-            continue
-        return net
+        if not (distances(net) < 0).any():
+            return net
 
 
 def test_random_networks_keep_the_draws_of_the_redraw_loop():
@@ -194,8 +192,9 @@ def test_distances_count_observation_hops():
         for j in range(7):
             if i != j:
                 assert (dist[i, j] == 1) == (j in net.neighborhoods[i])
-    with pytest.raises(ValueError):
-        distances(Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2))))
+    # agent 0 observes nobody else: no other agent's action reaches her
+    dist = distances(Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2))))
+    assert dist.tolist() == [[0, -1, -1], [1, 0, -1], [2, 1, 0]]
 
 
 # -- schedules --------------------------------------------------------------------
@@ -219,7 +218,7 @@ def test_two_agent_schedule_harvests_the_neighbor_directly():
     schedule = build_schedule(Network.complete(2))
     assert schedule.harvest.tolist() == [[[1, 0]], [[0, 0]]]
     knowledge = replay_knowledge(Network.complete(2), schedule)
-    assert knowledge == [{0, 1}, {0, 1}]
+    assert knowledge.dtype == bool and knowledge.tolist() == [[True, True]] * 2
 
 
 def test_voting_period_arithmetic():
@@ -240,7 +239,8 @@ def test_schedules_certify_full_knowledge_on_random_graphs():
             n, float(rng.uniform(0.15, 0.6)), seed=trial + 100
         )
         knowledge = replay_knowledge(net, build_schedule(net))
-        assert all(known == set(range(n)) for known in knowledge)
+        assert knowledge.dtype == bool and knowledge.shape == (n, n)
+        assert knowledge.all()
 
 
 def test_schedules_certify_full_knowledge_at_large_n():
@@ -253,7 +253,8 @@ def test_schedules_certify_full_knowledge_at_large_n():
         assert schedule.relay_source.shape == (schedule.M - 1, net.n)
         assert schedule.harvest.shape == (net.n, net.n - 1, 2)
         knowledge = replay_knowledge(net, schedule)
-        assert all(known == set(range(net.n)) for known in knowledge)
+        assert knowledge.dtype == bool and knowledge.shape == (net.n, net.n)
+        assert knowledge.all()
 
 
 def test_schedule_carriers_match_a_brute_force_search():
@@ -316,9 +317,47 @@ def test_schedule_arrays_are_read_only():
             array[0, 0] = 1
 
 
-def test_build_schedule_requires_strong_connectivity():
-    with pytest.raises(ValueError):
+def _one_distances_pass(monkeypatch):
+    """Make the squaring connectivity test fail if run, and record each
+    distances call."""
+    def fail(*args):
+        raise AssertionError("build_schedule ran the squaring connectivity test")
+    calls = []
+
+    def counted(net):
+        calls.append(net)
+        return distances(net)
+    monkeypatch.setattr("ratebound.network._reaches_everyone", fail)
+    monkeypatch.setattr("ratebound.network.distances", counted)
+    return calls
+
+
+def test_build_schedule_requires_strong_connectivity(monkeypatch):
+    calls = _one_distances_pass(monkeypatch)
+    with pytest.raises(ValueError) as excinfo:
         build_schedule(Network.from_neighborhoods(3, ((0,), (0, 1), (1, 2))))
+    assert str(excinfo.value) == (
+        "a propagation schedule requires a strongly connected network")
+    assert len(calls) == 1
+
+
+def test_build_schedule_runs_one_graph_traversal(monkeypatch):
+    nets = [Network.complete(1), Network.complete(2), Network.directed_cycle(5),
+            Network.random_strongly_connected(9, 0.3, seed=3)]
+    calls = _one_distances_pass(monkeypatch)
+    for net in nets:
+        calls.clear()
+        assert replay_knowledge(net, build_schedule(net)).all()
+        assert calls == [net]
+
+
+def test_harvest_owners_list_the_other_agents_in_ascending_order():
+    assert harvest_owners(1).shape == (1, 0)
+    assert harvest_owners(2).tolist() == [[1], [0]]
+    for n in (3, 7):
+        assert harvest_owners(n).tolist() == [
+            [j for j in range(n) if j != i] for i in range(n)
+        ]
 
 
 def test_build_schedule_refuses_a_schedule_too_large_to_hold(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import replay_reference
 from ratebound import sim_engine, strategies
-from ratebound.ldp_numerics import checked_delta, pair_means, pair_table
+from ratebound.ldp_numerics import checked_delta, pair_table
 from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -555,7 +555,7 @@ def test_complete_coordination_binds_the_count_fill_only_when_it_is_exact():
     assert _bound_path(straddles) == "float"
     binding = _Binding(straddles)
     *_, (lo, hi) = strategies.reachable_sums(*binding.table[0], 25)
-    slack = pair_means(straddles.model)[0, 0, 1] - checked_delta(
+    slack = pair_table(straddles.model).mean[0, 0, 1] - checked_delta(
         pair_table(straddles.model), None)
     cut = slack * 25
     assert lo[8] == 7.625680743484829 and hi[8] == 7.625680743484831
@@ -1066,8 +1066,13 @@ def test_fit_validates_window_and_agent():
         fit_rate(curve, (7, 5))
     with pytest.raises(ValueError):
         fit_rate(curve, (1, 11))
-    with pytest.raises(ValueError):
-        fit_rate(curve, (1, 10), agent=1)
+    # an agent must be an integer index, not a bool or a float
+    for agent in (True, 1.0, -1, curve.n_agents):
+        with pytest.raises(ValueError) as excinfo:
+            fit_rate(curve, (1, 10), agent=agent)
+        assert str(excinfo.value) == (
+            f"agent must be an integer index in 0..0, not {agent!r}")
+    assert fit_rate(curve, (1, 10), agent=np.int64(0)) == fit_rate(curve, (1, 10))
 
 
 # -- curve CSV ----------------------------------------------------------------------

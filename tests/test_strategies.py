@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ratebound.ldp_numerics import llr_table, pair_means
+from ratebound.ldp_numerics import llr_table, pair_table
 from ratebound.network import Network
 from ratebound.signal_models import (
     BinarySymmetric,
@@ -216,13 +216,13 @@ def _agent_llr_table(model, agent):
 
 
 def test_pair_tables_equal_each_agents_kernels_and_table():
-    means = pair_means(binary_model(0.75))
+    means = pair_table(binary_model(0.75)).mean
     assert means[0, 0, 0] == 0.0 and means[0, 1, 1] == 0.0
     assert means[0, 0, 1] == pytest.approx(0.5 * LOG3, rel=1e-14)
     assert means[0, 1, 0] == pytest.approx(0.5 * LOG3, rel=1e-14)
     for model in _pair_table_models():
         n, k = model.n_agents, model.states.n_states
-        means = pair_means(model)
+        means = pair_table(model).mean
         assert means.shape == (n, k, k)
         for a in range(n):
             for f in range(k):
@@ -237,7 +237,7 @@ def test_pair_tables_equal_each_agents_kernels_and_table():
     disjoint = SignalModel(
         StateSpace((0, 1)), Finite((0, 1, 2), ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)))
     )
-    for tables in (pair_means, llr_table):
+    for tables in (pair_table, llr_table):
         with pytest.raises(ValueError, match="absolutely continuous"):
             tables(disjoint)
 
