@@ -6,6 +6,7 @@ failure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -133,38 +134,49 @@ def _fit_dict(fit) -> dict:
     }
 
 
-def _schedule_doc(net: Network, schedule, knowledge) -> dict:
-    # a relay naming its own agent repeats her vote (offset 0)
-    directives = [
-        [
-            {"action": "repeat", "offset": offset}
-            if source == i
-            else {"action": "imitate", "source": source, "offset": offset}
-            for i, (source, offset) in enumerate(zip(sources, offsets))
-        ]
-        for sources, offsets in zip(
-            schedule.relay_source.tolist(), schedule.relay_offset.tolist()
-        )
-    ]
-    owners = harvest_owners(net.n)
-    harvest = np.concatenate([owners[..., None], schedule.harvest], -1).tolist()
-    return {
-        "n": net.n,
-        "block_length": schedule.M,
-        "voting_periods": {"first": 1, "stride": schedule.M},
-        "directives": directives,
-        "harvest": harvest,
-        "full_knowledge": bool(knowledge.all()),
-    }
+def _schedule_text(net: Network, schedule, knowledge):
+    """The schedule document, as json.dumps(doc, indent=2, sort_keys=True)
+    writes it, in pieces of one directive row or one agent's harvest, each
+    made as it is yielded: the document is never whole in memory."""
+
+    def listed(key, rows):
+        # each row as json.dumps writes it two levels deep
+        opening = f'  "{key}": ['
+        for row in rows:
+            text = json.dumps(row, indent=2, sort_keys=True)
+            yield f"{opening}\n    " + text.replace("\n", "\n    ")
+            opening = ","
+        yield "\n  ],\n" if opening == "," else f"{opening}],\n"
+
+    def directives():
+        # a relay naming its own agent repeats her vote (offset 0)
+        for sources, offsets in zip(schedule.relay_source, schedule.relay_offset):
+            yield [
+                {"action": "repeat", "offset": offset}
+                if source == i
+                else {"action": "imitate", "source": source, "offset": offset}
+                for i, (source, offset) in enumerate(zip(sources.tolist(),
+                                                         offsets.tolist()))
+            ]
+
+    harvest = np.concatenate([harvest_owners(net.n)[..., None], schedule.harvest], -1)
+    yield f'{{\n  "block_length": {schedule.M},\n'
+    yield from listed("directives", directives())
+    yield f'  "full_knowledge": {"true" if knowledge.all() else "false"},\n'
+    yield from listed("harvest", (row.tolist() for row in harvest))
+    yield (f'  "n": {net.n},\n  "voting_periods": {{\n    "first": 1,\n'
+           f'    "stride": {schedule.M}\n  }}\n}}')
 
 
-def _echo_or_write(text: str, out: str | None) -> None:
+def _echo_or_write(pieces, out: str | None) -> None:
+    """Write the text pieces, in order, to stdout or to the file out."""
     if out is None:
-        click.echo(text, nl=False)
+        for piece in pieces:
+            click.echo(piece, nl=False)
     else:
         try:
             with open(out, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise OSError(f"cannot write {out}: {exc}") from None
         click.echo(f"wrote {out}")
@@ -212,9 +224,9 @@ def sweep(from_q: float, to_q: float, points: int, out: str | None) -> None:
         raise ValueError("--points must be a positive integer")
     grid = [from_q] if points == 1 else np.linspace(from_q, to_q, points)
     # byte-stable CSV: `q,raut,rmaj` header, 6 decimals, LF endings
-    _echo_or_write("q,raut,rmaj\n" + "".join(
+    _echo_or_write(["q,raut,rmaj\n", *(
         f"{q:.6f},{raut:.6f},{rmaj:.6f}\n" for q, raut, rmaj in sweep_figure1(grid)
-    ), out)
+    )], out)
 
 
 @cli.command(name="simulate")
@@ -295,8 +307,7 @@ def schedule(network_path, complete_n, cycle_n, random_n, edge_prob, seed, out):
         net = Network.random_strongly_connected(random_n, edge_prob, seed)
     sched = build_schedule(net)
     knowledge = replay_knowledge(net, sched)
-    doc = _schedule_doc(net, sched, knowledge)
-    _echo_or_write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    _echo_or_write(itertools.chain(_schedule_text(net, sched, knowledge), ["\n"]), out)
 
 
 @cli.command(name="verify")

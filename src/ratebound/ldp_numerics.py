@@ -228,37 +228,60 @@ def checked_delta(table: PairTable, delta: float | None) -> float:
 def conjugates(lanes, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conjugates of many (lane, eta) pairs: lane i of `lanes`, a PairTable
     Lane, at the i-th eta of `etas` in C order. `lanes` is any iterable with
-    one lane per eta, read once.
+    one lane per eta, read once; a lane passed many times is triaged once.
 
     Returns (value, argmax_z, iterations) arrays shaped like `etas`; each
     entry equals its lane's PairKernel `legendre(eta)`. Gaussian lanes take
     the closed form and etas at or beyond a finite endpoint the limiting
-    value, lane by lane. The interior finite lanes are solved by one
-    lockstep ITP iteration per atom count.
+    value. The interior finite lanes whose atom counts share `atoms // 8`
+    are solved in one lockstep ITP call, each row padded at its end to the
+    group's widest with zero-mass atoms (log p = -inf, llr = 0). numpy's
+    pairwise sum adds a row in blocks of 8, so trailing zeros that stay
+    inside the row's last block leave every reduction's bits unchanged;
+    padding into a further block would regroup them.
     """
     eta = np.asarray(etas, dtype=float)
     flat = eta.ravel()
+    first = {}  # id of each distinct lane: (its number, the lane)
+    which = [first.setdefault(id(lane), (len(first), lane))[0] for lane in lanes]
+    if len(which) != flat.size:
+        raise ValueError(f"conjugates needs one lane per eta, not {len(which)} "
+                         f"lanes for {flat.size} etas")
+    distinct = [lane for _, lane in first.values()]
+    which = np.array(which, dtype=np.intp)
+    width = np.array([0 if lane.rows is None else lane.rows.shape[1]
+                      for lane in distinct], dtype=np.intp)
+    stats = np.array([lane[1:] for lane in distinct], dtype=float).reshape(-1, 4)
+    mean, variance, low, high = stats[which].T
     value = np.empty(flat.size)
     argmax = np.empty(flat.size)
     iterations = np.zeros(flat.size, dtype=np.int64)
-    groups = {}  # atom count: (interior lanes, their rows)
-    for i, (lane, e) in enumerate(zip(lanes, flat.tolist(), strict=True)):
-        if lane.rows is None:
-            argmax[i] = (e - lane.mean) / lane.variance
-            value[i] = (e - lane.mean) ** 2 / (2.0 * lane.variance)
-        elif e >= lane.high:
-            value[i] = _endpoint_value(lane.rows, lane.high)
-            argmax[i] = math.inf
-        elif e <= lane.low:
-            value[i] = _endpoint_value(lane.rows, lane.low)
-            argmax[i] = -math.inf
-        else:
-            members, rows = groups.setdefault(lane.rows.shape[1], ([], []))
-            members.append(i)
-            rows.append(lane.rows)
-    for members, rows in groups.values():
-        rows = np.array(rows)
-        members = np.array(members, dtype=np.intp)
+    gaussian = width[which] == 0
+    # squared by float ** 2, the C library's pow, as pair_table squares the
+    # Gaussian moments: numpy's x * x can differ from it in the last bit
+    gap, spread = flat[gaussian] - mean[gaussian], variance[gaussian]
+    argmax[gaussian] = gap / spread
+    value[gaussian] = np.array([d**2 for d in gap.tolist()]) / (2.0 * spread)
+    top = ~gaussian & (flat >= high)
+    bottom = ~gaussian & ~top & (flat <= low)
+    for at, side, z in ((top, 3, math.inf), (bottom, 2, -math.inf)):
+        ids = _present(which[at], len(distinct))
+        limit = np.empty(len(distinct))
+        limit[ids] = [_endpoint_value(distinct[j].rows, stats[j, side])
+                      for j in ids.tolist()]
+        value[at] = limit[which[at]]
+        argmax[at] = z
+    interior = ~(gaussian | top | bottom)
+    block = width // 8
+    solved = _present(which[interior], len(distinct))
+    for key in set(block[solved].tolist()):
+        ids = solved[block[solved] == key]
+        padded = np.empty((len(distinct), 2, width[ids].max()))
+        padded[ids, 0], padded[ids, 1] = -math.inf, 0.0
+        for j in ids.tolist():
+            padded[j, :, :width[j]] = distinct[j].rows
+        members = np.flatnonzero(interior & (block[which] == key))
+        rows = padded[which[members]]
         lane_eta = flat[members]
         z, iterations[members] = _solve_tilt(rows, lane_eta)
         argmax[members] = z
@@ -268,6 +291,13 @@ def conjugates(lanes, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         argmax.reshape(eta.shape),
         iterations.reshape(eta.shape),
     )
+
+
+def _present(numbers: np.ndarray, count: int) -> np.ndarray:
+    """The distinct entries of numbers, a subset of range(count), ascending."""
+    present = np.zeros(count, dtype=bool)
+    present[numbers] = True
+    return np.flatnonzero(present)
 
 
 def _endpoint_value(rows: np.ndarray, endpoint: float) -> float:
@@ -304,17 +334,19 @@ def _tilted_mean(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _bracket(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) per lane with cgf_prime(lo) < eta < cgf_prime(hi), and the
     slopes cgf_prime at both ends: from -1 and 1, an end whose slope is not
-    yet past eta doubles. The scalar rule's steps 1, 2, 4, ... land exactly
-    on these powers of two."""
+    yet past eta doubles, and only the ends still short are evaluated
+    again. The scalar rule's steps 1, 2, 4, ... land exactly on these
+    powers of two."""
     ends = np.empty((2, eta.size))
     ends[0], ends[1] = -1.0, 1.0
-    while True:
-        slope = _tilted_mean(rows, ends)
-        short = slope >= eta
-        np.less_equal(slope[1], eta, out=short[1])
-        if not short.any():
-            return ends, slope
-        ends[short] *= 2.0
+    slopes = _tilted_mean(rows, ends)
+    side, lane = np.nonzero(np.stack([slopes[0] >= eta, slopes[1] <= eta]))
+    while lane.size:
+        ends[side, lane] *= 2.0
+        slope = slopes[side, lane] = _tilted_mean(rows[lane], ends[side, lane])
+        short = np.where(side == 0, slope >= eta[lane], slope <= eta[lane])
+        side, lane = side[short], lane[short]
+    return ends, slopes
 
 
 def _solve_tilt(rows: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -131,9 +131,13 @@ def network_to_json(net: Network) -> dict:
 
 def _reaches_everyone(observes: np.ndarray) -> bool:
     """True iff the boolean (n, n) observation matrix, diagonal set, links
-    every agent to every other. Each squaring of the 0/1 reachability matrix
-    doubles the path length it covers, until every pair is reached or no
-    pair is added."""
+    every agent to every other. An agent who observes no one else, or whom
+    no one else observes, is refused first, with no squaring. Each squaring
+    of the 0/1 reachability matrix doubles the path length it covers, until
+    every pair is reached or no pair is added."""
+    if len(observes) > 1 and (observes.sum(axis=0).min() < 2
+                              or observes.sum(axis=1).min() < 2):
+        return False
     reach = observes.astype(np.float32)
     known = np.count_nonzero(reach)
     while known < reach.size:
@@ -299,42 +303,44 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> np.ndarray:
     agents = np.arange(n)
     observes = net.observes
     source, offset = schedule.relay_source, schedule.relay_offset
-    unobserved = np.argwhere(~observes[agents, source])
-    if len(unobserved):
-        o, i = unobserved[0]
+    # each refusal names its mask's first offender, found only once it fails
+    unobserved = ~observes[agents, source]
+    if unobserved.any():
+        o, i = np.argwhere(unobserved)[0]
         raise RuntimeError(
             f"directive at offset {o + 1} makes agent {i} imitate "
             f"unobserved agent {source[o, i]}"
         )
-    negative = np.argwhere(offset < 0)
-    if len(negative):
-        o, i = negative[0]
+    negative = offset < 0
+    if negative.any():
+        o, i = np.argwhere(negative)[0]
         raise RuntimeError(
             f"directive at offset {o + 1} makes agent {i} read negative "
             f"offset {offset[o, i]}"
         )
-    future = np.argwhere(offset >= np.arange(1, schedule.M)[:, None])
-    if len(future):
-        raise RuntimeError(f"directive at offset {future[0, 0] + 1} reads a future offset")
+    future = offset >= np.arange(1, schedule.M)[:, None]
+    if future.any():
+        o = np.argwhere(future)[0, 0]
+        raise RuntimeError(f"directive at offset {o + 1} reads a future offset")
     display = _display(source, offset)
     owners = harvest_owners(n)
     source, offset = schedule.harvest[..., 0], schedule.harvest[..., 1]
-    unobserved = np.argwhere(~observes[agents[:, None], source])
-    if len(unobserved):
-        i, m = unobserved[0]
+    unobserved = ~observes[agents[:, None], source]
+    if unobserved.any():
+        i, m = np.argwhere(unobserved)[0]
         raise RuntimeError(
             f"harvest entry of agent {i} reads unobserved agent {source[i, m]}"
         )
-    outside = np.argwhere((offset < 0) | (offset >= schedule.M))
-    if len(outside):
-        i, m = outside[0]
+    outside = (offset < 0) | (offset >= schedule.M)
+    if outside.any():
+        i, m = np.argwhere(outside)[0]
         raise RuntimeError(
             f"harvest entry of agent {i} reads offset {offset[i, m]}, outside "
             f"the block's 0..{schedule.M - 1}"
         )
-    lies = np.argwhere(display[offset, source] != owners)
-    if len(lies):
-        i, m = lies[0]
+    lies = display[offset, source] != owners
+    if lies.any():
+        i, m = np.argwhere(lies)[0]
         raise RuntimeError(
             f"harvest entry of agent {i} expected agent {source[i, m]} to show "
             f"{owners[i, m]}'s vote at offset {offset[i, m]}"

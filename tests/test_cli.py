@@ -43,6 +43,9 @@ GOLDEN_SWEEP = b"q,raut,rmaj\n0.750000,0.143841,0.549306\n"
 # cycle(5), complete(1), complete(2) and complete(6), as `ratebound schedule`
 # writes them, recorded when schedules were built as per-cell directive objects
 GOLDEN_SCHEDULES = "65753ce0977031f4284d42fcf24a1a45963af15d620f1b7ad89206586fe389ae"
+# sha256 of `ratebound schedule --complete 64`, recorded when the command
+# built the document whole before writing it
+GOLDEN_COMPLETE_64 = "e9d93e2fc22125e2d0d73fe53e958ea45934b254c3c9cb5590e05c55051e4025"
 
 
 def binary_doc(p=0.75, n_agents=1):
@@ -845,10 +848,30 @@ def test_schedule_documents_match_their_golden_bytes():
     digest = hashlib.sha256()
     for net in nets:
         schedule = build_schedule(net)
-        doc = cli_module._schedule_doc(net, schedule, replay_knowledge(net, schedule))
-        digest.update(json.dumps(doc, indent=2, sort_keys=True).encode())
+        knowledge = replay_knowledge(net, schedule)
+        text = "".join(cli_module._schedule_text(net, schedule, knowledge))
+        digest.update(text.encode())
     assert len(nets) == 107
     assert digest.hexdigest() == GOLDEN_SCHEDULES
+
+
+def test_schedule_command_writes_a_large_document_in_bounded_memory(tmp_path):
+    # --complete 64: 3,968 directive rows of 64 directives, 16.9 MB of JSON.
+    # Built whole, one dict per directive, the document peaked at 238 MB of
+    # resident memory; written as it is made, it stays under 100 MB. The
+    # wrapper's RUSAGE_CHILDREN reads only the command's own peak.
+    out = tmp_path / "complete64.json"
+    code = """if True:
+        import resource, subprocess, sys
+        subprocess.run([sys.executable, "-m", "ratebound.cli", "schedule",
+                        "--complete", "64", "--out", sys.argv[1]], check=True)
+        print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    """
+    result = subprocess.run([sys.executable, "-c", code, str(out)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[-1]) / 1024 < 100.0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_COMPLETE_64
 
 
 def test_usage_errors_exit_with_one(capsys):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -279,8 +281,8 @@ def test_lanes_of_no_etas_and_mismatched_inputs():
     two, three = _random_kernel(rng, 2)[1], _random_kernel(rng, 3)[1]
     with pytest.raises(ValueError):
         conjugates([two.lane], [0.0, 0.1])
-    # Interior lanes of different atom counts are solved group by group,
-    # each lane as its one-lane solve.
+    # Interior lanes of 2 and 3 atoms are solved in one padded call, each
+    # lane as its one-lane solve.
     kernels, etas = [two, three, two, three], [0.0, 0.0, 0.1, -0.2]
     solves = [kern.legendre(eta) for kern, eta in zip(kernels, etas)]
     assert _as_tuples(conjugates([kern.lane for kern in kernels], etas)) == [
@@ -289,6 +291,79 @@ def test_lanes_of_no_etas_and_mismatched_inputs():
     # Lanes at or beyond an endpoint are not solved, so their atoms may differ.
     mixed = conjugates([two.lane, three.lane], [two.domain[1], 0.0])
     assert mixed[1][0] == math.inf
+
+
+def test_one_call_pads_widths_2_to_24_as_their_one_lane_solves():
+    # Widths on both sides of 7|8, 15|16 and 23|24, several lanes each,
+    # shuffled among endpoint etas and Gaussian lanes in one call. Rows
+    # padded with zero-mass atoms keep their bits only inside their own
+    # block of 8; a row padded across a block boundary moves a last bit.
+    rng = np.random.default_rng(73)
+    kernels, etas = [], []
+    for atoms in range(2, 25):
+        for _ in range(3):
+            kern = _random_kernel(rng, atoms)[1]
+            lo, hi = kern.domain
+            kernels += [kern] * 8
+            etas += [*rng.uniform(lo, hi, 5), lo, hi, hi + 1.0]
+    for _ in range(4):
+        model = SignalModel(StateSpace((0, 1)),
+                            Gaussian(tuple(rng.normal(size=2)), rng.uniform(0.5, 2.0)))
+        kernels += [PairKernel(model, 0, 0, 1)] * 3
+        etas += rng.normal(size=3).tolist()
+    order = rng.permutation(len(etas))
+    kernels = [kernels[i] for i in order]
+    etas = np.array(etas)[order]
+    lanes = _as_tuples(conjugates([kern.lane for kern in kernels], etas))
+    for kern, eta, lane in zip(kernels, etas.tolist(), lanes):
+        one = kern.legendre(eta)
+        assert lane == (one.value, one.argmax_z, one.iterations), (kern.lane.rows, eta)
+
+
+def test_lanes_are_read_once_and_must_match_the_etas():
+    rng = np.random.default_rng(74)
+    kernels = [_random_kernel(rng, atoms)[1] for atoms in (2, 5, 9)]
+    etas = [0.0, 0.1, -0.1, kernels[0].domain[1]]
+    read = []
+
+    def lanes():
+        for kern in kernels + kernels[:1]:
+            read.append(kern)
+            yield kern.lane
+
+    expected = [kern.legendre(eta) for kern, eta in zip(kernels + kernels[:1], etas)]
+    assert _as_tuples(conjugates(lanes(), etas)) == [
+        (res.value, res.argmax_z, res.iterations) for res in expected
+    ]
+    assert read == kernels + kernels[:1]
+    # a lane passed as equal copies solves as the one object passed again
+    copies = [kernels[1].lane._replace() for _ in etas]
+    same = [kernels[1].lane] * len(etas)
+    assert _as_tuples(conjugates(copies, etas)) == _as_tuples(conjugates(same, etas))
+    for count in (3, 5):
+        with pytest.raises(ValueError, match="one lane per eta"):
+            conjugates((kernels * 2)[:count], etas)
+
+
+def test_conjugates_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma, about a megabyte of resident memory that
+    # no other part of a verify run loads
+    code = """if True:
+        import sys
+        from ratebound.ldp_numerics import PairKernel, conjugates
+        from ratebound.signal_models import (BinarySymmetric, Finite, Gaussian,
+                                             SignalModel, StateSpace)
+        states = StateSpace((0, 1))
+        kernels = [PairKernel(SignalModel(states, family), 0, 0, 1) for family in (
+            BinarySymmetric(0.75), Finite((0, 1, 2), ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2))),
+            Gaussian((1.0, 0.0), 1.0))]
+        lanes = [kern.lane for kern in kernels] * 3
+        conjugates(lanes, [0.0, 0.1, 0.2, 5.0, -5.0, 0.3, 0.05, 0.0, -1.0])
+        print("numpy.ma" in sys.modules)
+    """
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 # Newton steps on this lane alternate around the root, each inside the
