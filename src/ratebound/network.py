@@ -270,82 +270,73 @@ def build_schedule(net: Network) -> PropagationSchedule:
     return PropagationSchedule(M, relay_source, relay_offset, harvest)
 
 
-def _display(source: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """display[o, u], the agent whose vote u shows at block offset o, for
-    directives that each read an earlier offset: by pointer doubling.
+def _shown(schedule: PropagationSchedule, offset, source) -> np.ndarray:
+    """The agent whose vote `source` shows at block `offset`, cell by cell
+    over index arrays of one shape.
 
-    Cell (o, u) points at the cell (offset, source) of its directive, and
-    row 0 at itself. Since every directive reads an earlier offset, each
-    chain of pointers ends in row 0; jumping every pointer to its target's
-    target halves the chains until none moves, and each cell then points at
-    the row-0 cell of the agent whose vote it shows.
+    Each cell follows its directive chain through the schedule's relay
+    tables back to offset 0, where every agent shows her own vote. Every
+    directive must read an earlier offset (replay_knowledge refuses any
+    other), so each hop goes strictly back and every walk ends.
     """
-    n = source.shape[1]
-    pointer = np.concatenate([np.arange(n), (offset * n + source).ravel()])
-    while True:
-        jumped = pointer[pointer]
-        if np.array_equal(jumped, pointer):
-            return (pointer % n).reshape(-1, n)
-        pointer = jumped
+    shape = np.shape(source)
+    offset, source = np.array(offset).ravel(), np.array(source).ravel()
+    walking = np.flatnonzero(offset)  # the cells not yet back at offset 0
+    while len(walking):
+        o, u = offset[walking] - 1, source[walking]
+        offset[walking] = schedule.relay_offset[o, u]
+        source[walking] = schedule.relay_source[o, u]
+        walking = walking[offset[walking] > 0]
+    return source.reshape(shape)
+
+
+def _refuse(mask: np.ndarray, message) -> None:
+    """Raise RuntimeError(message(*index)) at mask's first set entry, if any."""
+    if mask.any():
+        raise RuntimeError(message(*np.argwhere(mask)[0]))
 
 
 def replay_knowledge(net: Network, schedule: PropagationSchedule) -> np.ndarray:
     """Symbolically replay one block; return whose votes each agent ends up knowing.
 
-    display[o, u] is the agent whose voting action u shows at block offset o
-    (offset 0: everyone shows her own vote). Every relay is checked against
-    the network and against what its source actually displays, and every
-    harvest entry is checked to deliver the vote it claims. The result is the
-    schedule-correctness oracle, an (n, n) bool matrix whose row i marks the
-    agents whose votes agent i learns: full knowledge means every entry is set.
+    Every relay is checked against the network and its directive against
+    the block's order, and every harvest entry is checked to deliver the
+    vote it claims: the cell it reads is walked back along its directive
+    chain to the vote it shows (_shown). The result is the
+    schedule-correctness oracle, an (n, n) bool matrix whose row i marks
+    agent i herself and the votes her harvest delivers. It is full exactly
+    when the function returns, since each entry that delivers a vote other
+    than its owner's raises.
     """
     n = net.n
     agents = np.arange(n)
     observes = net.observes
     source, offset = schedule.relay_source, schedule.relay_offset
-    # each refusal names its mask's first offender, found only once it fails
-    unobserved = ~observes[agents, source]
-    if unobserved.any():
-        o, i = np.argwhere(unobserved)[0]
-        raise RuntimeError(
-            f"directive at offset {o + 1} makes agent {i} imitate "
-            f"unobserved agent {source[o, i]}"
-        )
-    negative = offset < 0
-    if negative.any():
-        o, i = np.argwhere(negative)[0]
-        raise RuntimeError(
-            f"directive at offset {o + 1} makes agent {i} read negative "
-            f"offset {offset[o, i]}"
-        )
-    future = offset >= np.arange(1, schedule.M)[:, None]
-    if future.any():
-        o = np.argwhere(future)[0, 0]
-        raise RuntimeError(f"directive at offset {o + 1} reads a future offset")
-    display = _display(source, offset)
+    _refuse((source < 0) | (source >= n), lambda o, i: (
+        f"directive at offset {o + 1} makes agent {i} imitate agent "
+        f"{source[o, i]}, outside the network's 0..{n - 1}"))
+    _refuse(~observes[agents, source], lambda o, i: (
+        f"directive at offset {o + 1} makes agent {i} imitate "
+        f"unobserved agent {source[o, i]}"))
+    _refuse(offset < 0, lambda o, i: (
+        f"directive at offset {o + 1} makes agent {i} read negative "
+        f"offset {offset[o, i]}"))
+    _refuse(offset >= np.arange(1, schedule.M)[:, None],
+            lambda o, i: f"directive at offset {o + 1} reads a future offset")
     owners = harvest_owners(n)
     source, offset = schedule.harvest[..., 0], schedule.harvest[..., 1]
-    unobserved = ~observes[agents[:, None], source]
-    if unobserved.any():
-        i, m = np.argwhere(unobserved)[0]
-        raise RuntimeError(
-            f"harvest entry of agent {i} reads unobserved agent {source[i, m]}"
-        )
-    outside = (offset < 0) | (offset >= schedule.M)
-    if outside.any():
-        i, m = np.argwhere(outside)[0]
-        raise RuntimeError(
-            f"harvest entry of agent {i} reads offset {offset[i, m]}, outside "
-            f"the block's 0..{schedule.M - 1}"
-        )
-    lies = display[offset, source] != owners
-    if lies.any():
-        i, m = np.argwhere(lies)[0]
-        raise RuntimeError(
-            f"harvest entry of agent {i} expected agent {source[i, m]} to show "
-            f"{owners[i, m]}'s vote at offset {offset[i, m]}"
-        )
-    # shows[u, a]: u displays a's vote at some offset of the block
-    shows = np.zeros((n, n), dtype=bool)
-    shows[agents, display] = True
-    return observes @ shows
+    _refuse((source < 0) | (source >= n), lambda i, m: (
+        f"harvest entry of agent {i} reads agent {source[i, m]}, outside "
+        f"the network's 0..{n - 1}"))
+    _refuse(~observes[agents[:, None], source], lambda i, m: (
+        f"harvest entry of agent {i} reads unobserved agent {source[i, m]}"))
+    _refuse((offset < 0) | (offset >= schedule.M), lambda i, m: (
+        f"harvest entry of agent {i} reads offset {offset[i, m]}, outside "
+        f"the block's 0..{schedule.M - 1}"))
+    delivered = _shown(schedule, offset, source)
+    _refuse(delivered != owners, lambda i, m: (
+        f"harvest entry of agent {i} expected agent {source[i, m]} to show "
+        f"{owners[i, m]}'s vote at offset {offset[i, m]}"))
+    knowledge = np.eye(n, dtype=bool)
+    knowledge[agents[:, None], delivered] = True
+    return knowledge

@@ -444,10 +444,13 @@ def run_trajectory(
     Replays the exact signals that mistake_curve's replication of the same
     index consumes: its block's stream is drawn only up to that replication.
     """
-    if not 0 <= replication_index < config.replications:
-        raise ValueError("replication_index out of range")
-    if not 0 <= state < config.model.states.n_states:
-        raise ValueError("state index out of range")
+    for name, index, size in (
+        ("replication_index", replication_index, config.replications),
+        ("state", state, config.model.states.n_states),
+    ):
+        if not (is_count(index, 0) and index < size):
+            raise ValueError(f"{name} must be an integer index in "
+                             f"0..{size - 1}, not {index!r}")
     chunk, offset = divmod(replication_index, CHUNK)
     gen = _chunk_generator(config.seed, state, chunk)
     binding = config._binding
@@ -566,13 +569,15 @@ def fit_rate(
 ) -> FitResult:
     """Fit an exponential decay rate on a period window (1-based, inclusive).
 
-    agent=None pools across agents; otherwise agent is an integer index
-    below the curve's n_agents. Periods qualify when the estimate can
-    support a log: Monte Carlo cells need at least 20 recorded mistakes,
-    exact cells a positive probability. Fewer than 3 qualifying periods make
-    the fit unusable.
+    The window's ends are integer periods, not bools. agent=None pools
+    across agents; otherwise agent is an integer index below the curve's
+    n_agents. Periods qualify when the estimate can support a log: Monte
+    Carlo cells need at least 20 recorded mistakes, exact cells a positive
+    probability. Fewer than 3 qualifying periods make the fit unusable.
     """
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = window[0], window[1]
+    if not (is_count(lo, -math.inf) and is_count(hi, -math.inf)):
+        raise ValueError(f"window ends must be integer periods, not {window!r}")
     if lo > hi:
         raise ValueError(f"window {window} is reversed: its first period "
                          f"{lo} comes after its last {hi}")

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from ratebound import verification
 from ratebound.network import (
     Network,
-    _display,
+    _shown,
     build_schedule,
     distances,
     harvest_owners,
@@ -294,12 +295,14 @@ def test_schedule_carriers_match_a_brute_force_search():
             assert tuple(schedule.harvest[i, m]) == (u, shown(u, j))
 
 
-def test_pointer_doubled_display_equals_an_offset_by_offset_replay():
+def test_walked_chains_equal_an_offset_by_offset_replay():
     # The check's 103 networks, then complete networks and directed cycles:
-    # a cycle of n agents relays along chains n - 1 directives long.
+    # a cycle of n agents relays along chains n - 1 directives long. Every
+    # (offset, agent) cell of the block is walked, not only the harvested.
     nets = [*verification._coverage_networks(),
             *(Network.complete(n) for n in range(2, 13)),
             *(Network.directed_cycle(n) for n in range(3, 13))]
+    assert len(nets) == 124
     for net in nets:
         schedule = build_schedule(net)
         source, offset = schedule.relay_source, schedule.relay_offset
@@ -307,7 +310,8 @@ def test_pointer_doubled_display_equals_an_offset_by_offset_replay():
         expected[0] = np.arange(net.n)
         for o in range(1, schedule.M):
             expected[o] = expected[offset[o - 1], source[o - 1]]
-        np.testing.assert_array_equal(_display(source, offset), expected)
+        cells = np.indices((schedule.M, net.n))
+        np.testing.assert_array_equal(_shown(schedule, *cells), expected)
 
 
 def test_schedule_arrays_are_read_only():
@@ -432,3 +436,73 @@ def test_replay_rejects_a_harvest_offset_outside_the_block():
         message = f"agent 0 reads offset {offset}, outside"
         with pytest.raises(RuntimeError, match=message):
             replay_knowledge(cycle, corrupted)
+
+
+def test_replay_rejects_sources_outside_the_network():
+    net = Network.complete(3)
+    schedule = build_schedule(net)
+    # -1 must not wrap around to agent 2, nor 3 escape as an IndexError
+    for value in (-1, 3):
+        corrupted = _corrupted(schedule, "relay_source", (0, 1), value)
+        with pytest.raises(RuntimeError) as excinfo:
+            replay_knowledge(net, corrupted)
+        assert str(excinfo.value) == (
+            f"directive at offset 1 makes agent 1 imitate agent {value}, "
+            f"outside the network's 0..2")
+        corrupted = _corrupted(schedule, "harvest", (1, 1, 0), value)
+        with pytest.raises(RuntimeError) as excinfo:
+            replay_knowledge(net, corrupted)
+        assert str(excinfo.value) == (
+            f"harvest entry of agent 1 reads agent {value}, outside the "
+            f"network's 0..2")
+
+
+def test_replay_refuses_a_relay_that_drops_a_chain_midway():
+    # on a cycle of 6, agent 0 learns agent 1's vote along 1 -> 2 -> ... -> 5
+    # -> 0; agent 3 repeating her own vote in place of relaying it makes
+    # every later link show agent 3's vote
+    cycle = Network.directed_cycle(6)
+    schedule = build_schedule(cycle)
+    source, offset = schedule.harvest[0, 0]
+    chain = [(source, offset)]
+    while offset:
+        source, offset = (schedule.relay_source[offset - 1, source],
+                          schedule.relay_offset[offset - 1, source])
+        chain.append((source, offset))
+    assert [agent for agent, _ in chain] == [5, 4, 3, 2, 1]
+    at = chain[2][1] - 1
+    corrupted = _corrupted(schedule, "relay_source", (at, 3), 3)
+    corrupted = _corrupted(corrupted, "relay_offset", (at, 3), 0)
+    with pytest.raises(RuntimeError) as excinfo:
+        replay_knowledge(cycle, corrupted)
+    assert str(excinfo.value) == (
+        f"harvest entry of agent 0 expected agent 5 to show 1's vote at "
+        f"offset {chain[0][1]}")
+
+
+def test_replay_refuses_a_harvest_of_the_harvester_herself():
+    # each agent shows her own vote at offset 0, never another's
+    nets = verification._coverage_networks()
+    assert len(nets) == 103
+    for net in nets:
+        schedule = build_schedule(net)
+        i = net.n // 2
+        corrupted = _corrupted(schedule, "harvest", (i, 0), (i, 0))
+        with pytest.raises(RuntimeError, match=f"harvest entry of agent {i} "
+                           f"expected agent {i} to show"):
+            replay_knowledge(net, corrupted)
+
+
+def test_replay_holds_no_copy_of_the_relay_tables():
+    # the relay tables of complete(128) hold 2 x 16 MB of int64 entries;
+    # the replay reads them in place and walks only the harvested cells
+    net = Network.complete(128)
+    schedule = build_schedule(net)
+    tracemalloc.start()
+    try:
+        knowledge = replay_knowledge(net, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert knowledge.all()
+    assert peak <= 16 * 2**20

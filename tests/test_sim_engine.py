@@ -950,10 +950,19 @@ def test_run_trajectory_validates_indices_and_reports_mistakes():
     actions, mistakes = run_trajectory(config, 1, 3)
     assert actions.shape == (1, 4) and mistakes.shape == (1, 4)
     assert np.array_equal(mistakes, actions != 1)
-    with pytest.raises(ValueError):
-        run_trajectory(config, 2, 0)
-    with pytest.raises(ValueError):
-        run_trajectory(config, 0, 10)
+    # an index is an integer in range, not a bool or a float
+    for state in (2, -1, True, 1.0):
+        with pytest.raises(ValueError) as excinfo:
+            run_trajectory(config, state, 0)
+        assert str(excinfo.value) == (
+            f"state must be an integer index in 0..1, not {state!r}")
+    for index in (10, -1, False, 2.0):
+        with pytest.raises(ValueError) as excinfo:
+            run_trajectory(config, 0, index)
+        assert str(excinfo.value) == (
+            f"replication_index must be an integer index in 0..9, not {index!r}")
+    same = run_trajectory(config, np.int64(1), np.int64(3))
+    assert np.array_equal(same[0], actions)
 
 
 # -- visibility: strategies cannot benefit from unobserved actions --------------------
@@ -1060,12 +1069,19 @@ def test_fit_is_unusable_on_an_all_zero_window():
 
 def test_fit_validates_window_and_agent():
     curve = synthetic_exact_curve(0.4, horizon=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"window \(0, 5\) outside the curve's 1..10"):
         fit_rate(curve, (0, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"window \(7, 5\) is reversed"):
         fit_rate(curve, (7, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"window \(1, 11\) outside"):
         fit_rate(curve, (1, 11))
+    # window ends are integer periods: not truncated floats, not bools
+    for window in ((1.9, 10.7), (True, 10), (1, 10.0)):
+        with pytest.raises(ValueError) as excinfo:
+            fit_rate(curve, window)
+        assert str(excinfo.value) == (
+            f"window ends must be integer periods, not {window!r}")
+    assert fit_rate(curve, (np.int64(1), np.int64(10))) == fit_rate(curve, (1, 10))
     # an agent must be an integer index, not a bool or a float
     for agent in (True, 1.0, -1, curve.n_agents):
         with pytest.raises(ValueError) as excinfo:
