@@ -134,10 +134,11 @@ def _fit_dict(fit) -> dict:
     }
 
 
-def _schedule_text(net: Network, schedule, knowledge):
-    """The schedule document, as json.dumps(doc, indent=2, sort_keys=True)
-    writes it, in pieces of one directive row or one agent's harvest, each
-    made as it is yielded: the document is never whole in memory."""
+def _schedule_text(net: Network, schedule):
+    """The document of a schedule that replay_knowledge certified, as
+    json.dumps(doc, indent=2, sort_keys=True) writes it, in pieces of one
+    directive row or one agent's harvest, each made as it is yielded: the
+    document is never whole in memory."""
 
     def listed(key, rows):
         # each row as json.dumps writes it two levels deep
@@ -162,7 +163,7 @@ def _schedule_text(net: Network, schedule, knowledge):
     harvest = np.concatenate([harvest_owners(net.n)[..., None], schedule.harvest], -1)
     yield f'{{\n  "block_length": {schedule.M},\n'
     yield from listed("directives", directives())
-    yield f'  "full_knowledge": {"true" if knowledge.all() else "false"},\n'
+    yield '  "full_knowledge": true,\n'
     yield from listed("harvest", (row.tolist() for row in harvest))
     yield (f'  "n": {net.n},\n  "voting_periods": {{\n    "first": 1,\n'
            f'    "stride": {schedule.M}\n  }}\n}}')
@@ -306,8 +307,8 @@ def schedule(network_path, complete_n, cycle_n, random_n, edge_prob, seed, out):
     else:
         net = Network.random_strongly_connected(random_n, edge_prob, seed)
     sched = build_schedule(net)
-    knowledge = replay_knowledge(net, sched)
-    _echo_or_write(itertools.chain(_schedule_text(net, sched, knowledge), ["\n"]), out)
+    replay_knowledge(net, sched)
+    _echo_or_write(itertools.chain(_schedule_text(net, sched), ["\n"]), out)
 
 
 @cli.command(name="verify")

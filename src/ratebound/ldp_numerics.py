@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ratebound.signal_models import Gaussian, SignalModel
+from ratebound.signal_models import Gaussian, SignalModel, checked_index
 
 LEGENDRE_TOL = 1e-9
 # ITP's constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021): the step is
@@ -77,6 +77,7 @@ class PairKernel:
     """
 
     def __init__(self, model: SignalModel, agent: int, f: int, g: int):
+        agent = checked_index(agent, model.n_agents, "agent")
         self.lane = pair_table(model).lanes([(agent, f, g)])[0]
 
     mean = property(lambda self: self.lane.mean)

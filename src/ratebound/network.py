@@ -210,10 +210,15 @@ class PropagationSchedule:
     (n, n-1, 2), are read-only.
     """
 
-    M: int
     relay_source: np.ndarray
     relay_offset: np.ndarray
     harvest: np.ndarray
+
+    @property
+    def M(self) -> int:
+        """The block length, read off the relay tables: one row per
+        propagation period."""
+        return len(self.relay_source) + 1
 
 
 def schedule_too_large(n: int) -> str | None:
@@ -233,8 +238,9 @@ def schedule_too_large(n: int) -> str | None:
 def build_schedule(net: Network) -> PropagationSchedule:
     """Construct the relay plan for a strongly connected network.
 
-    Block length is M = 1 + n(n-2) for n >= 3 (M = 1 for n <= 2: every
-    period is a voting period). Offset o = (j+1) + k*n is round (j, k):
+    The relay tables hold one row per round (j, k), k < n-2, so the block
+    length read off them is M = 1 + n(n-2) for n >= 3 (M = 1 for n <= 2:
+    every period is a voting period). Offset o = (j+1) + k*n is round (j, k):
     agents at distance k+1 from j display j's voting action, read from
     their carrier for j, the lowest-indexed neighbor at distance k from j,
     who displayed it at offset o - n (at distance 1 the carrier is j, read
@@ -261,13 +267,12 @@ def build_schedule(net: Network) -> PropagationSchedule:
     relay_at = shown[carrier, agents]
     # rounds (k, j) in offset order; agent i relays in round (d(i, j) - 1, j)
     relaying = dist.T == np.arange(1, n - 1)[:, None, None]
-    M = max(1, 1 + n * (n - 2))
-    relay_source = np.where(relaying, carrier.T, agents).reshape(M - 1, n)
-    relay_offset = np.where(relaying, relay_at.T, 0).reshape(M - 1, n)
+    relay_source = np.where(relaying, carrier.T, agents).reshape(-1, n)
+    relay_offset = np.where(relaying, relay_at.T, 0).reshape(-1, n)
     harvest = np.stack([carrier, relay_at], -1)[agents[:, None], harvest_owners(n)]
     for array in (relay_source, relay_offset, harvest):
         array.flags.writeable = False
-    return PropagationSchedule(M, relay_source, relay_offset, harvest)
+    return PropagationSchedule(relay_source, relay_offset, harvest)
 
 
 def _shown(schedule: PropagationSchedule, offset, source) -> np.ndarray:
@@ -296,22 +301,34 @@ def _refuse(mask: np.ndarray, message) -> None:
         raise RuntimeError(message(*np.argwhere(mask)[0]))
 
 
-def replay_knowledge(net: Network, schedule: PropagationSchedule) -> np.ndarray:
-    """Symbolically replay one block; return whose votes each agent ends up knowing.
+def _integer_table(array, shape) -> bool:
+    """True iff array is an integer ndarray of the given shape."""
+    return (isinstance(array, np.ndarray) and array.shape == shape
+            and np.issubdtype(array.dtype, np.integer))
 
-    Every relay is checked against the network and its directive against
-    the block's order, and every harvest entry is checked to deliver the
-    vote it claims: the cell it reads is walked back along its directive
-    chain to the vote it shows (_shown). The result is the
-    schedule-correctness oracle, an (n, n) bool matrix whose row i marks
-    agent i herself and the votes her harvest delivers. It is full exactly
-    when the function returns, since each entry that delivers a vote other
-    than its owner's raises.
+
+def replay_knowledge(net: Network, schedule: PropagationSchedule) -> None:
+    """Symbolically replay one block: certify that every agent ends up
+    knowing every vote, or raise RuntimeError naming the first fault.
+
+    The schedule-correctness oracle. The tables' shapes and integer dtypes
+    are checked before any entry is read. Every relay is checked against
+    the network and its directive against the block's order, and every
+    harvest entry is checked to deliver the vote it claims: the cell it
+    reads is walked back along its directive chain to the vote it shows
+    (_shown). So a schedule that returns gives each agent her own vote and
+    the n-1 others, one per harvest entry.
     """
     n = net.n
     agents = np.arange(n)
     observes = net.observes
     source, offset = schedule.relay_source, schedule.relay_offset
+    table = (*np.shape(source)[:1], n)  # (M-1, n); other ranks fail the test
+    if not (_integer_table(source, table) and _integer_table(offset, table)
+            and _integer_table(schedule.harvest, (n, n - 1, 2))):
+        raise RuntimeError(
+            f"a schedule on {n} agents needs integer relay tables of one "
+            f"(M-1, {n}) shape and an integer ({n}, {n - 1}, 2) harvest")
     _refuse((source < 0) | (source >= n), lambda o, i: (
         f"directive at offset {o + 1} makes agent {i} imitate agent "
         f"{source[o, i]}, outside the network's 0..{n - 1}"))
@@ -333,10 +350,6 @@ def replay_knowledge(net: Network, schedule: PropagationSchedule) -> np.ndarray:
     _refuse((offset < 0) | (offset >= schedule.M), lambda i, m: (
         f"harvest entry of agent {i} reads offset {offset[i, m]}, outside "
         f"the block's 0..{schedule.M - 1}"))
-    delivered = _shown(schedule, offset, source)
-    _refuse(delivered != owners, lambda i, m: (
+    _refuse(_shown(schedule, offset, source) != owners, lambda i, m: (
         f"harvest entry of agent {i} expected agent {source[i, m]} to show "
         f"{owners[i, m]}'s vote at offset {offset[i, m]}"))
-    knowledge = np.eye(n, dtype=bool)
-    knowledge[agents[:, None], delivered] = True
-    return knowledge

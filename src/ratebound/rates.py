@@ -17,7 +17,7 @@ from ratebound.ldp_numerics import (
     pair_table,
     pmf_table,
 )
-from ratebound.signal_models import SignalModel
+from ratebound.signal_models import SignalModel, checked_index
 
 UNBOUNDED = math.inf
 
@@ -67,7 +67,9 @@ def _autarky_rates(table: PairTable, agents) -> list[float]:
 
 def autarky_rate(model: SignalModel, agent: int = 0) -> float:
     """Exponential rate of an agent learning alone: min over ordered state
-    pairs of the conjugate at zero."""
+    pairs of the conjugate at zero. agent is an integer index below the
+    model's n_agents."""
+    agent = checked_index(agent, model.n_agents, "agent")
     return _autarky_rates(pair_table(model), [agent])[0]
 
 
@@ -110,12 +112,18 @@ def coordination_threshold(model: SignalModel, delta: float) -> int:
     """Smallest group size for which the coordination argument's bad-cascade
     mass is summable on complete networks of identical agents.
 
-    Uses agent 0's signal law (the argument assumes identically distributed
-    agents). Requires 0 < delta < min over every agent and ordered pair of
-    the mean log-likelihood ratio, the engine's rule (checked_delta).
+    Requires 0 < delta < min over every agent and ordered pair of the mean
+    log-likelihood ratio, the engine's rule (checked_delta), and then
+    identically distributed agents, as the argument assumes: a model whose
+    agents' pmfs (or Gaussian means) differ is refused.
     """
     table = pair_table(model)
     delta = checked_delta(table, delta)
+    laws = model.pmf if model.has_finite_support else model.means
+    unlike = np.flatnonzero((laws != laws[0]).reshape(len(laws), -1).any(axis=1))
+    if unlike.size:
+        raise ValueError(f"coordination_threshold needs identical agents; agent "
+                         f"{unlike[0]}'s signal law differs from agent 0's")
     pairs = _ordered_pairs(model.states.n_states)
     lanes = table.lanes([(0, f, g) for f, g in pairs])
     # the numerator's etas, then the denominator's, in one lockstep call

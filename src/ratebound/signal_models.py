@@ -22,6 +22,16 @@ def is_count(value, least: int) -> bool:
     return integer and value >= least
 
 
+def checked_index(index, size: int, name: str):
+    """index, once is_count passes it as below size; else ValueError on
+    name: the one wording of every agent, state or replication index the
+    API takes."""
+    if not (is_count(index, 0) and index < size):
+        raise ValueError(f"{name} must be an integer index in "
+                         f"0..{size - 1}, not {index!r}")
+    return index
+
+
 def is_real(value) -> bool:
     """True iff value is a real number, not a bool, that is a finite float:
     the one check of every real a config gives (p, sigma, delta, prior, pmf

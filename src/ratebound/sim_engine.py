@@ -13,8 +13,8 @@ import numpy as np
 from ratebound.ldp_numerics import llr_table
 from ratebound.network import Network
 from ratebound.signal_models import (
-    BinarySymmetric, SignalModel, checked_prior, indices_from_words, is_count,
-    per_agent, word_edges,
+    BinarySymmetric, SignalModel, checked_index, checked_prior, indices_from_words,
+    is_count, per_agent, word_edges,
 )
 from ratebound.strategies import (
     Strategy, compile_rule, prior_log_matrix, state_pairs, strategy_violations,
@@ -448,9 +448,7 @@ def run_trajectory(
         ("replication_index", replication_index, config.replications),
         ("state", state, config.model.states.n_states),
     ):
-        if not (is_count(index, 0) and index < size):
-            raise ValueError(f"{name} must be an integer index in "
-                             f"0..{size - 1}, not {index!r}")
+        checked_index(index, size, name)
     chunk, offset = divmod(replication_index, CHUNK)
     gen = _chunk_generator(config.seed, state, chunk)
     binding = config._binding
@@ -569,13 +567,17 @@ def fit_rate(
 ) -> FitResult:
     """Fit an exponential decay rate on a period window (1-based, inclusive).
 
-    The window's ends are integer periods, not bools. agent=None pools
-    across agents; otherwise agent is an integer index below the curve's
-    n_agents. Periods qualify when the estimate can support a log: Monte
-    Carlo cells need at least 20 recorded mistakes, exact cells a positive
-    probability. Fewer than 3 qualifying periods make the fit unusable.
+    The window is exactly two ends, integer periods, not bools. agent=None
+    pools across agents; otherwise agent is an integer index below the
+    curve's n_agents. Periods qualify when the estimate can support a log:
+    Monte Carlo cells need at least 20 recorded mistakes, exact cells a
+    positive probability. Fewer than 3 qualifying periods make the fit unusable.
     """
-    lo, hi = window[0], window[1]
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise ValueError(f"window must be two periods (first, last), "
+                         f"not {window!r}") from None
     if not (is_count(lo, -math.inf) and is_count(hi, -math.inf)):
         raise ValueError(f"window ends must be integer periods, not {window!r}")
     if lo > hi:
@@ -587,10 +589,7 @@ def fit_rate(
     if agent is None:
         p_hat = mixed.mean(axis=0)
     else:
-        if not (is_count(agent, 0) and agent < curve.n_agents):
-            raise ValueError(f"agent must be an integer index in "
-                             f"0..{curve.n_agents - 1}, not {agent!r}")
-        p_hat = mixed[agent]
+        p_hat = mixed[checked_index(agent, curve.n_agents, "agent")]
     p_hat = p_hat[lo - 1 : hi]
     if curve.trials > 0:
         pooled = curve.counts.sum(axis=0)
@@ -692,8 +691,8 @@ def read_curve_csv(path) -> MistakeCurve:
     exact-enumeration otherwise. A file must list every (agent, period,
     state) cell exactly once, with integer counts in [0, trials], or with
     probabilities in [0, 1] when trials is 0, and its prior must pass
-    checked_prior. A malformed row or prior raises ValueError naming its
-    line.
+    checked_prior. A malformed row or prior, or a second prior or
+    provenance line, raises ValueError naming its line.
     """
     meta = {}
     with open(path) as fh:
@@ -709,6 +708,9 @@ def read_curve_csv(path) -> MistakeCurve:
                 key, sep, value = text[1:].strip().partition("=")
                 if not sep or key not in ("prior", "provenance"):
                     raise ValueError(f"unrecognized curve metadata: {text!r}")
+                if key in meta:
+                    raise ValueError(f"curve file line {line}: a second # {key}= "
+                                     f"line (the first is line {meta[key][0]})")
                 meta[key] = (line, value)
                 continue
             rows.append(_curve_row(text, line))

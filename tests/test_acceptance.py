@@ -10,10 +10,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from ratebound import verification
+from ratebound.network import build_schedule
 from ratebound.verification import run_checks
 
 
@@ -49,6 +51,31 @@ def test_criterion_3_autarky_curves_match_enumeration_sampling_and_fit(capsys):
 def test_criterion_4_schedules_certify_full_vote_knowledge(capsys):
     report(capsys, 4, "schedule knowledge certification",
            run_one("schedule-coverage"))
+
+
+def test_criterion_4_counts_every_refused_schedule(monkeypatch):
+    # network 5 gets a harvest entry that reads the harvester's own vote and
+    # network 60 (n = 10) a block one period short of 1 + n(n - 2); the check
+    # refuses both, goes on, and names the first refusal
+    built = []
+
+    def corrupting(net):
+        schedule = build_schedule(net)
+        built.append(net)
+        if len(built) == 6:
+            harvest = schedule.harvest.copy()
+            harvest[0, 0] = (0, 0)
+            schedule = replace(schedule, harvest=harvest)
+        if len(built) == 61:
+            schedule = replace(schedule, relay_source=schedule.relay_source[:-1],
+                               relay_offset=schedule.relay_offset[:-1])
+        return schedule
+    monkeypatch.setattr(verification, "build_schedule", corrupting)
+    result = run_one("schedule-coverage")
+    assert len(built) == 103 and not result.passed
+    assert result.detail == (
+        "103 networks (n up to 12): 2 failed certification; first, network 5: "
+        "harvest entry of agent 0 expected agent 0 to show 1's vote at offset 0")
 
 
 def test_criterion_5_coordination_beats_autarky_in_the_tail(capsys):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ratebound.network import (
     Network,
     build_schedule,
     network_to_json,
-    replay_knowledge,
 )
 from ratebound.sim_engine import InadmissibleConfig, SimConfig, read_curve_csv
 from ratebound.signal_models import (
@@ -508,6 +508,13 @@ def test_fit_refuses_a_bad_prior_or_row_with_one_line(tmp_path, capsys):
                                  capsys)
         assert (code, out) == (1, "")
         assert err == f"error: curve file line 2: {message}\n"
+    curve.write_text("agent,period,state,mistakes,trials\n# prior=0.5,0.5\n"
+                     f"# prior=0.2,0.8\n{rows}")
+    code, out, err = run_cli(["fit", "--curve", str(curve), "--window", "1:3"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: curve file line 3: a second # prior= line (the first "
+                   "is line 2)\n")
     curve.write_text(f"agent,period,state,mistakes,trials\n# prior=0.4,0.6\n{rows}")
     code, out, _ = run_cli(["fit", "--curve", str(curve), "--window", "1:3"], capsys)
     assert code == 0 and json.loads(out)["pooled"]["usable"]
@@ -832,6 +839,21 @@ def test_valid_documents_write_back_the_json_they_were_read_from(tmp_path):
     assert out is None and json.dumps(echoed) == json.dumps(small)
 
 
+def test_schedule_command_writes_only_certified_schedules(monkeypatch, capsys):
+    # the document states "full_knowledge": true because a schedule the
+    # replay refuses exits 2 before a byte of it is written
+    def lying(net):
+        schedule = build_schedule(net)
+        harvest = schedule.harvest.copy()
+        harvest[0, 0] = (0, 0)
+        return replace(schedule, harvest=harvest)
+    monkeypatch.setattr(cli_module, "build_schedule", lying)
+    code, out, err = run_cli(["schedule", "--cycle", "4"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: harvest entry of agent 0 expected agent 0 to show "
+                   "1's vote at offset 0\n")
+
+
 def test_schedule_command_builds_a_complete_network(capsys):
     code, out, err = run_cli(["schedule", "--complete", "4"], capsys)
     assert code == 0 and err == ""
@@ -847,9 +869,7 @@ def test_schedule_documents_match_their_golden_bytes():
     ]
     digest = hashlib.sha256()
     for net in nets:
-        schedule = build_schedule(net)
-        knowledge = replay_knowledge(net, schedule)
-        text = "".join(cli_module._schedule_text(net, schedule, knowledge))
+        text = "".join(cli_module._schedule_text(net, build_schedule(net)))
         digest.update(text.encode())
     assert len(nets) == 107
     assert digest.hexdigest() == GOLDEN_SCHEDULES

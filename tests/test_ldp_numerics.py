@@ -500,6 +500,17 @@ def test_kernel_rejects_identical_states_and_singular_pairs():
         PairKernel(disjoint, 0, 0, 1)
 
 
+def test_kernel_takes_an_integer_agent_index():
+    pmf = [[(p, 1.0 - p), (1.0 - p, p)] for p in (0.9, 0.6)]
+    model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf), 2)
+    for agent in (1.5, False, "0", 2):
+        with pytest.raises(ValueError) as excinfo:
+            PairKernel(model, agent, 0, 1)
+        assert str(excinfo.value) == (
+            f"agent must be an integer index in 0..1, not {agent!r}")
+    assert PairKernel(model, np.int64(1), 0, 1).mean == PairKernel(model, 1, 0, 1).mean
+
+
 def test_kernels_need_every_agent_to_share_one_support_across_states():
     # A kernel is a lane of the whole model's pair table, which needs each
     # agent's states to share one support, as pair_table and llr_table do.

@@ -4,7 +4,7 @@ import json
 import math
 import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -204,7 +204,7 @@ def test_distances_count_observation_hops():
 def test_block_length_formula():
     for n in (3, 5, 9):
         schedule = build_schedule(Network.complete(n))
-        assert schedule.M == 1 + n * (n - 2)
+        assert schedule.M == 1 + n * (n - 2) == len(schedule.relay_source) + 1
         assert schedule.relay_source.shape == (schedule.M - 1, n)
         assert schedule.relay_offset.shape == (schedule.M - 1, n)
         assert schedule.harvest.shape == (n, n - 1, 2)
@@ -218,8 +218,7 @@ def test_block_length_formula():
 def test_two_agent_schedule_harvests_the_neighbor_directly():
     schedule = build_schedule(Network.complete(2))
     assert schedule.harvest.tolist() == [[[1, 0]], [[0, 0]]]
-    knowledge = replay_knowledge(Network.complete(2), schedule)
-    assert knowledge.dtype == bool and knowledge.tolist() == [[True, True]] * 2
+    assert replay_knowledge(Network.complete(2), schedule) is None
 
 
 def test_voting_period_arithmetic():
@@ -239,9 +238,7 @@ def test_schedules_certify_full_knowledge_on_random_graphs():
         net = Network.random_strongly_connected(
             n, float(rng.uniform(0.15, 0.6)), seed=trial + 100
         )
-        knowledge = replay_knowledge(net, build_schedule(net))
-        assert knowledge.dtype == bool and knowledge.shape == (n, n)
-        assert knowledge.all()
+        assert replay_knowledge(net, build_schedule(net)) is None
 
 
 def test_schedules_certify_full_knowledge_at_large_n():
@@ -253,9 +250,7 @@ def test_schedules_certify_full_knowledge_at_large_n():
         assert schedule.M == 1 + net.n * (net.n - 2)
         assert schedule.relay_source.shape == (schedule.M - 1, net.n)
         assert schedule.harvest.shape == (net.n, net.n - 1, 2)
-        knowledge = replay_knowledge(net, schedule)
-        assert knowledge.dtype == bool and knowledge.shape == (net.n, net.n)
-        assert knowledge.all()
+        assert replay_knowledge(net, schedule) is None
 
 
 def test_schedule_carriers_match_a_brute_force_search():
@@ -314,6 +309,19 @@ def test_walked_chains_equal_an_offset_by_offset_replay():
         np.testing.assert_array_equal(_shown(schedule, *cells), expected)
 
 
+def test_a_schedule_reads_its_block_length_off_its_relay_tables():
+    schedule = build_schedule(Network.directed_cycle(4))
+    assert [field.name for field in fields(schedule)] == [
+        "relay_source", "relay_offset", "harvest"]
+    assert schedule.M == len(schedule.relay_source) + 1 == 9
+    # no schedule can state a block length its tables disagree with
+    for m in (8, 9.0, 10):
+        with pytest.raises(TypeError, match="'M'"):
+            replace(schedule, M=m)
+    with pytest.raises(AttributeError):
+        schedule.M = 10
+
+
 def test_schedule_arrays_are_read_only():
     schedule = build_schedule(Network.directed_cycle(4))
     for array in (schedule.relay_source, schedule.relay_offset, schedule.harvest):
@@ -351,7 +359,7 @@ def test_build_schedule_runs_one_graph_traversal(monkeypatch):
     calls = _one_distances_pass(monkeypatch)
     for net in nets:
         calls.clear()
-        assert replay_knowledge(net, build_schedule(net)).all()
+        assert replay_knowledge(net, build_schedule(net)) is None
         assert calls == [net]
 
 
@@ -387,6 +395,37 @@ def _corrupted(schedule, name, index, value):
     array = getattr(schedule, name).copy()
     array[index] = value
     return replace(schedule, **{name: array})
+
+
+def test_replay_refuses_a_malformed_schedule_by_its_shapes():
+    cycle = Network.directed_cycle(4)
+    schedule = build_schedule(cycle)
+    source, offset, harvest = (
+        schedule.relay_source, schedule.relay_offset, schedule.harvest)
+    line = ("a schedule on 4 agents needs integer relay tables of one "
+            "(M-1, 4) shape and an integer (4, 3, 2) harvest")
+    for malformed in (
+        {"harvest": np.concatenate([harvest, harvest[..., :1]], -1)},
+        {"harvest": harvest[:, :-1]},
+        {"harvest": harvest[0]},
+        {"relay_source": source[:-1]},
+        {"relay_offset": offset[:, :-1]},
+        {"relay_source": source[0]},
+        {"relay_offset": offset.astype(float)},
+        {"harvest": harvest.astype(float)},
+        {"relay_source": source.tolist()},
+    ):
+        with pytest.raises(RuntimeError) as excinfo:
+            replay_knowledge(cycle, replace(schedule, **malformed))
+        assert str(excinfo.value) == line
+    # tables both one row short make a block of 8 that the harvest outruns
+    with pytest.raises(RuntimeError) as excinfo:
+        replay_knowledge(cycle, replace(schedule, relay_source=source[:-1],
+                                        relay_offset=offset[:-1]))
+    assert str(excinfo.value) == (
+        "harvest entry of agent 2 reads offset 8, outside the block's 0..7")
+    assert replay_knowledge(cycle, replace(
+        schedule, relay_offset=offset.astype(np.int32))) is None
 
 
 def test_replay_rejects_imitating_an_unobserved_agent():
@@ -500,9 +539,9 @@ def test_replay_holds_no_copy_of_the_relay_tables():
     schedule = build_schedule(net)
     tracemalloc.start()
     try:
-        knowledge = replay_knowledge(net, schedule)
+        certified = replay_knowledge(net, schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert knowledge.all()
+    assert certified is None
     assert peak <= 16 * 2**20

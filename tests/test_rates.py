@@ -44,6 +44,20 @@ def test_autarky_and_bounded_goldens():
     )
 
 
+def test_autarky_rate_takes_an_integer_agent_index():
+    # agents p = 0.9 and p = 0.6; a bool, float or string is no agent index,
+    # not even when it would cast to 1
+    pmf = [[(p, 1.0 - p), (1.0 - p, p)] for p in (0.9, 0.6)]
+    model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf), 2)
+    for agent in (True, 1.9, np.float64(1.2), "1", -1, 2):
+        with pytest.raises(ValueError) as excinfo:
+            autarky_rate(model, agent)
+        assert str(excinfo.value) == (
+            f"agent must be an integer index in 0..1, not {agent!r}")
+    assert autarky_rate(model, np.int64(1)) == autarky_rate(model, 1)
+    assert autarky_rate(model, 1) == autarky_rate(binary_model(0.6))
+
+
 def test_weak_bounded_golden_and_gaussian_unboundedness():
     assert weak_bounded_rate(binary_model(0.75)) == pytest.approx(
         2.0 * LOG3, rel=1e-12
@@ -144,7 +158,8 @@ def test_coordination_threshold_pins_the_group_sizes_at_three_quarters():
 def test_coordination_threshold_and_the_engine_share_one_delta_rule():
     # Two agents, p = 0.75 and p = 0.6: their smallest pair means are 0.549
     # and 0.0811, so delta = 0.2 clears agent 0's but not agent 1's. Both
-    # refuse it, over every agent, with one message.
+    # refuse it, over every agent, with one message, before the threshold
+    # refuses the unequal agents themselves.
     pmf = [[(p, 1.0 - p), (1.0 - p, p)] for p in (0.75, 0.6)]
     model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf), 2)
     message = "delta must lie in (0, 0.081093), the smallest pair mean"
@@ -155,7 +170,30 @@ def test_coordination_threshold_and_the_engine_share_one_delta_rule():
         SimConfig(model, Network.complete(2), CoordinationComplete(0.2),
                   horizon=5, replications=10, seed=0)
     assert config.value.violations == [f"strategy.delta: {message}"]
-    assert coordination_threshold(model, 0.05) >= 1
+    with pytest.raises(ValueError, match="needs identical agents; agent 1's"):
+        coordination_threshold(model, 0.05)
+
+
+def test_coordination_threshold_refuses_unequal_agents():
+    # one agent at p = 0.9 and one at p = 0.6: agent 0's law alone would set
+    # the threshold, so the order of the agents would change it
+    strong, weak = [[(p, 1.0 - p), (1.0 - p, p)] for p in (0.9, 0.6)]
+    for pmf in ((strong, weak), (weak, strong)):
+        model = SignalModel(StateSpace((0, 1)), Finite((0, 1), pmf), 2)
+        with pytest.raises(ValueError) as excinfo:
+            coordination_threshold(model, 0.05)
+        assert str(excinfo.value) == ("coordination_threshold needs identical "
+                                      "agents; agent 1's signal law differs "
+                                      "from agent 0's")
+    means = ((0.0, 1.0), (0.0, 1.5))
+    unequal = SignalModel(StateSpace((0, 1)), Gaussian(means, 1.0), 2)
+    with pytest.raises(ValueError, match="needs identical agents; agent 1's"):
+        coordination_threshold(unequal, 0.05)
+    # an explicit per-agent array of equal rows is one law, stated per agent
+    for weak_alone in (Finite((0, 1), weak), Finite((0, 1), (weak,) * 3)):
+        model = SignalModel(StateSpace((0, 1)), weak_alone, 3)
+        assert coordination_threshold(model, 0.05) == coordination_threshold(
+            binary_model(0.6), 0.05)
 
 
 def test_coordination_threshold_equals_its_pair_by_pair_solve():

@@ -1082,6 +1082,13 @@ def test_fit_validates_window_and_agent():
         assert str(excinfo.value) == (
             f"window ends must be integer periods, not {window!r}")
     assert fit_rate(curve, (np.int64(1), np.int64(10))) == fit_rate(curve, (1, 10))
+    # a window is exactly two ends: a third is not dropped, nor one alone an
+    # IndexError
+    for window in ((1, 5, 9), (3,), 3):
+        with pytest.raises(ValueError) as excinfo:
+            fit_rate(curve, window)
+        assert str(excinfo.value) == (
+            f"window must be two periods (first, last), not {window!r}")
     # an agent must be an integer index, not a bool or a float
     for agent in (True, 1.0, -1, curve.n_agents):
         with pytest.raises(ValueError) as excinfo:
@@ -1241,6 +1248,24 @@ def test_read_curve_rejects_malformed_files(tmp_path):
         with pytest.raises(ValueError) as excinfo:
             read_curve_csv(bad)
         assert str(excinfo.value) == f"curve file line 3: {message}"
+
+
+def test_read_curve_refuses_repeated_metadata(tmp_path):
+    # a second prior or provenance line is refused, wherever it falls, not
+    # preferred to the first
+    header, rows = "agent,period,state,mistakes,trials", "0,1,0,3,100\n0,1,1,3,100"
+    for first, second in (("# prior=0.5,0.5", "# prior=0.2,0.8"),
+                          ("# provenance=monte-carlo", "# provenance=monte-carlo")):
+        key = first[2:].partition("=")[0]
+        for body, line in ((f"{first}\n{second}\n{rows}", 3),
+                           (f"{first}\n{rows}\n{second}", 5)):
+            curve = tmp_path / "twice.csv"
+            curve.write_text(f"{header}\n{body}\n")
+            with pytest.raises(ValueError) as excinfo:
+                read_curve_csv(curve)
+            assert str(excinfo.value) == (
+                f"curve file line {line}: a second # {key}= line (the first "
+                f"is line 2)")
 
 
 # -- worker configuration ----------------------------------------------------------
